@@ -18,11 +18,8 @@ uniqueness property the build exists to witness.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterator, NamedTuple
 
 from .core import _require_odd_positive
 from .errors import (
@@ -33,7 +30,6 @@ from .errors import (
     NonEdgeError,
 )
 from .forward import trajectory
-from .inverse import g_branch, iter_siblings
 
 __all__ = [
     "TruncationConfig",
@@ -96,83 +92,109 @@ class NodeInfo(NamedTuple):
 
 @dataclass
 class TruncatedArborescence:
-    """Node store keyed by value, plus per-depth level lists in build order."""
+    """Value -> parent store, plus per-depth level lists in build order.
+
+    Only the parent link is stored.  Every other node field is derived:
+    depth from the level holding the value, residue and is_leaf from the
+    value mod 3, and sibling_index from the (parent, value) edge through
+    _sibling_index, which raises NonEdgeError on a link that is no edge.
+    """
 
     config: TruncationConfig
-    nodes: dict[int, NodeInfo]
+    parent: dict[int, int | None]
     levels: dict[int, list[int]]
 
     def __contains__(self, value: int) -> bool:
-        return value in self.nodes
+        return value in self.parent
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
     @property
     def max_depth(self) -> int:
         return max(self.levels)
 
     def node(self, value: int) -> NodeInfo:
-        try:
-            return self.nodes[value]
-        except KeyError:
-            raise MissingVertexError(f"{value} is not stored in this truncation") from None
+        """Derived record of one stored value; its depth is its number of links to the root."""
+        if value not in self.parent:
+            raise MissingVertexError(f"{value} is not stored in this truncation")
+        depth = 0
+        u = self.parent[value]
+        while u is not None:
+            depth += 1
+            u = self.parent[u]
+        return _node_info(value, depth, self.parent[value])
 
-    def parents(self) -> list[int]:
-        """Stored non-leaf vertices, in (depth, position) order."""
-        return [v for k in sorted(self.levels) for v in self.levels[k]
-                if not self.nodes[v].is_leaf]
-
-    def records(self):
+    def records(self) -> Iterator[tuple[int, NodeInfo]]:
         """Node records in deterministic (depth, level-position) order."""
+        parent = self.parent
         for k in sorted(self.levels):
             for v in self.levels[k]:
-                yield v, self.nodes[v]
+                yield v, _node_info(v, k, parent[v])
 
 
-def _children_in_box(parent: int, config: TruncationConfig):
-    """(n, child) pairs the truncation admits, ascending; trivial cycle skipped."""
-    first = 2 if parent == ROOT else 1
-    for n, v in iter_siblings(parent, first_index=first):
-        if config.sibling_cap is not None and n > config.sibling_cap:
-            return
-        if config.value_bound is not None and v > config.value_bound:
-            return
-        yield n, v
+def _node_info(value: int, depth: int, parent: int | None) -> NodeInfo:
+    r = value % 3
+    n = None if parent is None else _sibling_index(parent, value)
+    return NodeInfo(depth, parent, n, r, r == 0)
+
+
+def _first_child(u: int) -> tuple[int, int]:
+    """(n, v_n) for the first child the build stores under non-leaf u.
+
+    That is v_1 = (4u - 1)/3 for class 1 and (2u - 1)/3 for class 2; for the
+    root it is v_2 = 5, since v_1 = 1 would close the trivial cycle.  Raw
+    arithmetic with g_branch's cross-check: 3 v_n = 2^e u - 1 and
+    v_n = z_n + 2^e (u div 3).
+    """
+    if u == ROOT:
+        n, e, z = 2, 4, 5
+    elif u % 3 == 1:
+        n, e, z = 1, 2, 1
+    else:
+        n, e, z = 1, 1, 1
+    t = (u << e) - 1
+    v = t // 3
+    if 3 * v != t or v != z + ((u // 3) << e):
+        raise InconsistencyError(f"first child {v} of {u} fails 3v = 2^{e} u - 1 "
+                                 f"or the multiple form")
+    return n, v
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
     """Breadth-first expansion from the root inside the truncation box.
 
     Deterministic: each level is ordered by parent position, then sibling
-    index.  A repeated value raises DuplicateVertexError (it would falsify
-    uniqueness); overrunning max_nodes raises CapacityError.
+    index.  Each parent's first child comes from _first_child, later ones
+    from the recurrence v_{n+1} = 4 v_n + 1.  A repeated value raises
+    DuplicateVertexError (it would falsify uniqueness); overrunning
+    max_nodes raises CapacityError.
     """
     if config.value_bound is not None and config.value_bound < ROOT:
         raise ValueError("value_bound excludes the root")
-    nodes: dict[int, NodeInfo] = {ROOT: NodeInfo(0, None, None, ROOT % 3, False)}
+    bound, cap, max_nodes = config.value_bound, config.sibling_cap, config.max_nodes
+    parent: dict[int, int | None] = {ROOT: None}
     levels: dict[int, list[int]] = {0: [ROOT]}
     frontier = [ROOT]
     depth = 0
     while frontier and (config.max_depth is None or depth < config.max_depth):
         depth += 1
         level: list[int] = []
-        for parent in frontier:
-            for n, child in _children_in_box(parent, config):
-                prior = nodes.get(child)
-                if prior is not None:
-                    raise DuplicateVertexError(child, prior.parent if prior.parent is not None else ROOT, parent)
-                if len(nodes) >= config.max_nodes:
-                    raise CapacityError(
-                        f"node budget {config.max_nodes} exhausted at depth {depth}"
-                    )
-                r = child % 3
-                nodes[child] = NodeInfo(depth, parent, n, r, r == 0)
-                level.append(child)
+        for u in frontier:
+            n, v = _first_child(u)
+            while (bound is None or v <= bound) and (cap is None or n <= cap):
+                if v in parent:
+                    raise DuplicateVertexError(v, parent[v] or ROOT, u)
+                if len(parent) >= max_nodes:
+                    raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+                parent[v] = u
+                level.append(v)
+                v = 4 * v + 1
+                n += 1
         if level:
             levels[depth] = level
-        frontier = [v for v in level if v % 3 != 0]
-    return TruncatedArborescence(config, nodes, levels)
+        frontier = [v for v in level if v % 3]
+    return TruncatedArborescence(config, parent, levels)
 
 
 def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
@@ -183,16 +205,13 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     MissingVertexError (absence under truncation proves nothing).
     """
     _require_odd_positive(target, "target")
-    if target not in tree.nodes:
+    if target not in tree.parent:
         raise MissingVertexError(f"{target} is not stored in this truncation")
     path = [target]
-    v = target
-    while v != ROOT:
-        parent = tree.nodes[v].parent
-        if parent is None:
-            raise InconsistencyError(f"non-root {v} has no parent link")
-        path.append(parent)
-        v = parent
+    v = tree.parent[target]
+    while v is not None:
+        path.append(v)
+        v = tree.parent[v]
     path.reverse()
     orbit = trajectory(target, max_steps=len(path)).values
     if list(reversed(orbit)) != path:
@@ -202,29 +221,32 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     return path
 
 
+def _sibling_index(parent: int, child: int) -> int:
+    """Sibling index n with child the n-th branch of parent, else NonEdgeError.
+
+    Raw arithmetic on odd positive arguments: 3 child + 1 must be parent
+    times a power of two 2^e, with e even for a class-1 parent (e = 2n) and
+    odd for a class-2 parent (e = 2n - 1).  A leaf parent never divides
+    3 child + 1, which is 1 mod 3.
+    """
+    q, rem = divmod(3 * child + 1, parent)
+    if rem:
+        raise NonEdgeError(f"3*{child} + 1 is not a multiple of {parent}")
+    if q < 2 or q & (q - 1):
+        raise NonEdgeError(f"3*{child} + 1 = {q} * {parent} with {q} not a power of two")
+    e = q.bit_length() - 1
+    if e & 1 != parent % 3 - 1:
+        raise NonEdgeError(f"class-{parent % 3} parent {parent} cannot spend exponent {e}")
+    return (e + 1) >> 1
+
+
 def _edge_index(parent: int, child: int) -> int:
     """Sibling index n with child the n-th branch of parent, else NonEdgeError."""
     _require_odd_positive(parent, "parent")
     _require_odd_positive(child, "child")
     if parent % 3 == 0:
         raise NonEdgeError(f"{parent} is a leaf and has no outgoing edges")
-    t = 3 * child + 1
-    if t % parent:
-        raise NonEdgeError(f"3*{child} + 1 is not a multiple of {parent}")
-    q = t // parent
-    if q < 2 or q & (q - 1):
-        raise NonEdgeError(f"3*{child} + 1 = {q} * {parent} with {q} not a power of two")
-    e = q.bit_length() - 1
-    r = parent % 3
-    if r == 1:
-        if e % 2:
-            raise NonEdgeError(f"class-1 parent {parent} cannot spend an odd exponent {e}")
-        n = e // 2
-    else:
-        if e % 2 == 0:
-            raise NonEdgeError(f"class-2 parent {parent} cannot spend an even exponent {e}")
-        n = (e + 1) // 2
-    return n
+    return _sibling_index(parent, child)
 
 
 def classify_edge(parent: int, child: int) -> str:
@@ -282,36 +304,85 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
         raise ValueError(
             f"report bound {bound} exceeds the tree's value bound {tree.config.value_bound}"
         )
-    bitmap = 0
+    bits = bytearray((bound + 15) // 16)
     first_depth: dict[int, int] = {}
     level_sizes: dict[int, int] = {}
-    for value, info in tree.nodes.items():
-        if value <= bound:
-            bitmap |= 1 << ((value - 1) // 2)
-            first_depth[value] = info.depth
-            level_sizes[info.depth] = level_sizes.get(info.depth, 0) + 1
-    missing = tuple(x for x in range(1, bound + 1, 2) if not bitmap >> ((x - 1) // 2) & 1)
+    for k in sorted(tree.levels):
+        before = len(first_depth)
+        for value in tree.levels[k]:
+            if value <= bound:
+                i = value >> 1
+                bits[i >> 3] |= 1 << (i & 7)
+                first_depth[value] = k
+        if len(first_depth) > before:
+            level_sizes[k] = len(first_depth) - before
+    bitmap = int.from_bytes(bits, "little")
+    missing = tuple(x for x in range(1, bound + 1, 2) if x not in first_depth)
     return CoverageReport(
         bound=bound,
         covered_count=len(first_depth),
         bitmap=bitmap,
         missing=missing,
         first_depth=first_depth,
-        level_sizes=dict(sorted(level_sizes.items())),
+        level_sizes=level_sizes,
     )
 
 
-def _jsonl_record(value: int, info: NodeInfo) -> str:
-    return json.dumps(
-        {
-            "value": value,
-            "depth": info.depth,
-            "parent": info.parent,
-            "sibling_index": info.sibling_index,
-            "residue": info.residue,
-            "is_leaf": info.is_leaf,
-        }
-    )
+_CHUNK = 4096  # lines per sink write: bounded memory, few write calls
+
+
+def _write_lines(sink: BinaryIO, lines: Iterator[str]) -> None:
+    chunk: list[str] = []
+    for line in lines:
+        chunk.append(line)
+        if len(chunk) == _CHUNK:
+            sink.write("".join(chunk).encode("ascii"))
+            chunk.clear()
+    if chunk:
+        sink.write("".join(chunk).encode("ascii"))
+
+
+def _rows(tree: TruncatedArborescence) -> Iterator[tuple[int, int, int, int, int]]:
+    """(value, depth, parent, sibling_index, residue) of every non-root node."""
+    parent = tree.parent
+    for k in sorted(tree.levels):
+        if k:
+            for v in tree.levels[k]:
+                u = parent[v]
+                yield v, k, u, _sibling_index(u, v), v % 3
+
+
+def _jsonl_lines(tree: TruncatedArborescence) -> Iterator[str]:
+    # byte-identical to json.dumps of the record dict, key order = _FIELDS
+    yield '{"value": 1, "depth": 0, "parent": null, "sibling_index": null, "residue": 1, ' \
+          '"is_leaf": false}\n'
+    for v, k, u, n, r in _rows(tree):
+        yield (f'{{"value": {v}, "depth": {k}, "parent": {u}, "sibling_index": {n}, '
+               f'"residue": {r}, "is_leaf": {"false" if r else "true"}}}\n')
+
+
+def _csv_lines(tree: TruncatedArborescence) -> Iterator[str]:
+    # byte-identical to csv.writer: integers and bare words need no quoting
+    yield ",".join(_FIELDS) + "\n"
+    yield "1,0,,,1,false\n"
+    for v, k, u, n, r in _rows(tree):
+        yield f"{v},{k},{u},{n},{r},{'false' if r else 'true'}\n"
+
+
+def _dot_lines(tree: TruncatedArborescence) -> Iterator[str]:
+    yield "digraph collatz_arbor {\n"
+    order = [tree.levels[k] for k in sorted(tree.levels)]
+    for level in order:
+        for v in level:
+            yield f"    {v};\n" if v % 3 else f"    {v} [shape=box];\n"
+    parent = tree.parent
+    for level in order[1:]:
+        for v in level:
+            yield f"    {parent[v]} -> {v};\n"
+    yield "}\n"
+
+
+_EXPORTERS = {"jsonl": _jsonl_lines, "dot": _dot_lines, "csv": _csv_lines}
 
 
 def export(tree: TruncatedArborescence, fmt: str, sink: BinaryIO) -> None:
@@ -319,38 +390,9 @@ def export(tree: TruncatedArborescence, fmt: str, sink: BinaryIO) -> None:
 
     Output is deterministic for a given tree: nodes in (depth, level-position)
     order, integers in decimal.  The DOT digraph is named collatz_arbor with
-    leaves drawn as boxes.
+    leaves drawn as boxes.  Each stored parent link is checked as an edge
+    (NonEdgeError) when its sibling index is derived for jsonl and csv.
     """
-    if fmt == "jsonl":
-        for value, info in tree.records():
-            sink.write(_jsonl_record(value, info).encode("ascii"))
-            sink.write(b"\n")
-    elif fmt == "csv":
-        text = io.StringIO(newline="")
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(_FIELDS)
-        for value, info in tree.records():
-            writer.writerow(
-                [
-                    value,
-                    info.depth,
-                    "" if info.parent is None else info.parent,
-                    "" if info.sibling_index is None else info.sibling_index,
-                    info.residue,
-                    "true" if info.is_leaf else "false",
-                ]
-            )
-        sink.write(text.getvalue().encode("ascii"))
-    elif fmt == "dot":
-        sink.write(b"digraph collatz_arbor {\n")
-        for value, info in tree.records():
-            if info.is_leaf:
-                sink.write(f"    {value} [shape=box];\n".encode("ascii"))
-            else:
-                sink.write(f"    {value};\n".encode("ascii"))
-        for value, info in tree.records():
-            if info.parent is not None:
-                sink.write(f"    {info.parent} -> {value};\n".encode("ascii"))
-        sink.write(b"}\n")
-    else:
+    if fmt not in _EXPORTERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    _write_lines(sink, _EXPORTERS[fmt](tree))

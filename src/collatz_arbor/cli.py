@@ -35,9 +35,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _is_decimal(text: str) -> bool:
+    # ASCII digits only: no underscores, signs, alternate bases or non-ASCII
+    # digits (str.isdigit alone accepts e.g. Arabic-Indic ones)
+    return text.isascii() and text.isdigit()
+
+
 def _decimal(text: str) -> int:
-    # decimal digits only: no underscores, signs, or alternate bases
-    if not text.isdigit():
+    if not _is_decimal(text):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
     return int(text)
 
@@ -46,7 +51,7 @@ def _default_max_nodes() -> int:
     raw = os.environ.get(MAX_NODES_ENV)
     if raw is None:
         return arbor.DEFAULT_MAX_NODES
-    if not raw.isdigit() or int(raw) < 1:
+    if not _is_decimal(raw) or int(raw) < 1:
         raise ValueError(f"{MAX_NODES_ENV} must be a positive decimal integer, got {raw!r}")
     return int(raw)
 
@@ -249,6 +254,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop quietly, and point
+        # stdout at devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

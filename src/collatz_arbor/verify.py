@@ -14,8 +14,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .arbor import ROOT, TruncatedArborescence, TruncationConfig, build
+from .arbor import ROOT, TruncatedArborescence, TruncationConfig, _edge_index, build
 from .core import z_term
+from .errors import NonEdgeError
 from .forward import DEFAULT_MAX_STEPS, f_step
 from .inverse import (
     adjacent_initials,
@@ -256,12 +257,10 @@ def check_multiples(u: int, count: int) -> VerificationReport:
 def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
     """Stored vertices the build rule expands, in deterministic order."""
     k_limit = tree.config.max_depth
-    for value, info in tree.records():
-        if info.is_leaf:
-            continue
-        if k_limit is not None and info.depth >= k_limit:
-            continue
-        yield value
+    for k in sorted(tree.levels):
+        if k_limit is not None and k >= k_limit:
+            return
+        yield from (v for v in tree.levels[k] if v % 3)
 
 
 def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
@@ -287,7 +286,7 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
             cases += 1
             n += 1
     duplicates = sorted(v for v, c in counts.items() if c > 1)
-    stored = set(tree.nodes) - {ROOT}
+    stored = set(tree.parent) - {ROOT}
     derived = set(counts)
     if duplicates:
         v = duplicates[0]
@@ -303,23 +302,32 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
 
 
 def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
-    """Every stored child must be reproduced by its recorded (parent, index)."""
+    """Every stored parent link must be an edge whose index reproduces the child.
+
+    The sibling index is recovered from the link by the edge test, then the
+    child is re-derived from (parent, index) by direct branch evaluation.
+    """
     t0 = time.perf_counter()
     params = {"nodes": len(tree)}
     cases = 0
-    for value, info in tree.records():
-        if info.parent is None:
+    for value, parent in tree.parent.items():
+        if parent is None:
             continue
         cases += 1
-        if g_branch(info.parent, info.sibling_index) != value:
+        if parent not in tree:
             return _finish("parent_pointers", params, False,
-                           {"value": value, "parent": info.parent,
-                            "sibling_index": info.sibling_index},
-                           cases, t0)
-        if info.parent not in tree.nodes:
-            return _finish("parent_pointers", params, False,
-                           {"value": value, "parent": info.parent,
+                           {"value": value, "parent": parent,
                             "reason": "parent not stored"},
+                           cases, t0)
+        try:
+            n = _edge_index(parent, value)
+        except NonEdgeError as exc:
+            return _finish("parent_pointers", params, False,
+                           {"value": value, "parent": parent, "reason": str(exc)},
+                           cases, t0)
+        if g_branch(parent, n) != value:
+            return _finish("parent_pointers", params, False,
+                           {"value": value, "parent": parent, "sibling_index": n},
                            cases, t0)
     return _finish("parent_pointers", params, True, None, cases, t0)
 

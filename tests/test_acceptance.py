@@ -132,7 +132,7 @@ def test_c06_covering_patterns():
     assert patterns.passed, patterns.counterexample
     assert patterns.statistics["warnings"] == []
     # class-1 children may only land on {1, 5, 9} mod 12
-    for value, info in tree.nodes.items():
+    for value, info in tree.records():
         if info.parent is not None and info.parent % 3 == 1:
             assert value % 12 in (1, 5, 9)
     _passed(6, f"{templates.statistics['cases']} template cases, "

@@ -61,8 +61,8 @@ class TestBuild:
         assert tree.levels[1] == [5, 21, 85, 341]
 
     def test_trivial_cycle_excluded(self, deep_tree):
-        assert deep_tree.nodes[1].parent is None
-        assert all(info.parent != 1 or value != 1 for value, info in deep_tree.nodes.items())
+        assert deep_tree.node(1).parent is None
+        assert all(info.parent != 1 or value != 1 for value, info in deep_tree.records())
 
     def test_bound_filtered_second_level(self, small_tree):
         # 85 and 341 exceed the bound, so only 5 contributes at depth 2
@@ -73,7 +73,7 @@ class TestBuild:
     def test_contains_worked_path(self, deep_tree):
         for v in (5, 13, 17, 11, 7, 9):
             assert v in deep_tree
-        assert deep_tree.nodes[9].depth == 6
+        assert deep_tree.node(9).depth == 6
 
     def test_root_only(self):
         tree = build(TruncationConfig(max_depth=0, value_bound=100))
@@ -81,17 +81,17 @@ class TestBuild:
         assert tree.levels == {0: [1]}
 
     def test_node_metadata(self, small_tree):
-        info = small_tree.nodes[13]
+        info = small_tree.node(13)
         assert info.depth == 2
         assert info.parent == 5
         assert info.sibling_index == 2
         assert info.residue == 1
         assert not info.is_leaf
-        assert small_tree.nodes[21].is_leaf
+        assert small_tree.node(21).is_leaf
 
     def test_leaves_have_no_children(self, deep_tree):
-        leaves = {v for v, info in deep_tree.nodes.items() if info.is_leaf}
-        children_of = {info.parent for info in deep_tree.nodes.values() if info.parent}
+        leaves = {v for v, info in deep_tree.records() if info.is_leaf}
+        children_of = {info.parent for _, info in deep_tree.records() if info.parent}
         assert not leaves & children_of
 
     def test_sibling_cap(self):
@@ -105,14 +105,14 @@ class TestBuild:
     def test_duplicate_child_aborts_loudly(self, monkeypatch):
         # cannot happen with the real branch map, so inject a colliding stream
         import collatz_arbor.arbor as arbor_mod
-        real = arbor_mod.iter_siblings
+        real = arbor_mod._first_child
 
-        def colliding(parent, first_index=1):
+        def colliding(parent):
             if parent == 5:
-                return iter([(1, 3), (2, 21)])  # 21 already stored under the root
-            return real(parent, first_index=first_index)
+                return 2, 21  # 21 already stored under the root
+            return real(parent)
 
-        monkeypatch.setattr(arbor_mod, "iter_siblings", colliding)
+        monkeypatch.setattr(arbor_mod, "_first_child", colliding)
         with pytest.raises(DuplicateVertexError) as excinfo:
             build(TruncationConfig(max_depth=2, value_bound=60))
         assert excinfo.value.value == 21
@@ -120,34 +120,34 @@ class TestBuild:
     def test_depth_bookkeeping_of_late_initial_vertices(self, deep_tree):
         # with the root at depth 0: 29 enters at depth 5 and its first child
         # 19 at depth 6
-        assert deep_tree.nodes[29].depth == 5
-        assert deep_tree.nodes[19].depth == 6
-        assert deep_tree.nodes[19].parent == 29
-        assert deep_tree.nodes[19].sibling_index == 1
+        assert deep_tree.node(29).depth == 5
+        assert deep_tree.node(19).depth == 6
+        assert deep_tree.node(19).parent == 29
+        assert deep_tree.node(19).sibling_index == 1
 
     def test_parent_links_rederive(self, deep_tree):
-        for value, info in deep_tree.nodes.items():
+        for value, info in deep_tree.records():
             if info.parent is not None:
                 assert g_branch(info.parent, info.sibling_index) == value
 
     def test_indegree_contract(self, deep_tree):
         # node store keys are unique by construction; every non-root has
         # exactly one stored parent, the root none
-        for value, info in deep_tree.nodes.items():
+        for value, info in deep_tree.records():
             if value == 1:
                 assert info.parent is None
             else:
-                assert info.parent in deep_tree.nodes
+                assert info.parent in deep_tree
 
     def test_at_most_one_leaf_per_path_and_only_terminal(self, deep_tree):
-        for value, info in deep_tree.nodes.items():
+        for value, info in deep_tree.records():
             if info.is_leaf:
                 continue
             # a non-leaf interior vertex never sits below a leaf
             parent = info.parent
             while parent is not None:
-                assert not deep_tree.nodes[parent].is_leaf
-                parent = deep_tree.nodes[parent].parent
+                assert not deep_tree.node(parent).is_leaf
+                parent = deep_tree.node(parent).parent
 
 
 class TestPath:
@@ -165,7 +165,7 @@ class TestPath:
             path_to(small_tree, 9)
 
     def test_every_stored_path_reverses_its_orbit(self, small_tree):
-        for value in small_tree.nodes:
+        for value in small_tree.parent:
             path = path_to(small_tree, value)
             assert path == list(reversed(trajectory(value).values))
 
@@ -202,7 +202,7 @@ class TestClassifyEdge:
             classify_edge(8, 5)
 
     def test_direction_rule_over_tree(self, deep_tree):
-        for value, info in deep_tree.nodes.items():
+        for value, info in deep_tree.records():
             if info.parent is None or info.parent == 1:
                 continue
             kind = classify_edge(info.parent, value)

@@ -37,6 +37,12 @@ class TestTrajectory:
         result = run_cli("trajectory", "0x11")
         assert result.returncode == 2
 
+    def test_non_ascii_digits_rejected(self):
+        # Arabic-Indic "13": str.isdigit accepts it, int() would read 13
+        result = run_cli("trajectory", "\u0661\u0663")
+        assert result.returncode == 2
+        assert result.stdout == ""
+
 
 class TestSiblings:
     def test_count_stop(self):
@@ -104,9 +110,31 @@ class TestTree:
         result = run_cli("tree", "--depth", "6", "--bound", "1000000", env=env)
         assert result.returncode == 3
 
+    def test_env_var_budget_needs_ascii_digits(self):
+        import os
+        env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="\u0661\u0663")
+        result = run_cli("tree", "--depth", "1", "--bound", "25", env=env)
+        assert result.returncode == 2
+        assert "COLLATZ_ARBOR_MAX_NODES" in result.stderr
+
     def test_no_bounds_is_usage_error(self):
         result = run_cli("tree")
         assert result.returncode == 2
+
+    def test_reader_closing_early_exits_quietly(self):
+        # like `tree ... | head -c 100`: megabytes of output, reader stops at 100 bytes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "collatz_arbor.cli", "tree", "--depth", "20",
+             "--bound", "1000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert len(head) == 100
+        assert stderr == b""
 
 
 class TestVerify:

@@ -3,12 +3,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatz_arbor.arbor import NodeInfo, TruncationConfig, build
 from collatz_arbor.core import decompose, w_term, z_term
 from collatz_arbor.forward import f_step, valuation2
 from collatz_arbor.inverse import (
     branch_forms,
     g_branch,
     initial_vertex,
+    iter_siblings,
     multiples_sequence,
     sibling_gap,
     siblings,
@@ -103,3 +105,45 @@ def test_collision_probe_always_forces_odd(d, base, same_class):
     required, is_odd = check_collision_parity(CollisionProbe(d, partner, same_class))
     assert is_odd
     assert required % 2 == 1
+
+
+def _reference_build(config):
+    """The build rule through the validated sibling stream: the oracle for build."""
+    records = {1: NodeInfo(0, None, None, 1, False)}
+    levels = {0: [1]}
+    frontier = [1]
+    depth = 0
+    while frontier and (config.max_depth is None or depth < config.max_depth):
+        depth += 1
+        level = []
+        for u in frontier:
+            for n, v in iter_siblings(u, first_index=2 if u == 1 else 1):
+                if config.sibling_cap is not None and n > config.sibling_cap:
+                    break
+                if config.value_bound is not None and v > config.value_bound:
+                    break
+                assert v == g_branch(u, n) and v not in records
+                records[v] = NodeInfo(depth, u, n, v % 3, v % 3 == 0)
+                level.append(v)
+        if level:
+            levels[depth] = level
+        frontier = [v for v in level if v % 3]
+    return levels, list(records.items())
+
+
+small_boxes = st.one_of(
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12),
+              value_bound=st.integers(1, 10**5),
+              sibling_cap=st.none() | st.integers(1, 8)),
+    # unbounded values: the cap alone stops each sibling stream
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12), sibling_cap=st.integers(1, 3)),
+)
+
+
+@given(small_boxes)
+@settings(max_examples=60, deadline=None)
+def test_build_matches_reference_build(config):
+    tree = build(config)
+    levels, records = _reference_build(config)
+    assert tree.levels == levels
+    assert list(tree.records()) == records

@@ -140,6 +140,14 @@ class TestUniqueness:
     def test_parent_pointers(self, tree_k6):
         assert check_parent_pointers(tree_k6).passed
 
+    def test_parent_pointers_report_a_link_that_is_no_edge(self):
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.parent[13] = 21  # 3*13 + 1 = 40 is no multiple of 21
+        report = check_parent_pointers(tree)
+        assert not report.passed
+        assert report.counterexample["value"] == 13
+        assert report.counterexample["parent"] == 21
+
 
 class TestCovering:
     def test_root_template(self):
@@ -161,7 +169,7 @@ class TestCovering:
         assert report.statistics["class2_sample"] > 0
 
     def test_class1_values_avoid_three_seven_eleven(self, tree_k6):
-        for value, info in tree_k6.nodes.items():
+        for value, info in tree_k6.records():
             if info.parent is not None and info.parent % 3 == 1:
                 assert value % 12 not in (3, 7, 11)
 
