@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from collatz_arbor import cli, verify
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -183,6 +187,35 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self):
         result = run_cli("verify", "--suite", "bogus")
         assert result.returncode == 2
+
+
+# every check run_suite can start; none may start when a box is bad
+SWEEPS = ("residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep",
+          "adjacent_initials_sweep", "gaps_sweep", "collision_parity_sweep",
+          "check_uniqueness", "check_parent_pointers", "check_covering_templates",
+          "check_covering", "check_initial_vertex_partition", "check_convergence")
+
+
+def _must_not_run(name):
+    def sweep(*args, **kwargs):
+        raise AssertionError(f"{name} ran although a box was bad")
+    return sweep
+
+
+class TestVerifyBoxes:
+    @pytest.mark.parametrize("args, message", [
+        (("--suite", "all", "--parent-bound", "3"), "parent_bound must be >= 7, got 3"),
+        (("--suite", "all", "--depth", "2"), "tree depth 2 is too shallow; need >= 3"),
+        (("--suite", "all", "--conv-bound", "0"), "bound must be >= 1, got 0"),
+        (("--suite", "convergence", "--max-steps", "0"), "max_steps must be >= 1, got 0"),
+    ])
+    def test_bad_box_stops_before_any_sweep(self, monkeypatch, capsys, args, message):
+        for name in SWEEPS:
+            monkeypatch.setattr(verify, name, _must_not_run(name))
+        assert cli.main(["verify", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestCover:

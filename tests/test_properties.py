@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convergence_reference import reference_check_convergence
 from collatz_arbor.arbor import NodeInfo, TruncationConfig, build
 from collatz_arbor.core import decompose, w_term, z_term
 from collatz_arbor.forward import f_step, valuation2
@@ -15,7 +16,7 @@ from collatz_arbor.inverse import (
     sibling_gap,
     siblings,
 )
-from collatz_arbor.verify import CollisionProbe, check_collision_parity
+from collatz_arbor.verify import CollisionProbe, check_collision_parity, check_convergence
 
 odd_positive = st.integers(min_value=0, max_value=10**30).map(lambda k: 2 * k + 1)
 parents = odd_positive.filter(lambda u: u % 3 != 0)
@@ -147,3 +148,13 @@ def test_build_matches_reference_build(config):
     levels, records = _reference_build(config)
     assert tree.levels == levels
     assert list(tree.records()) == records
+
+
+@given(st.integers(1, 3000), st.integers(1, 150))
+@settings(max_examples=60, deadline=None)
+def test_convergence_sweep_matches_reference(bound, max_steps):
+    # small budgets put the "step budget exhausted" reports, reached value
+    # included, into the comparison
+    got = check_convergence(bound, max_steps)
+    want = reference_check_convergence(bound, max_steps)
+    assert got.as_dict(include_elapsed=False) == want.as_dict(include_elapsed=False)

@@ -1,9 +1,13 @@
+import array as array_module
 import json
 
 import pytest
 
+import convergence_reference
+from collatz_arbor import verify
 from collatz_arbor.arbor import TruncationConfig, build
 from collatz_arbor.errors import LeafParentError
+from collatz_arbor.forward import f_step
 from collatz_arbor.verify import (
     INITIAL_RESIDUE_TEMPLATES,
     CollisionProbe,
@@ -216,6 +220,68 @@ class TestConvergence:
         report = check_convergence(100)
         assert report.passed
         assert report.statistics["max_excursion"] >= 3077  # 27's orbit climbs there
+
+
+def _same_reports(bound, max_steps=10_000):
+    got = check_convergence(bound, max_steps).as_dict(include_elapsed=False)
+    want = convergence_reference.reference_check_convergence(bound, max_steps)
+    assert got == want.as_dict(include_elapsed=False)
+    return got
+
+
+class TestConvergenceSweep:
+    """The memoized sweep against the walk-every-orbit reference."""
+
+    @pytest.mark.parametrize("x", [5, 1367, 3077])
+    def test_wrong_reverse_branch_gives_the_same_failed_report(self, monkeypatch, x):
+        # 5 is first reached by start 3, 1367 and 3077 by start 27; about a
+        # thousand of the later starts up to 5000 pass through each of them
+        y, a = f_step(x)
+        bad = (y, a // 2 if y % 3 == 1 else (a + 1) // 2)
+        real = verify.g_branch
+
+        def faulty(u, n):
+            return real(u, n) + 2 if (u, n) == bad else real(u, n)
+
+        monkeypatch.setattr(verify, "g_branch", faulty)
+        monkeypatch.setattr(convergence_reference, "g_branch", faulty)
+        report = _same_reports(5000)
+        assert not report["passed"]
+        assert report["counterexample"]["x"] == x
+        assert report["counterexample"]["reason"] == "reverse branch does not recover x"
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The arrays check_convergence makes, its step table among them."""
+        made = []
+
+        class RecordedArray(array_module.array):
+            def __new__(cls, *args):
+                made.append(super().__new__(cls, *args))
+                return made[-1]
+
+        monkeypatch.setattr(array_module, "array", RecordedArray)
+        return made
+
+    @pytest.mark.parametrize("max_steps", [40, 150, 1 << 16])
+    def test_small_table_cap_gives_the_same_reports(self, monkeypatch, tables, max_steps):
+        monkeypatch.setattr(verify, "_STEP_TABLE_BYTES", 16)
+        for bound in (1, 7, 17, 18, 100, 1001, 4999, 5000):
+            _same_reports(bound, max_steps)
+        itemsize = 2 if max_steps < 1 << 16 else tables[0].itemsize
+        assert max(len(t) for t in tables) == 16 // itemsize
+
+    def test_huge_bound_allocates_nothing_up_front(self, tables):
+        # the table grows one entry per start swept: 1, 3 and 5 pass, 7 fails
+        report = check_convergence(10**15, max_steps=3)
+        assert report.counterexample == {"start": 7, "reason": "step budget exhausted",
+                                         "reached": 13}
+        assert [len(t) for t in tables] == [3]
+
+    @pytest.mark.parametrize("bound, max_steps", [(0, 10), (-5, 10), (9, 0)])
+    def test_empty_box_is_rejected(self, bound, max_steps):
+        with pytest.raises(ValueError):
+            check_convergence(bound, max_steps)
 
 
 class TestSweepsAndSuites:
