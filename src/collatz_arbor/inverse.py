@@ -53,21 +53,33 @@ def branch_exponent(u: int, n: int) -> int:
     return 2 * n if r == 1 else 2 * n - 1
 
 
-def g_branch(u: int, n: int) -> int:
-    """The n-th child of parent u, cross-checked against the multiple form.
+def _raw_branch(u: int, e: int, z: int) -> int:
+    """(2^e u - 1) / 3, cross-checked against the multiple form z + 2^e (u div 3).
 
-    Computes (2^e u - 1) / 3 with e the class-determined exponent and asserts
-    it equals z_n + 2^e * (u div 3); disagreement raises InconsistencyError.
+    The one home of the branch formula.  It checks no argument: callers pass
+    a parent u, the exponent e of its n-th branch and z = z_n.  Raises
+    InconsistencyError when 3 does not divide 2^e u - 1 or when the two
+    forms differ.
     """
-    e = branch_exponent(u, n)
-    t = (1 << e) * u - 1
+    t = (u << e) - 1
     if t % 3:
         raise InconsistencyError(f"2^{e} * {u} - 1 is not divisible by 3")
     v = t // 3
-    alt = z_term(n) + (1 << e) * (u // 3)
+    alt = z + ((u // 3) << e)
     if v != alt:
-        raise InconsistencyError(f"child of {u} at index {n}: {v} != multiple form {alt}")
+        # e = 2n or 2n - 1, so n = (e + 1) div 2 in both classes
+        raise InconsistencyError(
+            f"child of {u} at index {(e + 1) // 2}: {v} != multiple form {alt}")
     return v
+
+
+def g_branch(u: int, n: int) -> int:
+    """The n-th child of parent u, cross-checked against the multiple form.
+
+    Checks u and n, then computes (2^e u - 1) / 3 with e the class-determined
+    exponent through _raw_branch, which asserts it equals z_n + 2^e (u div 3).
+    """
+    return _raw_branch(u, branch_exponent(u, n), z_term(n))
 
 
 def branch_forms(u: int, n: int) -> dict[str, int]:

@@ -4,7 +4,8 @@ Every check runs inside an explicit finite box (a parent bound, a sibling
 count, an index offset range, a truncation config) and produces a
 VerificationReport that embeds that box, so a "pass" can never be read as
 more than evidence on the stated range.  A failed check always carries a
-counterexample with enough data to replay it.
+counterexample with enough data to replay it.  Each check validates its box
+once, at its boundary; its inner loops then do plain integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,47 +13,24 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator
 
 from .arbor import ROOT, TruncatedArborescence, TruncationConfig, _edge_index, build
-from .core import z_term
+from .core import w_term, z_term
 from .errors import NonEdgeError
-from .forward import DEFAULT_MAX_STEPS, f_step
-from .inverse import (
-    adjacent_initials,
-    g_branch,
-    initial_vertex,
-    iter_siblings,
-    multiples_sequence,
-)
+from .forward import DEFAULT_MAX_STEPS, trajectory
+from .inverse import _raw_branch, _require_parent, adjacent_initials, g_branch, initial_vertex
 
 __all__ = [
-    "VerificationReport",
-    "CollisionProbe",
-    "check_residue_cycle",
-    "check_collision_parity",
-    "check_closed_forms",
-    "check_multiples",
-    "check_uniqueness",
-    "check_parent_pointers",
-    "check_covering",
-    "check_covering_templates",
-    "check_initial_vertex_partition",
-    "check_convergence",
-    "residue_cycle_sweep",
-    "multiples_sweep",
-    "closed_forms_sweep",
-    "adjacent_initials_sweep",
-    "gaps_sweep",
-    "collision_parity_sweep",
-    "run_suite",
-    "SUITE_NAMES",
-    "SUITE_ALIASES",
-    "INITIAL_RESIDUE_TEMPLATES",
-    "DEFAULT_PARENT_BOUND",
-    "DEFAULT_SIBLING_COUNT",
-    "DEFAULT_MAX_OFFSET",
-    "DEFAULT_PARTNERS",
+    "VerificationReport", "CollisionProbe",
+    "check_residue_cycle", "check_collision_parity", "check_closed_forms", "check_multiples",
+    "check_uniqueness", "check_parent_pointers", "check_covering", "check_covering_templates",
+    "check_initial_vertex_partition", "check_convergence",
+    "residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep", "adjacent_initials_sweep",
+    "gaps_sweep", "collision_parity_sweep",
+    "run_suite", "SUITE_NAMES", "SUITE_ALIASES", "INITIAL_RESIDUE_TEMPLATES",
+    "DEFAULT_PARENT_BOUND", "DEFAULT_SIBLING_COUNT", "DEFAULT_MAX_OFFSET", "DEFAULT_PARTNERS",
 ]
 
 # Default boxes: seconds-scale runtime with arbitrary precision.
@@ -116,8 +94,13 @@ def _parents_up_to(bound: int) -> Iterator[int]:
             yield u
 
 
-def _template_for(parent: int) -> tuple[int, int, tuple[int, int, int]]:
-    return INITIAL_RESIDUE_TEMPLATES[(parent % 3, (parent // 3) % 3)]
+def _require_box(least: int = 1, **sizes: int) -> None:
+    """Each named size of a box (parent_bound, count, max_d, ...) must be an int >= least."""
+    for what, size in sizes.items():
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise TypeError(f"{what} must be an int, got {type(size).__name__}")
+        if size < least:
+            raise ValueError(f"{what} must be >= {least}, got {size}")
 
 
 def _template_residue(template: tuple[int, int, tuple[int, int, int]], n: int) -> int:
@@ -125,27 +108,54 @@ def _template_residue(template: tuple[int, int, tuple[int, int, int]], n: int) -
     return first if n == 1 else cycle[(n - 2) % 3]
 
 
+def _over_parents(name: str, params: dict, parents: Iterable[int], count: int,
+                  kernel: Callable[[int], Callable[[int], dict | None]],
+                  whole_parent: bool = False) -> VerificationReport:
+    """Check each parent with kernel(count), `count` cases a parent, up to a counterexample.
+
+    A failed report counts the cases up to the failing child (the
+    counterexample's "n"), or with whole_parent all of the failing parent's.
+    """
+    t0 = time.perf_counter()
+    counterexample = kernel(count)
+    cases = 0
+    for u in parents:
+        bad = counterexample(u)
+        if bad is not None:
+            return _finish(name, params, False, bad,
+                           cases + (count if whole_parent else bad["n"]), t0)
+        cases += count
+    return _finish(name, params, True, None, cases, t0)
+
+
 # ---------------------------------------------------------------------------
-# per-object checks
+# per-object checks.  A kernel(count) reads z_1, or rows from z_term and
+# w_term, once, and returns a function of a checked parent u: the first
+# counterexample among u's first `count` children, or None.  The first child
+# comes from the raw branch kernel, the others from v_{n+1} = 1 + 4 v_n.
+
+
+def _residue_cycle_kernel(count: int) -> Callable[[int], dict | None]:
+    z1 = z_term(1)
+
+    def counterexample(u: int) -> dict | None:
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        first = v % 3
+        for n in range(1, count + 1):
+            if v % 3 != (first + n - 1) % 3:
+                return {"u": u, "n": n, "value": v,
+                        "expected_residue": (first + n - 1) % 3, "observed_residue": v % 3}
+            v = 1 + 4 * v
+        return None
+    return counterexample
 
 
 def check_residue_cycle(u: int, count: int) -> VerificationReport:
     """Sibling residues mod 3 must step +1 cyclically from the first child's class."""
-    t0 = time.perf_counter()
-    params = {"u": u, "count": count}
-    first = None
-    for n, v in iter_siblings(u):
-        if n > count:
-            break
-        if first is None:
-            first = v % 3
-        expected = (first + n - 1) % 3
-        if v % 3 != expected:
-            return _finish("residue_cycle", params, False,
-                           {"u": u, "n": n, "value": v,
-                            "expected_residue": expected, "observed_residue": v % 3},
-                           n, t0)
-    return _finish("residue_cycle", params, True, None, count, t0)
+    _require_parent(u)
+    _require_box(count=count)
+    return _over_parents("residue_cycle", {"u": u, "count": count}, (u,), count,
+                         _residue_cycle_kernel)
 
 
 @dataclass(frozen=True)
@@ -189,17 +199,24 @@ def check_collision_parity(probe: CollisionProbe) -> tuple[int, bool]:
 
 def collision_parity_sweep(max_d: int = DEFAULT_MAX_OFFSET,
                            partners_per_class: int = DEFAULT_PARTNERS) -> VerificationReport:
-    """Every probe over the box must force an odd (hence impossible) multiple."""
+    """Every probe over the box must force an odd (hence impossible) multiple.
+
+    The probes are those check_collision_parity takes, valid by construction
+    and not built: for each d (z_d read once) and each i, first the mixed
+    case with partner 2i + 1, then the same-class case with partner 2i.
+    """
+    _require_box(max_d=max_d, partners_per_class=partners_per_class)
     t0 = time.perf_counter()
     params = {"max_d": max_d, "partners_per_class": partners_per_class}
     cases = 0
     for d in range(1, max_d + 1):
+        z = z_term(d)
+        mixed, same = 1 << (2 * d - 1), 1 << (2 * d)
         for i in range(partners_per_class):
-            for same_class, partner in ((False, 2 * i + 1), (True, 2 * i)):
-                probe = CollisionProbe(d, partner, same_class)
-                required, is_odd = check_collision_parity(probe)
+            for same_class, partner, scale in ((False, 2 * i + 1, mixed), (True, 2 * i, same)):
                 cases += 1
-                if not is_odd:
+                required = scale * partner + z
+                if required % 2 == 0:
                     return _finish("collision_parity", params, False,
                                    {"d": d, "partner_multiple": partner,
                                     "same_class": same_class, "required_multiple": required},
@@ -207,47 +224,75 @@ def collision_parity_sweep(max_d: int = DEFAULT_MAX_OFFSET,
     return _finish("collision_parity", params, True, None, cases, t0)
 
 
+def _closed_forms_kernel(count: int) -> Callable[[int], dict | None]:
+    # per parent class: (n, e_n, z_n, sum of 2^e_i for i < n), n = 1..count
+    ns = range(1, count + 1)
+    zs = [z_term(n) for n in ns]
+    es = {r: [2 * n if r == 1 else 2 * n - 1 for n in ns] for r in (1, 2)}
+    rows = {r: list(zip(ns, es[r], zs, accumulate((1 << e for e in es[r]), initial=0)))
+            for r in (1, 2)}
+
+    def counterexample(u: int) -> dict | None:
+        class_rows = rows[u % 3]
+        _, e1, z1, _ = class_rows[0]
+        v1 = rec = _raw_branch(u, e1, z1)
+        for n, e, z, acc in class_rows:
+            direct = _raw_branch(u, e, z)
+            summed = u * acc + v1
+            if not direct == rec == summed:
+                return {"u": u, "n": n, "direct": direct, "recurrence": rec,
+                        "summation": summed}
+            rec = 1 + 4 * rec
+        return None
+    return counterexample
+
+
 def check_closed_forms(u: int, count: int) -> VerificationReport:
     """Direct division, recurrence from v_1, and partial-sum form must agree."""
-    t0 = time.perf_counter()
-    params = {"u": u, "count": count}
-    r = u % 3
-    v1 = g_branch(u, 1)
-    rec = v1
-    acc = 0
-    for n in range(1, count + 1):
-        if n > 1:
-            rec = 1 + 4 * rec
-            acc += 1 << (2 * (n - 1) if r == 1 else 2 * (n - 1) - 1)
-        direct = g_branch(u, n)
-        summed = u * acc + v1
-        if not direct == rec == summed:
-            return _finish("closed_forms", params, False,
-                           {"u": u, "n": n, "direct": direct,
-                            "recurrence": rec, "summation": summed},
-                           n, t0)
-    return _finish("closed_forms", params, True, None, count, t0)
+    _require_parent(u)
+    _require_box(count=count)
+    return _over_parents("closed_forms", {"u": u, "count": count}, (u,), count,
+                         _closed_forms_kernel)
+
+
+def _multiples_kernel(count: int) -> Callable[[int], dict | None]:
+    # per first-child residue r1: (n, w term, 4^(n-1)) of m_n's closed form
+    # for n = 2..count, the w term being w_{n-1}, w_n or w_{n+1} for r1 = 0, 1, 2
+    ws = [0] + [w_term(k) for k in range(1, count + 2)]
+    rows = {r1: [(n, ws[n - 1 + r1], 1 << (2 * (n - 1))) for n in range(2, count + 1)]
+            for r1 in (0, 1, 2)}
+    z1 = z_term(1)
+
+    def counterexample(u: int) -> dict | None:
+        # a term off its closed form first, else the first that does not ascend
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        r1, mu = v % 3, v // 3
+        prev = (v - r1) // 3
+        if prev != mu:
+            return {"u": u, "n": 1, "direct": prev, "closed_form": mu,
+                    "first_child_residue": r1}
+        m = mu - 1 if r1 == 2 else mu
+        descent = None
+        for n, w, scale in rows[r1]:
+            v = 1 + 4 * v
+            term = (v - v % 3) // 3
+            if term != w + scale * m:
+                return {"u": u, "n": n, "direct": term, "closed_form": w + scale * m,
+                        "first_child_residue": r1}
+            if descent is None and not prev < term:
+                descent = {"u": u, "n": n, "previous": prev, "term": term,
+                           "reason": "not ascending"}
+            prev = term
+        return descent
+    return counterexample
 
 
 def check_multiples(u: int, count: int) -> VerificationReport:
     """Child multiples must ascend strictly and match their piecewise closed form."""
-    t0 = time.perf_counter()
-    params = {"u": u, "count": count}
-    seq = multiples_sequence(u, count)
-    for i, ok in enumerate(seq.matches):
-        if not ok:
-            return _finish("multiples", params, False,
-                           {"u": u, "n": i + 1, "direct": seq.terms[i],
-                            "closed_form": seq.closed_form[i],
-                            "first_child_residue": seq.first_child_residue},
-                           count, t0)
-    for i in range(len(seq.terms) - 1):
-        if not seq.terms[i] < seq.terms[i + 1]:
-            return _finish("multiples", params, False,
-                           {"u": u, "n": i + 2, "previous": seq.terms[i],
-                            "term": seq.terms[i + 1], "reason": "not ascending"},
-                           count, t0)
-    return _finish("multiples", params, True, None, count, t0)
+    _require_parent(u)
+    _require_box(count=count)
+    return _over_parents("multiples", {"u": u, "count": count}, (u,), count,
+                         _multiples_kernel, whole_parent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +411,8 @@ def check_covering(tree: TruncatedArborescence) -> VerificationReport:
         parent_class = info.parent % 3
         key = (parent_class, (info.parent // 3) % 3)
         seen_keys.add(key)
-        modulus, first, cycle = INITIAL_RESIDUE_TEMPLATES[key]
-        expected = first if info.sibling_index == 1 else cycle[(info.sibling_index - 2) % 3]
+        template = INITIAL_RESIDUE_TEMPLATES[key]
+        modulus, expected = template[0], _template_residue(template, info.sibling_index)
         if value % modulus != expected:
             return _finish("covering_patterns", params, False,
                            {"value": value, "parent": info.parent,
@@ -402,36 +447,34 @@ def check_covering(tree: TruncatedArborescence) -> VerificationReport:
                    warnings=warnings)
 
 
+def _template_kernel(count: int) -> Callable[[int], dict | None]:
+    z1 = z_term(1)
+    residues = {key: (template[0], [_template_residue(template, n) for n in range(1, count + 1)])
+                for key, template in INITIAL_RESIDUE_TEMPLATES.items()}
+
+    def counterexample(u: int) -> dict | None:
+        modulus, expected = residues[(u % 3, (u // 3) % 3)]
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        for n, want in enumerate(expected, 1):
+            if v % modulus != want:
+                return {"u": u, "n": n, "value": v, "modulus": modulus,
+                        "expected": want, "observed": v % modulus}
+            v = 1 + 4 * v
+        return None
+    return counterexample
+
+
 def check_covering_templates(parent_bound: int = DEFAULT_PARENT_BOUND,
                              count: int = 8) -> VerificationReport:
     """Every parent's first `count` children must follow its residue template."""
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound, "count": count}
-    cases = 0
-    for u in _parents_up_to(parent_bound):
-        template = _template_for(u)
-        modulus = template[0]
-        for n, v in iter_siblings(u):
-            if n > count:
-                break
-            cases += 1
-            expected = _template_residue(template, n)
-            if v % modulus != expected:
-                return _finish("covering_templates", params, False,
-                               {"u": u, "n": n, "value": v, "modulus": modulus,
-                                "expected": expected, "observed": v % modulus},
-                               cases, t0)
-    return _finish("covering_templates", params, True, None, cases, t0)
-
-
-def _require_partition_box(parent_bound: int) -> None:
-    if parent_bound < 7:
-        raise ValueError(f"parent_bound must be >= 7, got {parent_bound}")
+    _require_box(parent_bound=parent_bound, count=count)
+    return _over_parents("covering_templates", {"parent_bound": parent_bound, "count": count},
+                         _parents_up_to(parent_bound), count, _template_kernel)
 
 
 def check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
     """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
-    _require_partition_box(parent_bound)
+    _require_box(7, parent_bound=parent_bound)
     t0 = time.perf_counter()
     params = {"parent_bound": parent_bound}
     from_class1: set[int] = set()
@@ -460,13 +503,6 @@ def check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
     return _finish("initial_vertex_partition", params, True, None, cases, t0)
 
 
-def _require_convergence_box(bound: int, max_steps: int) -> None:
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-
-
 # The convergence sweep's step table stops growing at this many bytes,
 # whatever the bound: 2^24 odd starts at 2 B each.
 _STEP_TABLE_BYTES = 32 << 20
@@ -477,8 +513,9 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
 
     For each forward step x -> y with exponent a, the start x must reappear
     as the child of y at the index the exponent implies (a = 2n for class-1
-    y, a = 2n - 1 for class-2).  Reports the largest step count and the
-    largest excursion seen.
+    y, a = 2n - 1 for class-2), through the raw branch kernel with the
+    checked z_n.  Reports the largest step count and the largest excursion
+    seen.
 
     Starts are swept in ascending order, and each orbit is walked and checked
     only until it drops below its start: from there on it is the orbit of an
@@ -494,7 +531,7 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     # and only this sweep needs the array extension (0.4 ms to load)
     from array import array
 
-    _require_convergence_box(bound, max_steps)
+    _require_box(bound=bound, max_steps=max_steps)
     t0 = time.perf_counter()
     params = {"bound": bound, "max_steps": max_steps}
     # step counts of the starts swept so far, indexed by x >> 1 (start 1
@@ -503,6 +540,7 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     # would overflow "L".
     table = array("H" if max_steps < 1 << 16 else "L", [0])
     table_cap = _STEP_TABLE_BYTES // table.itemsize
+    zs = [0]  # z_n at index n, grown from z_term as the exponents need
     cases = 1
     max_len = 0
     max_peak = 1
@@ -511,7 +549,10 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
         x = x0
         steps = 0
         while x >= x0 and steps < max_steps:
-            y, a = f_step(x)
+            # f_step inlined: x is odd and positive by construction
+            t = 3 * x + 1
+            a = (t & -t).bit_length() - 1
+            y = t >> a
             ry = y % 3
             if ry == 0 or a % 2 != (0 if ry == 1 else 1):
                 return _finish("convergence", params, False,
@@ -520,7 +561,9 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
                                cases, t0,
                                max_steps_observed=max_len, max_excursion=max_peak)
             n = a // 2 if ry == 1 else (a + 1) // 2
-            if g_branch(y, n) != x:
+            if n >= len(zs):
+                zs.extend(z_term(k) for k in range(len(zs), n + 1))
+            if _raw_branch(y, a, zs[n]) != x:
                 return _finish("convergence", params, False,
                                {"start": x0, "x": x, "image": y, "exponent": a,
                                 "branch_index": n,
@@ -540,7 +583,7 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
         if x >> 1 >= len(table) or steps + table[x >> 1] > max_steps:
             return _finish("convergence", params, False,
                            {"start": x0, "reason": "step budget exhausted",
-                            "reached": _replay(x0, max_steps)},
+                            "reached": trajectory(x0, max_steps).values[-1]},
                            cases, t0,
                            max_steps_observed=max_len, max_excursion=max_peak)
         steps += table[x >> 1]
@@ -554,14 +597,6 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
                    max_steps_observed=max_len, max_excursion=max_peak)
 
 
-def _replay(x0: int, steps: int) -> int:
-    """The value the orbit of x0 reaches after `steps` steps."""
-    x = x0
-    for _ in range(steps):
-        x = f_step(x)[0]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # sweeps over parent ranges
 
@@ -569,56 +604,32 @@ def _replay(x0: int, steps: int) -> int:
 def residue_cycle_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
                         count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
     """Residue cycling for every valid parent up to the bound."""
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound, "count": count}
-    cases = 0
-    for u in _parents_up_to(parent_bound):
-        first = None
-        for n, v in iter_siblings(u):
-            if n > count:
-                break
-            cases += 1
-            if first is None:
-                first = v % 3
-            if v % 3 != (first + n - 1) % 3:
-                return _finish("residue_cycle", params, False,
-                               {"u": u, "n": n, "value": v,
-                                "expected_residue": (first + n - 1) % 3,
-                                "observed_residue": v % 3},
-                               cases, t0)
-    return _finish("residue_cycle", params, True, None, cases, t0)
+    _require_box(parent_bound=parent_bound, count=count)
+    return _over_parents("residue_cycle", {"parent_bound": parent_bound, "count": count},
+                         _parents_up_to(parent_bound), count, _residue_cycle_kernel)
 
 
 def multiples_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
                     count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
     """Multiples ascent and closed-form agreement for every parent up to the bound."""
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound, "count": count}
-    cases = 0
-    for u in _parents_up_to(parent_bound):
-        report = check_multiples(u, count)
-        cases += count
-        if not report.passed:
-            return _finish("multiples", params, False, report.counterexample, cases, t0)
-    return _finish("multiples", params, True, None, cases, t0)
+    _require_box(parent_bound=parent_bound, count=count)
+    return _over_parents("multiples", {"parent_bound": parent_bound, "count": count},
+                         _parents_up_to(parent_bound), count, _multiples_kernel,
+                         whole_parent=True)
 
 
 def closed_forms_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
                        count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
     """Route agreement (direct / recurrence / summation) for every parent."""
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound, "count": count}
-    cases = 0
-    for u in _parents_up_to(parent_bound):
-        report = check_closed_forms(u, count)
-        cases += count
-        if not report.passed:
-            return _finish("closed_forms", params, False, report.counterexample, cases, t0)
-    return _finish("closed_forms", params, True, None, cases, t0)
+    _require_box(parent_bound=parent_bound, count=count)
+    return _over_parents("closed_forms", {"parent_bound": parent_bound, "count": count},
+                         _parents_up_to(parent_bound), count, _closed_forms_kernel,
+                         whole_parent=True)
 
 
 def adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) -> VerificationReport:
     """Chained initial-vertex identities for every class-1 parent up to the bound."""
+    _require_box(parent_bound=parent_bound)
     t0 = time.perf_counter()
     params = {"parent_bound": parent_bound}
     cases = 0
@@ -635,45 +646,36 @@ def adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) -> Verific
     return _finish("adjacent_initials", params, True, None, cases, t0)
 
 
+def _gaps_kernel(count: int) -> Callable[[int], dict | None]:
+    # 2^e_n for n = 1..count, per parent class
+    powers = {r: [1 << (2 * n if r == 1 else 2 * n - 1) for n in range(1, count + 1)]
+              for r in (1, 2)}
+    z1 = z_term(1)
+
+    def counterexample(u: int) -> dict | None:
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        for n, p in enumerate(powers[u % 3], 1):
+            nxt = 1 + 4 * v
+            if nxt - v != p * u:
+                return {"u": u, "n": n, "expected_gap": p * u, "observed_gap": nxt - v}
+            v = nxt
+        return None
+    return counterexample
+
+
 def gaps_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
                count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
     """Consecutive-sibling gaps must equal 2^(2n) u (class 1) / 2^(2n-1) u (class 2)."""
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound, "count": count}
-    cases = 0
-    for u in _parents_up_to(parent_bound):
-        r = u % 3
-        prev = None
-        for n, v in iter_siblings(u):
-            if n > count + 1:
-                break
-            if prev is not None:
-                cases += 1
-                gap = (1 << (2 * (n - 1))) * u if r == 1 else (1 << (2 * (n - 1) - 1)) * u
-                if v - prev != gap:
-                    return _finish("sibling_gaps", params, False,
-                                   {"u": u, "n": n - 1, "expected_gap": gap,
-                                    "observed_gap": v - prev},
-                                   cases, t0)
-            prev = v
-    return _finish("sibling_gaps", params, True, None, cases, t0)
+    _require_box(parent_bound=parent_bound, count=count)
+    return _over_parents("sibling_gaps", {"parent_bound": parent_bound, "count": count},
+                         _parents_up_to(parent_bound), count, _gaps_kernel)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-SUITE_NAMES = (
-    "residue-cycle",
-    "multiples",
-    "closed-forms",
-    "adjacent-initials",
-    "gaps",
-    "collision",
-    "uniqueness",
-    "covering",
-    "partition",
-    "convergence",
-)
+SUITE_NAMES = ("residue-cycle", "multiples", "closed-forms", "adjacent-initials", "gaps",
+               "collision", "uniqueness", "covering", "partition", "convergence")
 
 SUITE_ALIASES = {
     "lemma1": "residue-cycle",
@@ -707,35 +709,30 @@ def run_suite(name: str, *,
 
     wanted = SUITE_NAMES if name == "all" else (name,)
     # every box is checked before any suite runs, so a bad one wastes no sweep
+    if {"residue-cycle", "multiples", "closed-forms", "gaps", "covering"} & set(wanted):
+        _require_box(parent_bound=parent_bound, count=count)
+    if "adjacent-initials" in wanted:
+        _require_box(parent_bound=parent_bound)
+    if "collision" in wanted:
+        _require_box(max_d=max_d, partners=partners)
     if "covering" in wanted:
         _require_covering_depth(_tree())
     if "partition" in wanted:
-        _require_partition_box(parent_bound)
+        _require_box(7, parent_bound=parent_bound)
     if "convergence" in wanted:
-        _require_convergence_box(convergence_bound, max_steps)
+        _require_box(bound=convergence_bound, max_steps=max_steps)
 
-    reports: list[VerificationReport] = []
-    for suite in wanted:
-        if suite == "residue-cycle":
-            reports.append(residue_cycle_sweep(parent_bound, count))
-        elif suite == "multiples":
-            reports.append(multiples_sweep(parent_bound, count))
-        elif suite == "closed-forms":
-            reports.append(closed_forms_sweep(parent_bound, count))
-        elif suite == "adjacent-initials":
-            reports.append(adjacent_initials_sweep(parent_bound))
-        elif suite == "gaps":
-            reports.append(gaps_sweep(parent_bound, count))
-        elif suite == "collision":
-            reports.append(collision_parity_sweep(max_d, partners))
-        elif suite == "uniqueness":
-            reports.append(check_uniqueness(_tree()))
-            reports.append(check_parent_pointers(_tree()))
-        elif suite == "covering":
-            reports.append(check_covering_templates(parent_bound, min(count, 8)))
-            reports.append(check_covering(_tree()))
-        elif suite == "partition":
-            reports.append(check_initial_vertex_partition(parent_bound))
-        elif suite == "convergence":
-            reports.append(check_convergence(convergence_bound, max_steps))
-    return reports
+    runs = {
+        "residue-cycle": lambda: [residue_cycle_sweep(parent_bound, count)],
+        "multiples": lambda: [multiples_sweep(parent_bound, count)],
+        "closed-forms": lambda: [closed_forms_sweep(parent_bound, count)],
+        "adjacent-initials": lambda: [adjacent_initials_sweep(parent_bound)],
+        "gaps": lambda: [gaps_sweep(parent_bound, count)],
+        "collision": lambda: [collision_parity_sweep(max_d, partners)],
+        "uniqueness": lambda: [check_uniqueness(_tree()), check_parent_pointers(_tree())],
+        "covering": lambda: [check_covering_templates(parent_bound, min(count, 8)),
+                             check_covering(_tree())],
+        "partition": lambda: [check_initial_vertex_partition(parent_bound)],
+        "convergence": lambda: [check_convergence(convergence_bound, max_steps)],
+    }
+    return [report for suite in wanted for report in runs[suite]()]

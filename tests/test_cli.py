@@ -208,6 +208,18 @@ class TestVerifyBoxes:
         (("--suite", "all", "--depth", "2"), "tree depth 2 is too shallow; need >= 3"),
         (("--suite", "all", "--conv-bound", "0"), "bound must be >= 1, got 0"),
         (("--suite", "convergence", "--max-steps", "0"), "max_steps must be >= 1, got 0"),
+        # empty boxes: each would otherwise pass with cases=0, or run sweeps first
+        (("--suite", "residue-cycle", "--count", "0"), "count must be >= 1, got 0"),
+        (("--suite", "residue-cycle", "--parent-bound", "0"), "parent_bound must be >= 1, got 0"),
+        (("--suite", "gaps", "--count", "0"), "count must be >= 1, got 0"),
+        (("--suite", "closed-forms", "--count", "0"), "count must be >= 1, got 0"),
+        (("--suite", "covering", "--count", "0"), "count must be >= 1, got 0"),
+        (("--suite", "collision", "--max-d", "0"), "max_d must be >= 1, got 0"),
+        (("--suite", "collision", "--partners", "0"), "partners must be >= 1, got 0"),
+        (("--suite", "multiples", "--count", "0"), "count must be >= 1, got 0"),
+        (("--suite", "adjacent-initials", "--parent-bound", "0"),
+         "parent_bound must be >= 1, got 0"),
+        (("--suite", "all", "--count", "0"), "count must be >= 1, got 0"),
     ])
     def test_bad_box_stops_before_any_sweep(self, monkeypatch, capsys, args, message):
         for name in SWEEPS:

@@ -1,6 +1,7 @@
 import pytest
 
-from collatz_arbor.errors import LeafParentError
+from collatz_arbor import inverse
+from collatz_arbor.errors import InconsistencyError, LeafParentError
 from collatz_arbor.forward import f_step
 from collatz_arbor.inverse import (
     SiblingSet,
@@ -52,6 +53,24 @@ class TestBranch:
                 v = g_branch(u, n)
                 expected_e = 2 * n if u % 3 == 1 else 2 * n - 1
                 assert f_step(v) == (u, expected_e)
+
+
+class TestRawBranch:
+    """The raw kernel checks no argument, but keeps both cross-checks."""
+
+    def test_matches_g_branch(self):
+        # class 2, n = 3: exponent 5, z_3 = 21
+        assert inverse._raw_branch(5, 5, 21) == g_branch(5, 3) == 53
+
+    def test_wrong_multiple_form_raises(self):
+        with pytest.raises(InconsistencyError,
+                           match="^child of 5 at index 3: 53 != multiple form 54$"):
+            inverse._raw_branch(5, 5, 22)
+
+    def test_indivisible_raises(self):
+        # 2^2 * 5 - 1 = 19: an exponent of the wrong parity for class 2
+        with pytest.raises(InconsistencyError, match="not divisible by 3"):
+            inverse._raw_branch(5, 2, 5)
 
 
 class TestBranchForms:

@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import verify_reference as reference
 from convergence_reference import reference_check_convergence
+from collatz_arbor import verify
 from collatz_arbor.arbor import NodeInfo, TruncationConfig, build
 from collatz_arbor.core import decompose, w_term, z_term
 from collatz_arbor.forward import f_step, valuation2
@@ -158,3 +160,30 @@ def test_convergence_sweep_matches_reference(bound, max_steps):
     got = check_convergence(bound, max_steps)
     want = reference_check_convergence(bound, max_steps)
     assert got.as_dict(include_elapsed=False) == want.as_dict(include_elapsed=False)
+
+
+def _same(got, want):
+    assert got.as_dict(include_elapsed=False) == want.as_dict(include_elapsed=False)
+
+
+@given(st.integers(1, 400), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_parent_sweeps_match_reference(parent_bound, count):
+    for name in ("residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep", "gaps_sweep",
+                 "check_covering_templates"):
+        _same(getattr(verify, name)(parent_bound, count),
+              getattr(reference, f"reference_{name}")(parent_bound, count))
+
+
+@given(st.integers(1, 20), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_collision_sweep_matches_reference(max_d, partners):
+    _same(verify.collision_parity_sweep(max_d, partners),
+          reference.reference_collision_parity_sweep(max_d, partners))
+
+
+@given(parents, st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_per_parent_checks_match_reference(u, count):
+    for name in ("check_residue_cycle", "check_closed_forms", "check_multiples"):
+        _same(getattr(verify, name)(u, count), getattr(reference, f"reference_{name}")(u, count))

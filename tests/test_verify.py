@@ -4,7 +4,8 @@ import json
 import pytest
 
 import convergence_reference
-from collatz_arbor import verify
+import verify_reference
+from collatz_arbor import inverse, verify
 from collatz_arbor.arbor import TruncationConfig, build
 from collatz_arbor.errors import LeafParentError
 from collatz_arbor.forward import f_step
@@ -237,14 +238,14 @@ class TestConvergenceSweep:
         # 5 is first reached by start 3, 1367 and 3077 by start 27; about a
         # thousand of the later starts up to 5000 pass through each of them
         y, a = f_step(x)
-        bad = (y, a // 2 if y % 3 == 1 else (a + 1) // 2)
-        real = verify.g_branch
+        bad = (y, a)  # the raw kernel's exponent is the step's a
+        real = inverse._raw_branch
 
-        def faulty(u, n):
-            return real(u, n) + 2 if (u, n) == bad else real(u, n)
+        def faulty(u, e, z):
+            return real(u, e, z) + 2 if (u, e) == bad else real(u, e, z)
 
-        monkeypatch.setattr(verify, "g_branch", faulty)
-        monkeypatch.setattr(convergence_reference, "g_branch", faulty)
+        monkeypatch.setattr(verify, "_raw_branch", faulty)
+        monkeypatch.setattr(inverse, "_raw_branch", faulty)  # the reference's g_branch
         report = _same_reports(5000)
         assert not report["passed"]
         assert report["counterexample"]["x"] == x
@@ -305,3 +306,162 @@ class TestSweepsAndSuites:
                             partners=50, convergence_bound=500, tree=tree_k6)
         assert len(reports) == 12
         assert all(r.passed for r in reports)
+
+
+class TestEmptyBoxes:
+    """A box with no cases is rejected at each check's boundary, not passed."""
+
+    @pytest.mark.parametrize("check, args, message", [
+        ("residue_cycle_sweep", (0, 5), "parent_bound must be >= 1, got 0"),
+        ("residue_cycle_sweep", (10, 0), "count must be >= 1, got 0"),
+        ("multiples_sweep", (10, 0), "count must be >= 1, got 0"),
+        ("closed_forms_sweep", (10, 0), "count must be >= 1, got 0"),
+        ("gaps_sweep", (10, 0), "count must be >= 1, got 0"),
+        ("check_covering_templates", (10, 0), "count must be >= 1, got 0"),
+        ("adjacent_initials_sweep", (0,), "parent_bound must be >= 1, got 0"),
+        ("collision_parity_sweep", (0, 5), "max_d must be >= 1, got 0"),
+        ("collision_parity_sweep", (5, 0), "partners_per_class must be >= 1, got 0"),
+        ("check_residue_cycle", (5, 0), "count must be >= 1, got 0"),
+        ("check_closed_forms", (5, 0), "count must be >= 1, got 0"),
+        ("check_multiples", (5, 0), "count must be >= 1, got 0"),
+    ])
+    def test_empty_box_is_rejected(self, check, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(verify, check)(*args)
+
+    def test_partition_box_keeps_its_floor(self):
+        with pytest.raises(ValueError, match="^parent_bound must be >= 7, got 6$"):
+            check_initial_vertex_partition(6)
+
+
+def _same_failed_report(got, want):
+    """The rewritten check's failed report equals the reference's, elapsed aside."""
+    got, want = got.as_dict(include_elapsed=False), want.as_dict(include_elapsed=False)
+    assert got == want
+    assert not got["passed"]
+    return got
+
+
+def _branch(u, n):
+    """v_n of u straight from the definition, independent of the package."""
+    return ((1 << (2 * n if u % 3 == 1 else 2 * n - 1)) * u - 1) // 3
+
+
+class TestSweepFaults:
+    """One corrupted case gives the same failed report as the reference loops."""
+
+    @pytest.fixture
+    def corrupt_branch(self, monkeypatch):
+        """Replace the raw branch kernel's value for one (u, e) in both modules."""
+        def install(u0, e0, corrupt):
+            real = inverse._raw_branch
+
+            def faulty(u, e, z):
+                v = real(u, e, z)
+                return corrupt(v) if (u, e) == (u0, e0) else v
+
+            monkeypatch.setattr(verify, "_raw_branch", faulty)
+            monkeypatch.setattr(inverse, "_raw_branch", faulty)
+        return install
+
+    def test_closed_forms(self, corrupt_branch):
+        # parent 25 (class 1) at n = 7, exponent 14; the ninth parent
+        corrupt_branch(25, 14, lambda v: v + 2)
+        v7 = _branch(25, 7)
+        report = _same_failed_report(verify.closed_forms_sweep(100, 12),
+                                     verify_reference.reference_closed_forms_sweep(100, 12))
+        assert report["check_name"] == "closed_forms"
+        assert report["counterexample"] == {"u": 25, "n": 7, "direct": v7 + 2,
+                                            "recurrence": v7, "summation": v7}
+        assert report["statistics"]["cases"] == 9 * 12
+        report = _same_failed_report(check_closed_forms(25, 12),
+                                     verify_reference.reference_check_closed_forms(25, 12))
+        assert report["statistics"]["cases"] == 7
+
+    def test_multiples_mismatch(self, monkeypatch):
+        # w_6 one too large: parent 1's first child 1 is class 1, so m_6
+        # uses w_6 and the first parent fails at n = 6
+        real = verify.w_term
+
+        def faulty(k):
+            return real(k) + 1 if k == 6 else real(k)
+
+        monkeypatch.setattr(verify, "w_term", faulty)
+        monkeypatch.setattr(inverse, "w_term", faulty)
+        m6 = _branch(1, 6) // 3
+        report = _same_failed_report(multiples_sweep(100, 12),
+                                     verify_reference.reference_multiples_sweep(100, 12))
+        assert report["check_name"] == "multiples"
+        assert report["counterexample"] == {"u": 1, "n": 6, "direct": m6, "closed_form": m6 + 1,
+                                            "first_child_residue": 1}
+        assert report["statistics"]["cases"] == 12
+        _same_failed_report(check_multiples(7, 12),
+                            verify_reference.reference_check_multiples(7, 12))
+
+    def test_multiples_not_ascending(self, corrupt_branch):
+        # parent 13's first child (exponent 2) comes out as -1: every term
+        # still matches its closed form, but m_2 = m_1 = -1 does not ascend
+        corrupt_branch(13, 2, lambda v: -1)
+        report = _same_failed_report(multiples_sweep(100, 12),
+                                     verify_reference.reference_multiples_sweep(100, 12))
+        assert report["counterexample"] == {"u": 13, "n": 2, "previous": -1, "term": -1,
+                                            "reason": "not ascending"}
+        assert report["statistics"]["cases"] == 5 * 12
+        _same_failed_report(check_multiples(13, 12),
+                            verify_reference.reference_check_multiples(13, 12))
+
+    def test_multiples_mismatch_outranks_an_earlier_descent(self, monkeypatch, corrupt_branch):
+        # parent 13 fails to ascend at n = 2 and, with w_6 off by one, its
+        # first child's class 2 puts m_5 off its closed form: the mismatch
+        # is reported, as every term is compared before any ascent
+        corrupt_branch(13, 2, lambda v: -1)
+        real = verify.w_term
+
+        def faulty(k):
+            return real(k) + 1 if k == 6 else real(k)
+
+        monkeypatch.setattr(verify, "w_term", faulty)
+        monkeypatch.setattr(inverse, "w_term", faulty)
+        report = _same_failed_report(check_multiples(13, 12),
+                                     verify_reference.reference_check_multiples(13, 12))
+        assert (report["counterexample"]["n"], report["counterexample"]["first_child_residue"]) \
+            == (5, 2)
+
+    def test_gaps(self, corrupt_branch):
+        # parent 23 (class 2, the eighth parent): its first child 3 too large
+        # makes the first gap 9 too large
+        corrupt_branch(23, 1, lambda v: v + 3)
+        report = _same_failed_report(gaps_sweep(100, 12),
+                                     verify_reference.reference_gaps_sweep(100, 12))
+        assert report["check_name"] == "sibling_gaps"
+        assert report["counterexample"] == {"u": 23, "n": 1, "expected_gap": 46,
+                                            "observed_gap": 55}
+        assert report["statistics"]["cases"] == 7 * 12 + 1
+
+    def test_residue_cycle(self, corrupt_branch):
+        # parent 11's first child 7 as a float: 1 + 4v stays exact up to
+        # v_26 ~ 8.3e15, then rounds to 4v, so v_27, the last child in the
+        # box, repeats v_26's residue
+        corrupt_branch(11, 1, float)
+        report = _same_failed_report(residue_cycle_sweep(100, 27),
+                                     verify_reference.reference_residue_cycle_sweep(100, 27))
+        assert report["check_name"] == "residue_cycle"
+        assert (report["counterexample"]["u"], report["counterexample"]["n"]) == (11, 27)
+        assert report["statistics"]["cases"] == 3 * 27 + 27
+        _same_failed_report(check_residue_cycle(11, 27),
+                            verify_reference.reference_check_residue_cycle(11, 27))
+
+    def test_collision(self, monkeypatch):
+        # z_3 = 21 adds one to exactly one probe: d = 3, mixed class,
+        # partner 7, where the other summand is 2^5 * 7 = 224
+        class Skewed(int):
+            def __radd__(self, other):
+                return int(other) + int(self) + (other == 224)
+
+        real = verify.z_term
+        monkeypatch.setattr(verify, "z_term", lambda d: Skewed(real(d)) if d == 3 else real(d))
+        report = _same_failed_report(collision_parity_sweep(5, 10),
+                                     verify_reference.reference_collision_parity_sweep(5, 10))
+        assert report["counterexample"] == {"d": 3, "partner_multiple": 7, "same_class": False,
+                                            "required_multiple": 246}
+        assert report["statistics"]["cases"] == 2 * 2 * 10 + 2 * 3 + 1
