@@ -19,7 +19,8 @@ uniqueness property the build exists to witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, NamedTuple
+from collections.abc import Iterable, Iterator, Mapping
+from typing import BinaryIO, NamedTuple
 
 from .core import _require_odd_positive
 from .errors import (
@@ -59,7 +60,10 @@ class TruncationConfig:
     At least one of max_depth / value_bound must be finite; an unbounded
     value range additionally needs a sibling cap, or a single expansion would
     never terminate.  max_nodes is a hard budget: exceeding it raises
-    CapacityError instead of exhausting memory.
+    CapacityError instead of exhausting memory.  A stored node costs about
+    40 B (its int and its level-list slot, for values below 2^30), so the
+    default of 10M nodes is about 400 MB; the budget also bounds the missing
+    list of a coverage report.
     """
 
     max_depth: int | None = None
@@ -90,25 +94,104 @@ class NodeInfo(NamedTuple):
     is_leaf: bool
 
 
-@dataclass
-class TruncatedArborescence:
-    """Value -> parent store, plus per-depth level lists in build order.
+class _OddBitmap:
+    """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
 
-    Only the parent link is stored.  Every other node field is derived:
-    depth from the level holding the value, residue and is_leaf from the
-    value mod 3, and sibling_index from the (parent, value) edge through
-    _sibling_index, which raises NonEdgeError on a link that is no edge.
+    Bit j of the bytearray stands for the value 2j + 1.  It offers what the
+    build and the tree read from a set: `in`, `len` and `update`.
     """
 
-    config: TruncationConfig
-    parent: dict[int, int | None]
-    levels: dict[int, list[int]]
+    __slots__ = ("bits", "bound", "count")
 
-    def __contains__(self, value: int) -> bool:
-        return value in self.parent
+    def __init__(self, bound: int) -> None:
+        self.bits = bytearray((bound >> 4) + 1)
+        self.bound = bound
+        self.count = 0
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return self.count
+
+    def __contains__(self, value: object) -> bool:
+        return (isinstance(value, int) and 0 < value <= self.bound and value & 1 == 1
+                and self.bits[value >> 4] >> (value >> 1 & 7) & 1 == 1)
+
+    def update(self, values: Iterable[int]) -> None:
+        """Mark odd values within the bound; len grows by those not marked before."""
+        bits = self.bits
+        fresh = 0
+        for v in values:
+            i = v >> 4
+            m = 1 << (v >> 1 & 7)
+            b = bits[i]
+            if not b & m:
+                bits[i] = b | m
+                fresh += 1
+        self.count += fresh
+
+
+def _link(value: int) -> tuple[int, int] | tuple[None, None]:
+    """(parent, sibling index) of a stored value; (None, None) for the root.
+
+    The tree is grown by g, which inverts the forward map f, so the parent
+    of v is f(v) = (3v + 1) / 2^e, and v is its branch of exponent e, index
+    n = (e + 1) div 2 (e = 2n for a class-1 parent, 2n - 1 for class 2).
+    """
+    if value == ROOT:
+        return None, None
+    t = 3 * value + 1
+    e = (t & -t).bit_length() - 1
+    return t >> e, (e + 1) >> 1
+
+
+class _Parents(Mapping):
+    """Read-only value -> parent view of a tree, derived through _link."""
+
+    def __init__(self, tree: TruncatedArborescence) -> None:
+        self._tree = tree
+
+    def __getitem__(self, value: int) -> int | None:
+        if value not in self._tree:
+            raise KeyError(value)
+        return _link(value)[0]
+
+    def __iter__(self) -> Iterator[int]:
+        levels = self._tree.levels
+        for k in sorted(levels):
+            yield from levels[k]
+
+    def __len__(self) -> int:
+        return len(self._tree)
+
+
+class TruncatedArborescence:
+    """Per-depth level lists in build order, plus one membership object.
+
+    members is an _OddBitmap when the box has a value bound whose bitmap is
+    no larger than the node budget in bytes (value_bound // 16 <= max_nodes),
+    and a set otherwise.  Nothing else is stored: parent and sibling_index
+    come from the value through _link, depth from the level holding the
+    value (or the links to the root), residue and is_leaf from the value
+    mod 3.
+    """
+
+    __slots__ = ("config", "levels", "members")
+
+    def __init__(self, config: TruncationConfig, levels: dict[int, list[int]],
+                 members: _OddBitmap | set[int]) -> None:
+        self.config = config
+        self.levels = levels
+        self.members = members
+
+    def __contains__(self, value: object) -> bool:
+        return value in self.members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    @property
+    def parent(self) -> Mapping[int, int | None]:
+        """Read-only value -> parent mapping: None for the root, f(v) otherwise."""
+        return _Parents(self)
 
     @property
     def max_depth(self) -> int:
@@ -116,27 +199,22 @@ class TruncatedArborescence:
 
     def node(self, value: int) -> NodeInfo:
         """Derived record of one stored value; its depth is its number of links to the root."""
-        if value not in self.parent:
+        if value not in self.members:
             raise MissingVertexError(f"{value} is not stored in this truncation")
+        parent, n = _link(value)
         depth = 0
-        u = self.parent[value]
+        u = parent
         while u is not None:
             depth += 1
-            u = self.parent[u]
-        return _node_info(value, depth, self.parent[value])
+            u = _link(u)[0]
+        r = value % 3
+        return NodeInfo(depth, parent, n, r, r == 0)
 
     def records(self) -> Iterator[tuple[int, NodeInfo]]:
         """Node records in deterministic (depth, level-position) order."""
-        parent = self.parent
-        for k in sorted(self.levels):
-            for v in self.levels[k]:
-                yield v, _node_info(v, k, parent[v])
-
-
-def _node_info(value: int, depth: int, parent: int | None) -> NodeInfo:
-    r = value % 3
-    n = None if parent is None else _sibling_index(parent, value)
-    return NodeInfo(depth, parent, n, r, r == 0)
+        yield ROOT, NodeInfo(0, None, None, 1, False)
+        for v, k, u, n, r in _rows(self):
+            yield v, NodeInfo(k, u, n, r, r == 0)
 
 
 def _first_child(u: int) -> tuple[int, int]:
@@ -161,40 +239,85 @@ def _first_child(u: int) -> tuple[int, int]:
     return n, v
 
 
+def _run_stop(n: int, v: int, bound: int | None, cap: int, room: int) -> int:
+    """Largest value of the sibling run from (n, v) that a capped box admits.
+
+    The cap admits indices up to cap, and the budget room + 1 more nodes,
+    one past it so that the build sees the overrun; the value bound, when
+    set, folds in as a minimum.  A stop below v admits nothing.
+    """
+    k = min(cap - n, room)  # children admitted after v
+    if k < 0:
+        return 0
+    if bound is not None and 2 * k >= bound.bit_length():
+        return bound  # v_{n+k} >= 4^k > bound: only the bound can stop the run
+    last = (((3 * v + 1) << 2 * k) - 1) // 3  # v_{n+k}
+    return last if bound is None or last < bound else bound
+
+
 def build(config: TruncationConfig) -> TruncatedArborescence:
     """Breadth-first expansion from the root inside the truncation box.
 
     Deterministic: each level is ordered by parent position, then sibling
     index.  Each parent's first child comes from _first_child, later ones
-    from the recurrence v_{n+1} = 4 v_n + 1.  A repeated value raises
-    DuplicateVertexError (it would falsify uniqueness); overrunning
-    max_nodes raises CapacityError.
+    from the recurrence v_{n+1} = 4 v_n + 1 up to one stop value that folds
+    in the bound and the cap.  The budget is checked after each parent's
+    run, so memory overshoots it by at most one run, and overrunning
+    max_nodes raises CapacityError.  Each finished level is marked in the
+    membership object; a repeated value shows as a count that falls short,
+    and raises DuplicateVertexError (it would falsify uniqueness).
     """
     if config.value_bound is not None and config.value_bound < ROOT:
         raise ValueError("value_bound excludes the root")
     bound, cap, max_nodes = config.value_bound, config.sibling_cap, config.max_nodes
-    parent: dict[int, int | None] = {ROOT: None}
+    members = _OddBitmap(bound) if bound is not None and bound // 16 <= max_nodes else set()
+    members.update((ROOT,))
     levels: dict[int, list[int]] = {0: [ROOT]}
-    frontier = [ROOT]
+    level = levels[0]
     depth = 0
-    while frontier and (config.max_depth is None or depth < config.max_depth):
+    while level and (config.max_depth is None or depth < config.max_depth):
         depth += 1
-        level: list[int] = []
-        for u in frontier:
+        parents, level = level, []
+        before = len(members)
+        room = max_nodes - before
+        for u in parents:
+            if u % 3 == 0:
+                continue
             n, v = _first_child(u)
-            while (bound is None or v <= bound) and (cap is None or n <= cap):
-                if v in parent:
-                    raise DuplicateVertexError(v, parent[v] or ROOT, u)
-                if len(parent) >= max_nodes:
-                    raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
-                parent[v] = u
+            stop = bound if cap is None else _run_stop(n, v, bound, cap, room - len(level))
+            while v <= stop:
                 level.append(v)
                 v = 4 * v + 1
-                n += 1
+            if len(level) > room:
+                raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+        members.update(level)
+        if len(members) != before + len(level):
+            raise _duplicate(levels, parents, bound, cap, room)
         if level:
             levels[depth] = level
-        frontier = [v for v in level if v % 3]
-    return TruncatedArborescence(config, parent, levels)
+    return TruncatedArborescence(config, levels, members)
+
+
+def _duplicate(levels: dict[int, list[int]], parents: list[int], bound: int | None,
+               cap: int | None, room: int) -> DuplicateVertexError:
+    """The slow path of a level that repeats a value: replay it against a set.
+
+    Returns the error for the first value the level grown from parents
+    repeats, with the parent f(v) it is stored under and the parent that
+    produced it again.
+    """
+    seen = {v for level in levels.values() for v in level}
+    for u in parents:
+        if u % 3 == 0:
+            continue
+        n, v = _first_child(u)
+        stop = bound if cap is None else _run_stop(n, v, bound, cap, room)
+        while v <= stop:
+            if v in seen:
+                return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
+            seen.add(v)
+            v = 4 * v + 1
+    raise InconsistencyError("a level's count fell short, but no value repeats")
 
 
 def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
@@ -205,13 +328,14 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     MissingVertexError (absence under truncation proves nothing).
     """
     _require_odd_positive(target, "target")
-    if target not in tree.parent:
+    if target not in tree:
         raise MissingVertexError(f"{target} is not stored in this truncation")
+    parent = tree.parent
     path = [target]
-    v = tree.parent[target]
+    v = parent[target]
     while v is not None:
         path.append(v)
-        v = tree.parent[v]
+        v = parent[v]
     path.reverse()
     orbit = trajectory(target, max_steps=len(path)).values
     if list(reversed(orbit)) != path:
@@ -221,14 +345,16 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     return path
 
 
-def _sibling_index(parent: int, child: int) -> int:
+def _edge_index(parent: int, child: int) -> int:
     """Sibling index n with child the n-th branch of parent, else NonEdgeError.
 
-    Raw arithmetic on odd positive arguments: 3 child + 1 must be parent
-    times a power of two 2^e, with e even for a class-1 parent (e = 2n) and
-    odd for a class-2 parent (e = 2n - 1).  A leaf parent never divides
-    3 child + 1, which is 1 mod 3.
+    3 child + 1 must be parent times a power of two 2^e, with e even for a
+    class-1 parent (e = 2n) and odd for a class-2 parent (e = 2n - 1).
     """
+    _require_odd_positive(parent, "parent")
+    _require_odd_positive(child, "child")
+    if parent % 3 == 0:
+        raise NonEdgeError(f"{parent} is a leaf and has no outgoing edges")
     q, rem = divmod(3 * child + 1, parent)
     if rem:
         raise NonEdgeError(f"3*{child} + 1 is not a multiple of {parent}")
@@ -238,15 +364,6 @@ def _sibling_index(parent: int, child: int) -> int:
     if e & 1 != parent % 3 - 1:
         raise NonEdgeError(f"class-{parent % 3} parent {parent} cannot spend exponent {e}")
     return (e + 1) >> 1
-
-
-def _edge_index(parent: int, child: int) -> int:
-    """Sibling index n with child the n-th branch of parent, else NonEdgeError."""
-    _require_odd_positive(parent, "parent")
-    _require_odd_positive(child, "child")
-    if parent % 3 == 0:
-        raise NonEdgeError(f"{parent} is a leaf and has no outgoing edges")
-    return _sibling_index(parent, child)
 
 
 def classify_edge(parent: int, child: int) -> str:
@@ -297,13 +414,23 @@ class CoverageReport:
 
 
 def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
-    """Coverage of the odd values <= bound; the root counts at depth 0."""
+    """Coverage of the odd values <= bound; the root counts at depth 0.
+
+    The missing values are listed, so their count is charged to the tree's
+    node budget: more than max_nodes of them raise CapacityError before the
+    list is made, and before the bitmap when the tree is too small to cover
+    all but max_nodes of the window.
+    """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if tree.config.value_bound is not None and bound > tree.config.value_bound:
         raise ValueError(
             f"report bound {bound} exceeds the tree's value bound {tree.config.value_bound}"
         )
+    budget = tree.config.max_nodes
+    refused = f"the report up to {bound} lists more than {budget} missing values (the node budget)"
+    if (bound + 1) // 2 - len(tree) > budget:  # at most len(tree) values are covered
+        raise CapacityError(refused)
     bits = bytearray((bound + 15) // 16)
     first_depth: dict[int, int] = {}
     level_sizes: dict[int, int] = {}
@@ -316,6 +443,8 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
                 first_depth[value] = k
         if len(first_depth) > before:
             level_sizes[k] = len(first_depth) - before
+    if (bound + 1) // 2 - len(first_depth) > budget:
+        raise CapacityError(refused)
     bitmap = int.from_bytes(bits, "little")
     missing = tuple(x for x in range(1, bound + 1, 2) if x not in first_depth)
     return CoverageReport(
@@ -344,12 +473,12 @@ def _write_lines(sink: BinaryIO, lines: Iterator[str]) -> None:
 
 def _rows(tree: TruncatedArborescence) -> Iterator[tuple[int, int, int, int, int]]:
     """(value, depth, parent, sibling_index, residue) of every non-root node."""
-    parent = tree.parent
     for k in sorted(tree.levels):
         if k:
             for v in tree.levels[k]:
-                u = parent[v]
-                yield v, k, u, _sibling_index(u, v), v % 3
+                t = 3 * v + 1  # _link, inlined: parent f(v) = t / 2^e, index (e + 1) div 2
+                e = (t & -t).bit_length() - 1
+                yield v, k, t >> e, (e + 1) >> 1, v % 3
 
 
 def _jsonl_lines(tree: TruncatedArborescence) -> Iterator[str]:
@@ -371,14 +500,11 @@ def _csv_lines(tree: TruncatedArborescence) -> Iterator[str]:
 
 def _dot_lines(tree: TruncatedArborescence) -> Iterator[str]:
     yield "digraph collatz_arbor {\n"
-    order = [tree.levels[k] for k in sorted(tree.levels)]
-    for level in order:
-        for v in level:
+    for k in sorted(tree.levels):
+        for v in tree.levels[k]:
             yield f"    {v};\n" if v % 3 else f"    {v} [shape=box];\n"
-    parent = tree.parent
-    for level in order[1:]:
-        for v in level:
-            yield f"    {parent[v]} -> {v};\n"
+    for v, _, u, _, _ in _rows(tree):
+        yield f"    {u} -> {v};\n"
     yield "}\n"
 
 
@@ -390,8 +516,7 @@ def export(tree: TruncatedArborescence, fmt: str, sink: BinaryIO) -> None:
 
     Output is deterministic for a given tree: nodes in (depth, level-position)
     order, integers in decimal.  The DOT digraph is named collatz_arbor with
-    leaves drawn as boxes.  Each stored parent link is checked as an edge
-    (NonEdgeError) when its sibling index is derived for jsonl and csv.
+    leaves drawn as boxes.
     """
     if fmt not in _EXPORTERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {EXPORT_FORMATS}")

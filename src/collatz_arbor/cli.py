@@ -56,6 +56,10 @@ def _default_max_nodes() -> int:
     return int(raw)
 
 
+_MAX_NODES_HELP = (f"node budget, about 40 B a node (default {arbor.DEFAULT_MAX_NODES}, "
+                   f"about 400 MB, or ${MAX_NODES_ENV})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatz-arbor",
@@ -81,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_tree.add_argument("--depth", type=_decimal, default=None, help="maximum depth")
         p_tree.add_argument("--bound", type=_decimal, default=None, help="maximum value")
         p_tree.add_argument("--sibling-cap", type=_decimal, default=None)
-        p_tree.add_argument("--max-nodes", type=_decimal, default=None,
-                            help=f"node budget (default {arbor.DEFAULT_MAX_NODES}, "
-                                 f"or ${MAX_NODES_ENV})")
+        p_tree.add_argument("--max-nodes", type=_decimal, default=None, help=_MAX_NODES_HELP)
         p_tree.add_argument("--format", choices=arbor.EXPORT_FORMATS, default="jsonl")
         p_tree.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -108,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--depth", type=_decimal, required=True)
     p_cover.add_argument("--report-bound", type=_decimal, default=None,
                          help="report window (default: the tree bound)")
-    p_cover.add_argument("--max-nodes", type=_decimal, default=None)
+    p_cover.add_argument("--max-nodes", type=_decimal, default=None,
+                         help=_MAX_NODES_HELP + "; it also caps the missing values listed")
     _add_output(p_cover)
 
     return parser
@@ -215,7 +218,10 @@ def _cmd_cover(args: argparse.Namespace) -> int:
                                     max_nodes=max_nodes)
     tree = arbor.build(config)
     window = args.report_bound if args.report_bound is not None else args.bound
-    report = arbor.coverage(tree, window)
+    try:
+        report = arbor.coverage(tree, window)
+    except CapacityError as exc:
+        raise CapacityError(f"{exc}; narrow the report with --report-bound") from exc
     if args.output == "json":
         _emit_json({
             "bound": report.bound,

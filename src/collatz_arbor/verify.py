@@ -20,7 +20,7 @@ from .arbor import ROOT, TruncatedArborescence, TruncationConfig, _edge_index, b
 from .core import w_term, z_term
 from .errors import NonEdgeError
 from .forward import DEFAULT_MAX_STEPS, trajectory
-from .inverse import _raw_branch, _require_parent, adjacent_initials, g_branch, initial_vertex
+from .inverse import _raw_branch, _require_parent
 
 __all__ = [
     "VerificationReport", "CollisionProbe",
@@ -308,23 +308,35 @@ def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
         yield from (v for v in tree.levels[k] if v % 3)
 
 
+def _branch(u: int, n: int, zs: list[int]) -> int:
+    """v_n of a parent u taken from a tree, through the raw branch kernel.
+
+    zs holds z_k at index k and grows from z_term as the indices need.
+    """
+    if n >= len(zs):
+        zs.extend(z_term(k) for k in range(len(zs), n + 1))
+    return _raw_branch(u, 2 * n if u % 3 == 1 else 2 * n - 1, zs[n])
+
+
 def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     """Re-derive every child of every stored parent and demand distinct values.
 
     Independent of the build: children are recomputed by direct branch
     evaluation rather than the recurrence the builder uses, and occurrences
-    are counted rather than aborting on first repeat.
+    are counted rather than aborting on first repeat.  The parents are
+    stored values, odd and not multiples of 3, so the raw kernel takes them.
     """
     t0 = time.perf_counter()
     cfg = tree.config
     params = {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
               "sibling_cap": cfg.sibling_cap}
     counts: Counter[int] = Counter()
+    zs = [0]
     cases = 0
     for parent in _expansion_parents(tree):
         n = 2 if parent == ROOT else 1
         while cfg.sibling_cap is None or n <= cfg.sibling_cap:
-            child = g_branch(parent, n)
+            child = _branch(parent, n, zs)
             if cfg.value_bound is not None and child > cfg.value_bound:
                 break
             counts[child] += 1
@@ -350,10 +362,12 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     """Every stored parent link must be an edge whose index reproduces the child.
 
     The sibling index is recovered from the link by the edge test, then the
-    child is re-derived from (parent, index) by direct branch evaluation.
+    child is re-derived from (parent, index) by direct branch evaluation
+    through the raw kernel, since the edge test has checked the parent.
     """
     t0 = time.perf_counter()
     params = {"nodes": len(tree)}
+    zs = [0]
     cases = 0
     for value, parent in tree.parent.items():
         if parent is None:
@@ -370,7 +384,7 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
             return _finish("parent_pointers", params, False,
                            {"value": value, "parent": parent, "reason": str(exc)},
                            cases, t0)
-        if g_branch(parent, n) != value:
+        if _branch(parent, n, zs) != value:
             return _finish("parent_pointers", params, False,
                            {"value": value, "parent": parent, "sibling_index": n},
                            cases, t0)
@@ -479,9 +493,10 @@ def check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
     params = {"parent_bound": parent_bound}
     from_class1: set[int] = set()
     from_class2: set[int] = set()
+    z1 = z_term(1)
     cases = 0
     for u in _parents_up_to(parent_bound):
-        v1 = initial_vertex(u)
+        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
         cases += 1
         if u % 3 == 1:
             if v1 % 8 != 1:
@@ -628,18 +643,24 @@ def closed_forms_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
 
 
 def adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) -> VerificationReport:
-    """Chained initial-vertex identities for every class-1 parent up to the bound."""
+    """Chained initial-vertex identities for every class-1 parent up to the bound.
+
+    For u with multiple mu and its class-2 successor sibling 1 + 4u, the
+    closed forms v_1(u) = 1 + 4 mu and v_1(1 + 4u) = 3 + 8 mu must equal the
+    raw branches, the successor's multiple and 1 + 2 v_1(u), as in
+    inverse.adjacent_initials.
+    """
     _require_box(parent_bound=parent_bound)
     t0 = time.perf_counter()
     params = {"parent_bound": parent_bound}
+    z1 = z_term(1)
     cases = 0
-    for u in _parents_up_to(parent_bound):
-        if u % 3 != 1:
-            continue
+    for u in range(1, parent_bound + 1, 6):  # the class-1 parents
         cases += 1
-        v1, v1_next = adjacent_initials(u)
+        v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
         successor = 1 + 4 * u
-        if v1 != g_branch(u, 1) or v1_next != g_branch(successor, 1):
+        if (v1 != _raw_branch(u, 2, z1) or v1 != successor // 3
+                or v1_next != _raw_branch(successor, 1, z1) or v1_next != 1 + 2 * v1):
             return _finish("adjacent_initials", params, False,
                            {"u": u, "v1": v1, "v1_next": v1_next},
                            cases, t0)

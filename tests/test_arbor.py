@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,86 @@ class TestBuild:
             build(TruncationConfig(max_depth=2, value_bound=60))
         assert excinfo.value.value == 21
 
+    @pytest.mark.parametrize("bound,cap", [(60, None), (10**6, None), (None, 9)])
+    def test_budget_admits_exactly_max_nodes(self, bound, cap):
+        nodes = len(build(TruncationConfig(max_depth=3, value_bound=bound, sibling_cap=cap)))
+        assert len(build(TruncationConfig(max_depth=3, value_bound=bound, sibling_cap=cap,
+                                          max_nodes=nodes))) == nodes
+        with pytest.raises(CapacityError):
+            build(TruncationConfig(max_depth=3, value_bound=bound, sibling_cap=cap,
+                                   max_nodes=nodes - 1))
+
+    @pytest.mark.parametrize("config", [
+        TruncationConfig(max_depth=2, value_bound=60),  # bitmap store
+        TruncationConfig(max_depth=2, value_bound=10**4, max_nodes=100),  # set store
+        TruncationConfig(max_depth=2, sibling_cap=3),  # cap only: set store
+    ])
+    def test_duplicate_names_both_parents(self, monkeypatch, config):
+        # parent 5's stream starts at 5 itself, stored at depth 1 under the root
+        import collatz_arbor.arbor as arbor_mod
+        real = arbor_mod._first_child
+        monkeypatch.setattr(arbor_mod, "_first_child",
+                            lambda u: (2, 5) if u == 5 else real(u))
+        with pytest.raises(DuplicateVertexError) as excinfo:
+            build(config)
+        err = excinfo.value
+        assert (err.value, err.first_parent, err.second_parent) == (5, 1, 5)
+
+    def test_duplicate_within_one_level(self, monkeypatch):
+        # parent 21 is a leaf; parent 85's stream starts at 13, which 5 also produces
+        import collatz_arbor.arbor as arbor_mod
+        real = arbor_mod._first_child
+        monkeypatch.setattr(arbor_mod, "_first_child",
+                            lambda u: (2, 13) if u == 85 else real(u))
+        with pytest.raises(DuplicateVertexError) as excinfo:
+            build(TruncationConfig(max_depth=2, value_bound=400))
+        err = excinfo.value
+        assert (err.value, err.first_parent, err.second_parent) == (13, 5, 85)
+
+    @pytest.mark.parametrize("config,store", [
+        (TruncationConfig(max_depth=3, value_bound=1600, max_nodes=100), "bitmap"),
+        (TruncationConfig(max_depth=3, value_bound=1616, max_nodes=100), "set"),
+        (TruncationConfig(max_depth=3, sibling_cap=2), "set"),
+    ])
+    def test_bitmap_never_outgrows_the_budget(self, config, store):
+        # one bit per odd value while value_bound // 16 <= max_nodes, else a set
+        tree = build(config)
+        assert ("set" if isinstance(tree.members, set) else "bitmap") == store
+        if store == "bitmap":
+            assert len(tree.members.bits) <= config.max_nodes + 1
+
+    def test_capped_run_stops_at_the_budget(self):
+        # 20000 capped children of the root would hold ~50 MB of ints; the
+        # budget folds into the run's stop, so the build stops after 11
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build(TruncationConfig(max_depth=1, sibling_cap=20_000, max_nodes=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_store_bytes_per_node(self):
+        # levels hold one int and one list slot per node (~41 B); the bitmap
+        # adds 1 bit per odd value, and no value -> parent dict is kept
+        tracemalloc.start()
+        try:
+            tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 298_358
+        assert peak <= 48 * len(tree)
+
+    def test_parent_mapping_is_derived_and_read_only(self, small_tree):
+        assert dict(small_tree.parent) == {1: None, 5: 1, 21: 1, 3: 5, 13: 5, 53: 5}
+        assert 13 in small_tree.parent and 7 not in small_tree.parent
+        with pytest.raises(KeyError):
+            small_tree.parent[7]
+        with pytest.raises(TypeError):
+            small_tree.parent[13] = 21
+
     def test_depth_bookkeeping_of_late_initial_vertices(self, deep_tree):
         # with the root at depth 0: 29 enters at depth 5 and its first child
         # 19 at depth 6
@@ -191,6 +272,11 @@ class TestClassifyEdge:
         with pytest.raises(NonEdgeError):
             classify_edge(7, 13)  # 40 = 8*5, wrong parent
 
+    def test_quotient_must_be_a_power_of_two(self):
+        # 3*23 + 1 = 70 = 14 * 5
+        with pytest.raises(NonEdgeError, match="not a power of two"):
+            classify_edge(5, 23)
+
     def test_exponent_recovered_from_power_of_two_quotient(self):
         # 3*53+1 = 160 = 2^5 * 5: index 3 of class-2 parent 5
         assert classify_edge(5, 53) == "ascending"
@@ -246,6 +332,28 @@ class TestCoverage:
     def test_window_may_not_exceed_tree_bound(self, small_tree):
         with pytest.raises(ValueError):
             coverage(small_tree, 100)
+
+    def test_missing_list_is_charged_to_the_budget(self):
+        # 25 odd values, 5 covered (of 6 nodes): 20 missing fit a budget of
+        # 20, not of 19
+        assert len(coverage(build(TruncationConfig(max_depth=2, value_bound=60,
+                                                   max_nodes=20)), 49).missing) == 20
+        tree = build(TruncationConfig(max_depth=2, value_bound=60, max_nodes=19))
+        with pytest.raises(CapacityError, match="more than 19 missing values"):
+            coverage(tree, 49)
+
+    def test_window_far_above_a_small_tree_is_refused_before_its_bitmap(self):
+        # a cap-only tree of 3 nodes, and a window of 5e17 odd values whose
+        # bitmap alone would take 62 PB
+        tree = build(TruncationConfig(max_depth=1, sibling_cap=3, max_nodes=1000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="more than 1000 missing values"):
+                coverage(tree, 10**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
 
 class TestExport:

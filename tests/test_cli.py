@@ -248,6 +248,13 @@ class TestCover:
         assert payload["missing"] == [7, 9, 11, 15, 17, 19, 23, 25]
         assert payload["level_sizes"] == {"0": 1, "1": 2, "2": 2}
 
+    def test_missing_list_over_the_budget_exits_3(self):
+        # 9 nodes, but 49991 missing values to list against a budget of 1000
+        result = run_cli("cover", "--bound", "100000", "--depth", "1", "--max-nodes", "1000")
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "--report-bound" in result.stderr
+
 
 class TestUsage:
     def test_no_subcommand(self):

@@ -1,13 +1,15 @@
 """Invariant checks over randomized inputs, driven by hypothesis."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verify_reference as reference
 from convergence_reference import reference_check_convergence
 from collatz_arbor import verify
-from collatz_arbor.arbor import NodeInfo, TruncationConfig, build
+from collatz_arbor.arbor import DEFAULT_MAX_NODES, NodeInfo, TruncationConfig, build, path_to
 from collatz_arbor.core import decompose, w_term, z_term
+from collatz_arbor.errors import CapacityError, MissingVertexError
 from collatz_arbor.forward import f_step, valuation2
 from collatz_arbor.inverse import (
     branch_forms,
@@ -134,22 +136,57 @@ def _reference_build(config):
     return levels, list(records.items())
 
 
+# The store is a bitmap while value_bound // 16 <= max_nodes, else a set;
+# small budgets also reach the CapacityError path.
+budgets = st.just(DEFAULT_MAX_NODES) | st.integers(1, 3000)
 small_boxes = st.one_of(
     st.builds(TruncationConfig, max_depth=st.integers(0, 12),
               value_bound=st.integers(1, 10**5),
-              sibling_cap=st.none() | st.integers(1, 8)),
-    # unbounded values: the cap alone stops each sibling stream
-    st.builds(TruncationConfig, max_depth=st.integers(0, 12), sibling_cap=st.integers(1, 3)),
+              sibling_cap=st.none() | st.integers(1, 8), max_nodes=budgets),
+    # value_bound > 16 * max_nodes: a set store
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12),
+              value_bound=st.integers(16 * 3001, 10**6),
+              sibling_cap=st.none() | st.integers(1, 8), max_nodes=st.integers(1, 3000)),
+    # unbounded values: the cap alone stops each sibling stream (set store)
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12), sibling_cap=st.integers(1, 3),
+              max_nodes=budgets),
 )
 
 
+def _reference_path(parents, v):
+    path = [v]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
 @given(small_boxes)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_build_matches_reference_build(config):
-    tree = build(config)
     levels, records = _reference_build(config)
+    if len(records) > config.max_nodes:
+        with pytest.raises(CapacityError):
+            build(config)
+        return
+    tree = build(config)
     assert tree.levels == levels
     assert list(tree.records()) == records
+    parents = {v: info.parent for v, info in records}
+    assert list(tree.parent.items()) == list(parents.items())
+    assert len(tree) == len(tree.parent) == len(records)
+    # every odd value up to 2001, and the stored values' neighbours, odd and even
+    probes = set(range(-1, 2002, 2)) | {v + d for v in parents for d in (-2, 1, 2)}
+    for x in probes:
+        assert (x in tree) == (x in parents)
+        assert (x in tree.parent) == (x in parents)
+        if x > 0 and x not in parents:
+            with pytest.raises(MissingVertexError):
+                tree.node(x)
+            with pytest.raises(KeyError):
+                tree.parent[x]
+    for v, info in records:
+        assert tree.node(v) == info
+        assert path_to(tree, v) == _reference_path(parents, v)
 
 
 @given(st.integers(1, 3000), st.integers(1, 150))

@@ -5,7 +5,7 @@ import pytest
 
 import convergence_reference
 import verify_reference
-from collatz_arbor import inverse, verify
+from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import TruncationConfig, build
 from collatz_arbor.errors import LeafParentError
 from collatz_arbor.forward import f_step
@@ -145,9 +145,12 @@ class TestUniqueness:
     def test_parent_pointers(self, tree_k6):
         assert check_parent_pointers(tree_k6).passed
 
-    def test_parent_pointers_report_a_link_that_is_no_edge(self):
+    def test_parent_pointers_report_a_link_that_is_no_edge(self, monkeypatch):
         tree = build(TruncationConfig(max_depth=2, value_bound=60))
-        tree.parent[13] = 21  # 3*13 + 1 = 40 is no multiple of 21
+        # the store derives each parent; make it derive 21 for 13, and
+        # 3*13 + 1 = 40 is no multiple of 21
+        real = arbor._link
+        monkeypatch.setattr(arbor, "_link", lambda v: (21, 1) if v == 13 else real(v))
         report = check_parent_pointers(tree)
         assert not report.passed
         assert report.counterexample["value"] == 13
@@ -465,3 +468,29 @@ class TestSweepFaults:
         assert report["counterexample"] == {"d": 3, "partner_multiple": 7, "same_class": False,
                                             "required_multiple": 246}
         assert report["statistics"]["cases"] == 2 * 2 * 10 + 2 * 3 + 1
+
+    def test_adjacent_initials(self, corrupt_branch):
+        # the first child of 7 (class 1, exponent 2) three too large: the
+        # sweep's own comparison reports it, with the closed forms
+        corrupt_branch(7, 2, lambda v: v + 3)
+        report = adjacent_initials_sweep(100)
+        assert not report.passed
+        assert report.counterexample == {"u": 7, "v1": 9, "v1_next": 19}
+        assert report.statistics["cases"] == 2
+
+    def test_tree_checks(self, corrupt_branch, tree_k6):
+        # v_2 of 5 (exponent 3) read as 15, which 23 also produces at depth 5
+        corrupt_branch(5, 3, lambda v: 15)
+        unique = check_uniqueness(tree_k6).as_dict(include_elapsed=False)
+        assert unique["counterexample"] == {"value": 15, "occurrences": 2}
+        assert unique["statistics"]["cases"] == 1059
+        links = check_parent_pointers(tree_k6).as_dict(include_elapsed=False)
+        assert links["counterexample"] == {"value": 13, "parent": 5, "sibling_index": 2}
+        assert links["statistics"]["cases"] == 9 + 2
+
+    def test_initial_vertex_partition(self, corrupt_branch):
+        # the first child of 7 as 12, which is 4 mod 8
+        corrupt_branch(7, 2, lambda v: 12)
+        report = check_initial_vertex_partition(100)
+        assert report.counterexample == {"u": 7, "v1": 12, "observed_mod_8": 4}
+        assert report.statistics["cases"] == 3
