@@ -4,92 +4,48 @@ Exact forward orbits, the one-to-many inverse branch map with its sibling
 streams, bounded materialization of the resulting rooted tree, and
 machine checks of the structural identities behind it, all on plain
 arbitrary-precision integers.
+
+The names below load lazily (PEP 562): `from collatz_arbor import build`
+imports `arbor` and what it needs, and nothing else.  A command-line process
+thus compiles only the modules of its subcommand.
 """
 
-from .arbor import (
-    CoverageReport,
-    NodeInfo,
-    TruncatedArborescence,
-    TruncationConfig,
-    build,
-    classify_edge,
-    coverage,
-    export,
-    path_to,
-)
-from .core import BaseSequences, OddInteger, base_sequences, decompose, w_term, z_term
-from .errors import (
-    CapacityError,
-    CollatzArborError,
-    DuplicateVertexError,
-    InconsistencyError,
-    LeafParentError,
-    MissingVertexError,
-    NonEdgeError,
-)
-from .forward import (
-    TrajectoryRecord,
-    TrajectorySummary,
-    f_step,
-    trajectory,
-    trajectory_summary,
-    valuation2,
-)
-from .inverse import (
-    MultiplesSequence,
-    SiblingSet,
-    adjacent_initials,
-    branch_forms,
-    g_branch,
-    initial_vertex,
-    multiples_sequence,
-    sibling_gap,
-    siblings,
-)
-from .verify import CollisionProbe, VerificationReport, check_collision_parity, run_suite
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseSequences",
-    "CapacityError",
-    "CollatzArborError",
-    "CollisionProbe",
-    "CoverageReport",
-    "DuplicateVertexError",
-    "InconsistencyError",
-    "LeafParentError",
-    "MissingVertexError",
-    "MultiplesSequence",
-    "NodeInfo",
-    "NonEdgeError",
-    "OddInteger",
-    "SiblingSet",
-    "TrajectoryRecord",
-    "TrajectorySummary",
-    "TruncatedArborescence",
-    "TruncationConfig",
-    "VerificationReport",
-    "adjacent_initials",
-    "base_sequences",
-    "branch_forms",
-    "build",
-    "check_collision_parity",
-    "classify_edge",
-    "coverage",
-    "decompose",
-    "export",
-    "f_step",
-    "g_branch",
-    "initial_vertex",
-    "multiples_sequence",
-    "path_to",
-    "run_suite",
-    "sibling_gap",
-    "siblings",
-    "trajectory",
-    "trajectory_summary",
-    "valuation2",
-    "w_term",
-    "z_term",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(("CoverageReport", "NodeInfo", "TruncatedArborescence", "TruncationConfig",
+                     "build", "classify_edge", "coverage", "export", "path_to"), "arbor"),
+    **dict.fromkeys(("BaseSequences", "OddInteger", "base_sequences", "decompose", "w_term",
+                     "z_term"), "core"),
+    **dict.fromkeys(("CapacityError", "CollatzArborError", "DuplicateVertexError",
+                     "InconsistencyError", "LeafParentError", "MissingVertexError",
+                     "NonEdgeError"), "errors"),
+    **dict.fromkeys(("TrajectoryRecord", "TrajectorySummary", "f_step", "trajectory",
+                     "trajectory_summary", "valuation2"), "forward"),
+    **dict.fromkeys(("MultiplesSequence", "SiblingSet", "adjacent_initials", "branch_forms",
+                     "g_branch", "initial_vertex", "multiples_sequence", "sibling_gap",
+                     "siblings"), "inverse"),
+    **dict.fromkeys(("CollisionProbe", "VerificationReport", "check_collision_parity",
+                     "run_suite"), "verify"),
+}
+_MODULES = ("arbor", "cli", "core", "defaults", "errors", "forward", "inverse", "verify")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:
+        value = getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _MODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | set(_MODULES))

@@ -18,11 +18,12 @@ uniqueness property the build exists to witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Mapping
 from typing import BinaryIO, NamedTuple
 
+from ._record import Record
 from .core import _require_odd_positive
+from .defaults import DEFAULT_MAX_NODES, EXPORT_FORMATS
 from .errors import (
     CapacityError,
     DuplicateVertexError,
@@ -30,7 +31,6 @@ from .errors import (
     MissingVertexError,
     NonEdgeError,
 )
-from .forward import trajectory
 
 __all__ = [
     "TruncationConfig",
@@ -47,29 +47,31 @@ __all__ = [
 ]
 
 ROOT = 1
-DEFAULT_MAX_NODES = 10_000_000
-EXPORT_FORMATS = ("jsonl", "dot", "csv")
 
 _FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
+class TruncationConfig(Record):
     """Explicit finite box for tree construction.
 
     At least one of max_depth / value_bound must be finite; an unbounded
     value range additionally needs a sibling cap, or a single expansion would
     never terminate.  max_nodes is a hard budget: exceeding it raises
     CapacityError instead of exhausting memory.  A stored node costs about
-    40 B (its int and its level-list slot, for values below 2^30), so the
-    default of 10M nodes is about 400 MB; the budget also bounds the missing
-    list of a coverage report.
+    40 B (its int and its level-list slot, for values below 2^60), so the
+    default of 10M nodes is about 400 MB.  In a capped box values can grow
+    past that: there each 30-bit digit a value holds beyond two is charged
+    as a tenth of a node, so the budget bounds bytes in every box.  It also
+    bounds the missing list of a coverage report.
     """
 
-    max_depth: int | None = None
-    value_bound: int | None = None
-    sibling_cap: int | None = None
-    max_nodes: int = DEFAULT_MAX_NODES
+    __slots__ = ("max_depth", "value_bound", "sibling_cap", "max_nodes")
+    _defaults = {"max_depth": None, "value_bound": None, "sibling_cap": None,
+                 "max_nodes": DEFAULT_MAX_NODES}
+    max_depth: int | None
+    value_bound: int | None
+    sibling_cap: int | None
+    max_nodes: int
 
     def __post_init__(self) -> None:
         if self.max_depth is None and self.value_bound is None:
@@ -239,20 +241,59 @@ def _first_child(u: int) -> tuple[int, int]:
     return n, v
 
 
-def _run_stop(n: int, v: int, bound: int | None, cap: int, room: int) -> int:
-    """Largest value of the sibling run from (n, v) that a capped box admits.
+def _extra_digits(b: int, m: int) -> int:
+    """30-bit int digits beyond two a value held by a run of m siblings from a b-bit one.
 
-    The cap admits indices up to cap, and the budget room + 1 more nodes,
-    one past it so that the build sees the overrun; the value bound, when
-    set, folds in as a minimum.  A stop below v admits nothing.
+    Sibling j of the run has b + 2j bits.  Summed over the digits i >= 2 it
+    may pass, the siblings holding more than 30i bits are those with
+    j >= 15i - c, c = (b - 1) // 2: all m of them for each i <= c // 15,
+    and m + c - 15i for each i up to (m + c) // 15.
     """
-    k = min(cap - n, room)  # children admitted after v
-    if k < 0:
-        return 0
-    if bound is not None and 2 * k >= bound.bit_length():
-        return bound  # v_{n+k} >= 4^k > bound: only the bound can stop the run
-    last = (((3 * v + 1) << 2 * k) - 1) // 3  # v_{n+k}
-    return last if bound is None or last < bound else bound
+    c = (b - 1) // 2
+    full = max(0, c // 15 - 1)  # digits past two that every sibling has
+    first, last = max(2, c // 15 + 1), (m + c) // 15
+    partial = max(0, last - first + 1)
+    return m * full + partial * (m + c) - 15 * (first + last) * partial // 2
+
+
+def _run_charge(b: int, m: int) -> int:
+    """Nodes charged for a run of m siblings from a b-bit one.
+
+    One a node, as for the 40 B of a value below 2^60 and its list slot,
+    plus a tenth of a node (4 B) for each digit past two.
+    """
+    return m + -(-_extra_digits(b, m) // 10)
+
+
+def _run_stop(n: int, v: int, bound: int | None, cap: int, room: int) -> tuple[int, int]:
+    """Stop value of the sibling run from (n, v) in a capped box, and its charge past its count.
+
+    The run v_n, ..., v_{n+m-1} ends at the cap's index, at the value bound
+    when it is set, or one node past what the budget's room admits, so that
+    the build sees the overrun.  A stop below v admits nothing.
+    """
+    t = 3 * v + 1  # v_{n+j} = (t 4^j - 1) / 3
+    m = cap - n + 1
+    if bound is not None:
+        c = 3 * bound + 1  # v_{n+j} <= bound iff t 4^j <= c
+        j = (c.bit_length() - t.bit_length()) // 2  # the last such j is j or j - 1
+        if j < m:
+            if j >= 0 and t << 2 * j > c:
+                j -= 1
+            m = max(0, j + 1)
+    if m <= 0:
+        return 0, 0
+    b = v.bit_length()
+    if _run_charge(b, m) > room:
+        fits, over = 0, min(m, room + 1)  # k nodes are charged at least k
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            if _run_charge(b, mid) > room:
+                over = mid
+            else:
+                fits = mid
+        m = over
+    return ((t << 2 * (m - 1)) - 1) // 3, _run_charge(b, m) - m
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
@@ -263,9 +304,11 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     from the recurrence v_{n+1} = 4 v_n + 1 up to one stop value that folds
     in the bound and the cap.  The budget is checked after each parent's
     run, so memory overshoots it by at most one run, and overrunning
-    max_nodes raises CapacityError.  Each finished level is marked in the
-    membership object; a repeated value shows as a count that falls short,
-    and raises DuplicateVertexError (it would falsify uniqueness).
+    max_nodes raises CapacityError; a capped run is charged by its size
+    (_run_stop), and stops one node past the budget.  Each finished level
+    is marked in the membership object; a repeated value shows as a count
+    that falls short, and raises DuplicateVertexError (it would falsify
+    uniqueness).
     """
     if config.value_bound is not None and config.value_bound < ROOT:
         raise ValueError("value_bound excludes the root")
@@ -275,16 +318,20 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     levels: dict[int, list[int]] = {0: [ROOT]}
     level = levels[0]
     depth = 0
+    room = max_nodes - 1  # nodes the budget still admits
     while level and (config.max_depth is None or depth < config.max_depth):
         depth += 1
         parents, level = level, []
-        before = len(members)
-        room = max_nodes - before
+        before, level_room = len(members), room
         for u in parents:
             if u % 3 == 0:
                 continue
             n, v = _first_child(u)
-            stop = bound if cap is None else _run_stop(n, v, bound, cap, room - len(level))
+            if cap is None:
+                stop = bound
+            else:
+                stop, extra = _run_stop(n, v, bound, cap, room - len(level))
+                room -= extra
             while v <= stop:
                 level.append(v)
                 v = 4 * v + 1
@@ -292,7 +339,8 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
                 raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
         members.update(level)
         if len(members) != before + len(level):
-            raise _duplicate(levels, parents, bound, cap, room)
+            raise _duplicate(levels, parents, bound, cap, level_room)
+        room -= len(level)
         if level:
             levels[depth] = level
     return TruncatedArborescence(config, levels, members)
@@ -304,18 +352,24 @@ def _duplicate(levels: dict[int, list[int]], parents: list[int], bound: int | No
 
     Returns the error for the first value the level grown from parents
     repeats, with the parent f(v) it is stored under and the parent that
-    produced it again.
+    produced it again.  room is the budget's room when the level began.
     """
     seen = {v for level in levels.values() for v in level}
+    grown = 0
     for u in parents:
         if u % 3 == 0:
             continue
         n, v = _first_child(u)
-        stop = bound if cap is None else _run_stop(n, v, bound, cap, room)
+        if cap is None:
+            stop = bound
+        else:
+            stop, extra = _run_stop(n, v, bound, cap, room - grown)
+            room -= extra
         while v <= stop:
             if v in seen:
                 return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
             seen.add(v)
+            grown += 1
             v = 4 * v + 1
     raise InconsistencyError("a level's count fell short, but no value repeats")
 
@@ -327,6 +381,8 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     a mismatch raises InconsistencyError.  Absent targets raise
     MissingVertexError (absence under truncation proves nothing).
     """
+    from .forward import trajectory  # here: tree, export and cover never need it
+
     _require_odd_positive(target, "target")
     if target not in tree:
         raise MissingVertexError(f"{target} is not stored in this truncation")
@@ -390,8 +446,7 @@ def classify_edge(parent: int, child: int) -> str:
     return kind
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     """Which odd values up to a bound the truncated tree reaches.
 
     bitmap has bit i set iff value 2i + 1 is present; first_depth maps each
@@ -400,11 +455,13 @@ class CoverageReport:
     of odd values within the bound.
     """
 
+    __slots__ = ("bound", "covered_count", "bitmap", "missing", "first_depth", "level_sizes")
+    _hidden = ("first_depth",)
     bound: int
     covered_count: int
     bitmap: int
     missing: tuple[int, ...]
-    first_depth: dict[int, int] = field(repr=False)
+    first_depth: dict[int, int]
     level_sizes: dict[int, int]
 
     def covers(self, value: int) -> bool:

@@ -4,17 +4,20 @@ Exit codes: 0 success / all checks passed, 1 a verification check failed or
 an identity was falsified, 2 usage error, 3 resource budget exceeded.
 Results go to stdout, diagnostics to stderr.  JSON output is line-delimited
 and byte-stable across identical invocations.
+
+Start-up is most of a short run, so each handler imports the modules of its
+own subcommand, and the parser reads its defaults from the import-free
+`defaults` module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import arbor, verify
+from . import defaults
 from .errors import (
     CapacityError,
     DuplicateVertexError,
@@ -22,8 +25,9 @@ from .errors import (
     MissingVertexError,
     NonEdgeError,
 )
-from .forward import DEFAULT_MAX_STEPS, trajectory
-from .inverse import siblings
+
+if TYPE_CHECKING:
+    from .arbor import TruncationConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -50,13 +54,13 @@ def _decimal(text: str) -> int:
 def _default_max_nodes() -> int:
     raw = os.environ.get(MAX_NODES_ENV)
     if raw is None:
-        return arbor.DEFAULT_MAX_NODES
+        return defaults.DEFAULT_MAX_NODES
     if not _is_decimal(raw) or int(raw) < 1:
         raise ValueError(f"{MAX_NODES_ENV} must be a positive decimal integer, got {raw!r}")
     return int(raw)
 
 
-_MAX_NODES_HELP = (f"node budget, about 40 B a node (default {arbor.DEFAULT_MAX_NODES}, "
+_MAX_NODES_HELP = (f"node budget, about 40 B a node (default {defaults.DEFAULT_MAX_NODES}, "
                    f"about 400 MB, or ${MAX_NODES_ENV})")
 
 
@@ -70,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traj = sub.add_parser("trajectory", help="print the forward orbit of an odd start")
     p_traj.add_argument("x", type=_decimal)
-    p_traj.add_argument("--max-steps", type=_decimal, default=DEFAULT_MAX_STEPS)
+    p_traj.add_argument("--max-steps", type=_decimal, default=defaults.DEFAULT_MAX_STEPS)
     _add_output(p_traj)
 
     p_sib = sub.add_parser("siblings", help="print the child stream of a parent")
@@ -86,23 +90,24 @@ def build_parser() -> argparse.ArgumentParser:
         p_tree.add_argument("--bound", type=_decimal, default=None, help="maximum value")
         p_tree.add_argument("--sibling-cap", type=_decimal, default=None)
         p_tree.add_argument("--max-nodes", type=_decimal, default=None, help=_MAX_NODES_HELP)
-        p_tree.add_argument("--format", choices=arbor.EXPORT_FORMATS, default="jsonl")
+        p_tree.add_argument("--format", choices=defaults.EXPORT_FORMATS, default="jsonl")
         p_tree.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
-                          choices=("all",) + verify.SUITE_NAMES + tuple(verify.SUITE_ALIASES),
+                          choices=("all",) + defaults.SUITE_NAMES + tuple(defaults.SUITE_ALIASES),
                           help="suite to run (lemmaN aliases accepted)")
-    p_verify.add_argument("--parent-bound", type=_decimal, default=verify.DEFAULT_PARENT_BOUND)
-    p_verify.add_argument("--count", type=_decimal, default=verify.DEFAULT_SIBLING_COUNT)
-    p_verify.add_argument("--max-d", type=_decimal, default=verify.DEFAULT_MAX_OFFSET)
-    p_verify.add_argument("--partners", type=_decimal, default=verify.DEFAULT_PARTNERS)
-    p_verify.add_argument("--depth", type=_decimal, default=6, help="tree depth for tree checks")
-    p_verify.add_argument("--bound", type=_decimal, default=10**6,
+    p_verify.add_argument("--parent-bound", type=_decimal, default=defaults.DEFAULT_PARENT_BOUND)
+    p_verify.add_argument("--count", type=_decimal, default=defaults.DEFAULT_SIBLING_COUNT)
+    p_verify.add_argument("--max-d", type=_decimal, default=defaults.DEFAULT_MAX_OFFSET)
+    p_verify.add_argument("--partners", type=_decimal, default=defaults.DEFAULT_PARTNERS)
+    p_verify.add_argument("--depth", type=_decimal, default=defaults.DEFAULT_TREE_DEPTH,
+                          help="tree depth for tree checks")
+    p_verify.add_argument("--bound", type=_decimal, default=defaults.DEFAULT_TREE_BOUND,
                           help="tree value bound for tree checks")
-    p_verify.add_argument("--conv-bound", type=_decimal, default=verify.DEFAULT_PARENT_BOUND,
+    p_verify.add_argument("--conv-bound", type=_decimal, default=defaults.DEFAULT_PARENT_BOUND,
                           help="start bound for the convergence sweep")
-    p_verify.add_argument("--max-steps", type=_decimal, default=DEFAULT_MAX_STEPS)
+    p_verify.add_argument("--max-steps", type=_decimal, default=defaults.DEFAULT_MAX_STEPS)
     _add_output(p_verify)
 
     p_cover = sub.add_parser("cover", help="coverage of the odd values within a bound")
@@ -121,11 +126,19 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", choices=("human", "json"), default="human")
 
 
+def _dumps(payload: object) -> str:
+    import json  # only JSON output and counterexamples pay for it
+
+    return json.dumps(payload, sort_keys=True)
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
+    from .forward import trajectory
+
     record = trajectory(args.x, max_steps=args.max_steps)
     if args.output == "json":
         _emit_json({
@@ -144,6 +157,8 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def _cmd_siblings(args: argparse.Namespace) -> int:
+    from .inverse import siblings
+
     family = siblings(args.u, count=args.count, bound=args.bound)
     pairs = list(family.indexed())
     if args.output == "json":
@@ -159,9 +174,11 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _tree_config(args: argparse.Namespace) -> arbor.TruncationConfig:
+def _tree_config(args: argparse.Namespace) -> TruncationConfig:
+    from .arbor import TruncationConfig
+
     max_nodes = args.max_nodes if args.max_nodes is not None else _default_max_nodes()
-    return arbor.TruncationConfig(
+    return TruncationConfig(
         max_depth=args.depth,
         value_bound=args.bound,
         sibling_cap=getattr(args, "sibling_cap", None),
@@ -170,19 +187,23 @@ def _tree_config(args: argparse.Namespace) -> arbor.TruncationConfig:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    tree = arbor.build(_tree_config(args))
+    from .arbor import build, export
+
+    tree = build(_tree_config(args))
     if args.out is None:
-        arbor.export(tree, args.format, sys.stdout.buffer)
+        export(tree, args.format, sys.stdout.buffer)
         sys.stdout.buffer.flush()
     else:
         with open(args.out, "wb") as sink:
-            arbor.export(tree, args.format, sink)
+            export(tree, args.format, sink)
     print(f"nodes={len(tree)} max_depth={tree.max_depth}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = verify.run_suite(
+    from .verify import run_suite
+
+    reports = run_suite(
         args.suite,
         parent_bound=args.parent_bound,
         count=args.count,
@@ -206,20 +227,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     f"cases={stats.get('cases')} elapsed={stats.get('elapsed_s')}s")
             print(line)
             if report.counterexample is not None:
-                print(f"     counterexample: {json.dumps(report.counterexample, sort_keys=True)}")
+                print(f"     counterexample: {_dumps(report.counterexample)}")
         if not report.passed:
             failed = True
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from .arbor import TruncationConfig, build, coverage
+
     max_nodes = args.max_nodes if args.max_nodes is not None else _default_max_nodes()
-    config = arbor.TruncationConfig(max_depth=args.depth, value_bound=args.bound,
-                                    max_nodes=max_nodes)
-    tree = arbor.build(config)
+    config = TruncationConfig(max_depth=args.depth, value_bound=args.bound, max_nodes=max_nodes)
+    tree = build(config)
     window = args.report_bound if args.report_bound is not None else args.bound
     try:
-        report = arbor.coverage(tree, window)
+        report = coverage(tree, window)
     except CapacityError as exc:
         raise CapacityError(f"{exc}; narrow the report with --report-bound") from exc
     if args.output == "json":

@@ -6,8 +6,7 @@ Z grow like 4^n / 3, so fixed-width types are out of the question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import InconsistencyError
 
 __all__ = ["OddInteger", "decompose", "z_term", "w_term", "BaseSequences", "base_sequences"]
@@ -29,14 +28,14 @@ def _require_index(n: int, what: str = "n") -> None:
         raise ValueError(f"{what} must be >= 1, got {n}")
 
 
-@dataclass(frozen=True)
-class OddInteger:
+class OddInteger(Record):
     """An odd positive integer x split as x = 3*multiple + residue.
 
     The parity of the multiple is forced by oddness: residue 1 gives an even
     multiple, residues 0 and 2 give odd multiples (0, for x = 1, counts even).
     """
 
+    __slots__ = ("value", "residue", "multiple")
     value: int
     residue: int
     multiple: int
@@ -125,10 +124,10 @@ def w_term(n: int) -> int:
     return _W[n]
 
 
-@dataclass(frozen=True)
-class BaseSequences:
+class BaseSequences(Record):
     """Materialized prefixes of Z and W, keyed by index n >= 1."""
 
+    __slots__ = ("z", "w")
     z: dict[int, int]
     w: dict[int, int]
 

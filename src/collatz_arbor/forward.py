@@ -7,10 +7,11 @@ which the inverse construction is validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import Record
 from .core import _require_odd_positive
+from .defaults import DEFAULT_MAX_STEPS
 
 __all__ = [
     "valuation2",
@@ -21,10 +22,6 @@ __all__ = [
     "TrajectorySummary",
     "DEFAULT_MAX_STEPS",
 ]
-
-# Far above known odd-step counts for desk-scale inputs; guards against
-# nontermination without being hit in practice.
-DEFAULT_MAX_STEPS = 10_000
 
 
 def valuation2(m: int) -> int:
@@ -47,8 +44,7 @@ def f_step(x: int) -> tuple[int, int]:
     return t >> a, a
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(Record):
     """A forward orbit x0, x1, ..., xk with the exponent spent at each step.
 
     exponents[i] is the power of two divided out going from values[i] to
@@ -56,6 +52,7 @@ class TrajectoryRecord:
     orbit of 1 has length 0.
     """
 
+    __slots__ = ("start", "values", "exponents", "converged")
     start: int
     values: tuple[int, ...]
     exponents: tuple[int, ...]
@@ -78,10 +75,10 @@ class TrajectoryRecord:
         return zip(self.values, self.exponents)
 
 
-@dataclass(frozen=True)
-class TrajectorySummary:
+class TrajectorySummary(Record):
     """Orbit statistics without the orbit itself, for bulk sweeps."""
 
+    __slots__ = ("start", "length", "peak", "converged")
     start: int
     length: int
     peak: int

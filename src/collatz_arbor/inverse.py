@@ -15,10 +15,10 @@ routes agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
+from ._record import Record
 from .core import _require_index, _require_odd_positive, w_term, z_term
 from .errors import InconsistencyError, LeafParentError
 
@@ -151,8 +151,7 @@ def iter_siblings(u: int, first_index: int = 1) -> Iterator[tuple[int, int]]:
         n += 1
 
 
-@dataclass(frozen=True)
-class SiblingSet:
+class SiblingSet(Record):
     """A parent plus a bounded view of its strictly ascending child stream.
 
     Exactly one stop criterion is set: `count` keeps children v_1..v_count,
@@ -162,10 +161,12 @@ class SiblingSet:
     parent one level above.
     """
 
+    __slots__ = ("parent", "count", "bound", "depth")
+    _defaults = {"count": None, "bound": None, "depth": None}
     parent: int
-    count: int | None = None
-    bound: int | None = None
-    depth: int | None = None
+    count: int | None
+    bound: int | None
+    depth: int | None
 
     def __post_init__(self) -> None:
         _require_parent(self.parent)
@@ -215,8 +216,7 @@ def sibling_gap(u: int, n: int) -> int:
     return gap
 
 
-@dataclass(frozen=True)
-class MultiplesSequence:
+class MultiplesSequence(Record):
     """Multiples m_n = (v_n - v_n mod 3) / 3 of a sibling set, with the
     piecewise closed form evaluated alongside for per-term comparison.
 
@@ -225,6 +225,7 @@ class MultiplesSequence:
     trusting the closed form blindly.
     """
 
+    __slots__ = ("parent", "terms", "closed_form", "matches", "first_child_residue")
     parent: int
     terms: tuple[int, ...]
     closed_form: tuple[int, ...]

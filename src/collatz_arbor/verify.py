@@ -12,15 +12,21 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .arbor import ROOT, TruncatedArborescence, TruncationConfig, _edge_index, build
+from ._record import Record
 from .core import w_term, z_term
+from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOUND,
+                       DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
+                       DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
 from .errors import NonEdgeError
-from .forward import DEFAULT_MAX_STEPS, trajectory
 from .inverse import _raw_branch, _require_parent
+
+# arbor (and forward, on the convergence sweep's failure path) are imported
+# where they are used, so `verify --suite lemma1` does not compile them
+if TYPE_CHECKING:
+    from .arbor import TruncatedArborescence
 
 __all__ = [
     "VerificationReport", "CollisionProbe",
@@ -31,13 +37,8 @@ __all__ = [
     "gaps_sweep", "collision_parity_sweep",
     "run_suite", "SUITE_NAMES", "SUITE_ALIASES", "INITIAL_RESIDUE_TEMPLATES",
     "DEFAULT_PARENT_BOUND", "DEFAULT_SIBLING_COUNT", "DEFAULT_MAX_OFFSET", "DEFAULT_PARTNERS",
+    "DEFAULT_TREE_DEPTH", "DEFAULT_TREE_BOUND",
 ]
-
-# Default boxes: seconds-scale runtime with arbitrary precision.
-DEFAULT_PARENT_BOUND = 10_000
-DEFAULT_SIBLING_COUNT = 64
-DEFAULT_MAX_OFFSET = 64
-DEFAULT_PARTNERS = 1_000
 
 # Per-parent residue patterns of a child family, keyed by
 # (parent mod 3, parent-multiple mod 3) -> (modulus, first residue, cycle).
@@ -53,19 +54,22 @@ INITIAL_RESIDUE_TEMPLATES: dict[tuple[int, int], tuple[int, int, tuple[int, int,
 }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one check: the box it ran in, pass/fail, and statistics."""
 
+    __slots__ = ("check_name", "parameters", "passed", "counterexample", "statistics")
+    _defaults = {"statistics": None}  # None stands for a fresh empty dict
     check_name: str
     parameters: dict
     passed: bool
     counterexample: dict | None
-    statistics: dict = field(default_factory=dict)
+    statistics: dict
 
     def __post_init__(self) -> None:
         if not self.passed and self.counterexample is None:
             raise ValueError("a failed report must carry a counterexample")
+        if self.statistics is None:
+            object.__setattr__(self, "statistics", {})
 
     def as_dict(self, include_elapsed: bool = True) -> dict:
         stats = dict(self.statistics)
@@ -158,8 +162,7 @@ def check_residue_cycle(u: int, count: int) -> VerificationReport:
                          _residue_cycle_kernel)
 
 
-@dataclass(frozen=True)
-class CollisionProbe:
+class CollisionProbe(Record):
     """A hypothetical equal-children collision between distinct parents.
 
     `d` is the positive offset between the two sibling indices.  For the
@@ -167,6 +170,7 @@ class CollisionProbe:
     odd; for the same-class case it plays a class-1 role and must be even.
     """
 
+    __slots__ = ("d", "partner_multiple", "same_class")
     d: int
     partner_multiple: int
     same_class: bool
@@ -326,6 +330,8 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     are counted rather than aborting on first repeat.  The parents are
     stored values, odd and not multiples of 3, so the raw kernel takes them.
     """
+    from .arbor import ROOT
+
     t0 = time.perf_counter()
     cfg = tree.config
     params = {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
@@ -365,6 +371,8 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     child is re-derived from (parent, index) by direct branch evaluation
     through the raw kernel, since the edge test has checked the parent.
     """
+    from .arbor import _edge_index
+
     t0 = time.perf_counter()
     params = {"nodes": len(tree)}
     zs = [0]
@@ -542,8 +550,8 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     report names the same start and step, with the same statistics, as
     walking every orbit to 1 would.
     """
-    # imported here, not at the top: every CLI process imports this module,
-    # and only this sweep needs the array extension (0.4 ms to load)
+    # imported here, not at the top: only this sweep needs the array
+    # extension (0.4 ms to load)
     from array import array
 
     _require_box(bound=bound, max_steps=max_steps)
@@ -596,6 +604,8 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             x = t >> ((t & -t).bit_length() - 1)
             steps += 1
         if x >> 1 >= len(table) or steps + table[x >> 1] > max_steps:
+            from .forward import trajectory
+
             return _finish("convergence", params, False,
                            {"start": x0, "reason": "step budget exhausted",
                             "reached": trajectory(x0, max_steps).values[-1]},
@@ -695,25 +705,14 @@ def gaps_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
 # ---------------------------------------------------------------------------
 # suites
 
-SUITE_NAMES = ("residue-cycle", "multiples", "closed-forms", "adjacent-initials", "gaps",
-               "collision", "uniqueness", "covering", "partition", "convergence")
-
-SUITE_ALIASES = {
-    "lemma1": "residue-cycle",
-    "lemma2": "multiples",
-    "lemma3": "closed-forms",
-    "lemma4": "adjacent-initials",
-    "lemma5": "collision",
-}
-
 
 def run_suite(name: str, *,
               parent_bound: int = DEFAULT_PARENT_BOUND,
               count: int = DEFAULT_SIBLING_COUNT,
               max_d: int = DEFAULT_MAX_OFFSET,
               partners: int = DEFAULT_PARTNERS,
-              tree_depth: int = 6,
-              tree_bound: int = 10**6,
+              tree_depth: int = DEFAULT_TREE_DEPTH,
+              tree_bound: int = DEFAULT_TREE_BOUND,
               convergence_bound: int = DEFAULT_PARENT_BOUND,
               max_steps: int = DEFAULT_MAX_STEPS,
               tree: TruncatedArborescence | None = None) -> list[VerificationReport]:
@@ -725,6 +724,8 @@ def run_suite(name: str, *,
     def _tree() -> TruncatedArborescence:
         nonlocal tree
         if tree is None:
+            from .arbor import TruncationConfig, build
+
             tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
         return tree
 
@@ -736,6 +737,14 @@ def run_suite(name: str, *,
         _require_box(parent_bound=parent_bound)
     if "collision" in wanted:
         _require_box(max_d=max_d, partners=partners)
+    if {"uniqueness", "covering"} & set(wanted):
+        # a tree of the root alone would pass the tree checks with cases=0;
+        # the root's first child is 5
+        if tree is None:
+            _require_box(tree_depth=tree_depth)
+            _require_box(5, tree_bound=tree_bound)
+        elif tree.max_depth < 1:
+            raise ValueError("the tree holds only the root")
     if "covering" in wanted:
         _require_covering_depth(_tree())
     if "partition" in wanted:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from collatz_arbor import arbor
 from collatz_arbor.arbor import (
     TruncationConfig,
     build,
@@ -177,6 +178,34 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("cap, max_nodes, fits", [(5_000, 6_000, False), (2_000, 20_000, True)])
+    def test_capped_budget_bounds_bytes(self, cap, max_nodes, fits):
+        # the k-th capped sibling has about 2k bits, so 5,000 of them hold
+        # 4.2 MB: the budget charges their digits, and holds at ~40 B a node
+        tracemalloc.start()
+        try:
+            try:
+                tree = build(TruncationConfig(max_depth=1, sibling_cap=cap, max_nodes=max_nodes))
+            except CapacityError:
+                tree = None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tree is not None) == fits
+        if fits:
+            assert len(tree) == cap  # the root and its children 2..cap
+        assert peak <= 48 * max_nodes
+
+    def test_run_charge_closed_form(self):
+        # sibling j of a run from a b-bit value has b + 2j bits; each 30-bit
+        # digit past two is charged as a tenth of a node
+        for b in range(1, 130):
+            for m in range(0, 100):
+                digits = sum(max(0, -(-(b + 2 * j) // 30) - 2) for j in range(m))
+                assert arbor._extra_digits(b, m) == digits
+                assert arbor._run_charge(b, m) == m + -(-digits // 10)
+        assert arbor._run_charge(3, 29) == 29  # values below 2^61 cost one node each
 
     def test_store_bytes_per_node(self):
         # levels hold one int and one list slot per node (~41 B); the bitmap

@@ -220,6 +220,11 @@ class TestVerifyBoxes:
         (("--suite", "adjacent-initials", "--parent-bound", "0"),
          "parent_bound must be >= 1, got 0"),
         (("--suite", "all", "--count", "0"), "count must be >= 1, got 0"),
+        # tree boxes holding only the root: uniqueness would pass with cases=0
+        (("--suite", "uniqueness", "--depth", "0"), "tree_depth must be >= 1, got 0"),
+        (("--suite", "uniqueness", "--bound", "4"), "tree_bound must be >= 5, got 4"),
+        (("--suite", "covering", "--depth", "0"), "tree_depth must be >= 1, got 0"),
+        (("--suite", "all", "--bound", "3"), "tree_bound must be >= 5, got 3"),
     ])
     def test_bad_box_stops_before_any_sweep(self, monkeypatch, capsys, args, message):
         for name in SWEEPS:

@@ -1,0 +1,177 @@
+"""The package surface: lazy attributes, what each subcommand imports, and the record types."""
+
+import copy
+import json
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+import collatz_arbor
+from collatz_arbor.arbor import CoverageReport, TruncationConfig, build, coverage
+from collatz_arbor.core import BaseSequences, OddInteger
+from collatz_arbor.forward import TrajectoryRecord, TrajectorySummary
+from collatz_arbor.inverse import MultiplesSequence, SiblingSet, multiples_sequence
+from collatz_arbor.verify import CollisionProbe, VerificationReport
+
+MODULES = ("arbor", "cli", "core", "defaults", "errors", "forward", "inverse", "verify")
+
+
+def _modules_after(code):
+    """Package modules (and dataclasses) in sys.modules after code runs in a fresh interpreter."""
+    probe = (code + "\nimport json, sys\n"
+             "sys.stderr.write('\\n' + json.dumps(sorted(m for m in sys.modules if "
+             "m.startswith('collatz_arbor') or m == 'dataclasses')))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+def _after_main(*argv):
+    return _modules_after(f"from collatz_arbor import cli\ncli.main({list(argv)!r})")
+
+
+class TestSubcommandImports:
+    def test_parser_alone_loads_no_arithmetic(self):
+        assert _modules_after("import collatz_arbor.cli") == {
+            "collatz_arbor", "collatz_arbor.cli", "collatz_arbor.defaults",
+            "collatz_arbor.errors"}
+
+    @pytest.mark.parametrize("argv", [("trajectory", "27"), ("siblings", "5", "--count", "3")])
+    def test_orbit_commands_skip_the_tree_and_the_checks(self, argv):
+        loaded = _after_main(*argv)
+        assert "collatz_arbor.verify" not in loaded
+        assert "collatz_arbor.arbor" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ("tree", "--depth", "3", "--bound", "100"),
+        ("export", "--depth", "3", "--bound", "100", "--format", "csv"),
+        ("cover", "--bound", "100", "--depth", "10"),
+    ])
+    def test_tree_commands_skip_the_checks(self, argv):
+        loaded = _after_main(*argv)
+        assert "collatz_arbor.arbor" in loaded
+        assert "collatz_arbor.verify" not in loaded
+
+    def test_lemma_suite_skips_the_tree(self):
+        loaded = _after_main("verify", "--suite", "lemma1", "--parent-bound", "50", "--count", "4")
+        assert "collatz_arbor.verify" in loaded
+        assert "collatz_arbor.arbor" not in loaded
+
+    def test_no_module_imports_dataclasses(self):
+        # against a bare interpreter, so whatever site imports does not count
+        bare = _modules_after("pass")
+        loaded = _modules_after("\n".join(f"import collatz_arbor.{m}" for m in MODULES))
+        assert "dataclasses" not in loaded - bare
+        assert {f"collatz_arbor.{m}" for m in MODULES} <= loaded
+
+
+class TestLazyAttributes:
+    def test_every_public_name_resolves(self):
+        for name in collatz_arbor.__all__:
+            value = getattr(collatz_arbor, name)
+            assert getattr(value, "__name__", name) == name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from collatz_arbor import *", namespace)
+        assert set(collatz_arbor.__all__) <= set(namespace)
+        assert namespace["build"] is build
+
+    def test_dir_lists_names_and_modules(self):
+        listed = dir(collatz_arbor)
+        assert set(collatz_arbor.__all__) <= set(listed)
+        assert set(MODULES) <= set(listed)
+
+    def test_modules_are_attributes(self):
+        assert collatz_arbor.verify.VerificationReport is VerificationReport
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            collatz_arbor.nonesuch
+        assert not hasattr(collatz_arbor, "dataclasses")
+
+
+def _report():
+    return coverage(build(TruncationConfig(max_depth=2, value_bound=60)), 25)
+
+
+# one valid instance of each record type
+RECORDS = {
+    "OddInteger": lambda: OddInteger(7, 1, 2),
+    "BaseSequences": lambda: BaseSequences({1: 1}, {1: 0}),
+    "TrajectoryRecord": lambda: TrajectoryRecord(5, (5, 1), (4,), True),
+    "TrajectorySummary": lambda: TrajectorySummary(5, 1, 5, True),
+    "SiblingSet": lambda: SiblingSet(5, count=3),
+    "MultiplesSequence": lambda: multiples_sequence(5, 4),
+    "TruncationConfig": lambda: TruncationConfig(max_depth=3, value_bound=100),
+    "CoverageReport": _report,
+    "VerificationReport": lambda: VerificationReport("x", {"u": 5}, True, None, {"cases": 1}),
+    "CollisionProbe": lambda: CollisionProbe(1, 1, same_class=False),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_fields_reject_assignment(self, make):
+        record = make()
+        field = record.__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+    def test_equality_copy_and_pickle(self, make):
+        record = make()
+        assert record == make()
+        assert copy.copy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert record != tuple(getattr(record, f) for f in record.__slots__)
+
+    @pytest.mark.parametrize("make, bad", [
+        (lambda: OddInteger(7, 1, 3), ValueError),
+        (lambda: TrajectoryRecord(9, (9, 7), (2,), converged=True), ValueError),
+        (lambda: SiblingSet(5, count=3, bound=100), ValueError),
+        (lambda: SiblingSet(9, count=3), ValueError),
+        (lambda: TruncationConfig(max_depth=3), ValueError),
+        (lambda: TruncationConfig(max_depth=3, value_bound=10, max_nodes=0), ValueError),
+        (lambda: VerificationReport("x", {}, False, None), ValueError),
+        (lambda: CollisionProbe(1, 2, same_class=False), ValueError),
+        (lambda: OddInteger(7, 1), TypeError),
+        (lambda: OddInteger(7, 1, 2, 0), TypeError),
+        (lambda: OddInteger(7, 1, multiple=2, residue=1), TypeError),
+        (lambda: SiblingSet(5, cont=3), TypeError),
+    ])
+    def test_constructor_checks_stay(self, make, bad):
+        with pytest.raises(bad):
+            make()
+
+    def test_keyword_defaults(self):
+        config = TruncationConfig(value_bound=10)
+        assert (config.max_depth, config.sibling_cap, config.max_nodes) == (None, None, 10**7)
+        assert SiblingSet(5, bound=100).depth is None
+        first, second = (VerificationReport("x", {}, True, None) for _ in range(2))
+        assert first.statistics == {} and first.statistics is not second.statistics
+
+    def test_equality_and_hash_follow_the_fields(self):
+        assert OddInteger(7, 1, 2) != OddInteger(5, 2, 1)
+        assert TruncationConfig(max_depth=2, value_bound=9) != TruncationConfig(max_depth=2,
+                                                                               value_bound=10)
+        assert hash(OddInteger(7, 1, 2)) == hash(OddInteger(7, 1, 2))
+        assert len({TruncationConfig(max_depth=2, value_bound=9)} | {
+            TruncationConfig(max_depth=2, value_bound=9)}) == 1
+
+    def test_repr(self):
+        assert repr(OddInteger(7, 1, 2)) == "OddInteger(value=7, residue=1, multiple=2)"
+        shown = repr(_report())
+        assert shown.startswith("CoverageReport(bound=25, covered_count=")
+        assert "first_depth" not in shown and "level_sizes=" in shown
+
+    def test_other_types_compare_unequal(self):
+        assert TrajectorySummary(5, 1, 5, True) != TrajectoryRecord(5, (5, 1), (4,), True)
+        assert isinstance(multiples_sequence(5, 2), MultiplesSequence)
+        assert isinstance(_report(), CoverageReport)

@@ -304,6 +304,10 @@ class TestSweepsAndSuites:
         assert len(reports) == 1
         assert reports[0].check_name == "residue_cycle"
 
+    def test_root_only_tree_is_rejected(self):
+        with pytest.raises(ValueError, match="^the tree holds only the root$"):
+            run_suite("uniqueness", tree=build(TruncationConfig(max_depth=0, value_bound=100)))
+
     def test_all_reports_pass_on_small_boxes(self, tree_k6):
         reports = run_suite("all", parent_bound=500, count=12, max_d=12,
                             partners=50, convergence_bound=500, tree=tree_k6)
