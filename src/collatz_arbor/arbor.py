@@ -18,7 +18,8 @@ uniqueness property the build exists to witness.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import BinaryIO, NamedTuple
 
 from ._record import Record
@@ -50,6 +51,16 @@ ROOT = 1
 
 _FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
 
+_TYPED_BELOW = 1 << 64  # a box bounded below this stores its levels as array('Q')
+_DIGITS_FROM = 1 << 60  # a box bounded at or above this charges its runs by their digits
+# Beyond its level slot, a set store's member costs its slot in the set's
+# table, which CPython keeps 1/4 to 3/5 full and grows fourfold below 50,000
+# members (about 30 to 130 B), and, in a typed level, its boxed int.  Past
+# the first _SET_FREE members, each is charged _SET_CHARGE more nodes, so the
+# budget bounds bytes in every box, and small boxes keep one node a value.
+_SET_FREE = 4096
+_SET_CHARGE = 2
+
 
 class TruncationConfig(Record):
     """Explicit finite box for tree construction.
@@ -57,12 +68,22 @@ class TruncationConfig(Record):
     At least one of max_depth / value_bound must be finite; an unbounded
     value range additionally needs a sibling cap, or a single expansion would
     never terminate.  max_nodes is a hard budget: exceeding it raises
-    CapacityError instead of exhausting memory.  A stored node costs about
-    40 B (its int and its level-list slot, for values below 2^60), so the
-    default of 10M nodes is about 400 MB.  In a capped box values can grow
-    past that: there each 30-bit digit a value holds beyond two is charged
-    as a tenth of a node, so the budget bounds bytes in every box.  It also
-    bounds the missing list of a coverage report.
+    CapacityError instead of exhausting memory.  A budget node stands for
+    about 40 B, and what a stored value is charged depends on its store:
+
+    - a box bounded below 2^64 whose bitmap fits the budget (value_bound //
+      16 <= max_nodes) is charged one node a value, which costs 8 B (its
+      array('Q') slot) plus a bit per odd value up to the bound, so the
+      default of 10M nodes holds at most about 90 MB there;
+    - every other box keeps a set of its members.  A value costs its level
+      slot and its int, about 40 B below 2^60, and each member past the
+      first 4,096 is charged two more nodes for its set slot and boxed int.
+      Where values can pass 2^60 (a sibling cap, or a bound at or above
+      2^60), each 30-bit digit a value holds beyond two is charged as a
+      tenth of a node.  So the budget bounds bytes in every box: the default
+      is about 400 MB.
+
+    It also bounds the missing list of a coverage report.
     """
 
     __slots__ = ("max_depth", "value_bound", "sibling_cap", "max_nodes")
@@ -166,11 +187,13 @@ class _Parents(Mapping):
 
 
 class TruncatedArborescence:
-    """Per-depth level lists in build order, plus one membership object.
+    """Per-depth levels in build order, plus one membership object.
 
-    members is an _OddBitmap when the box has a value bound whose bitmap is
-    no larger than the node budget in bytes (value_bound // 16 <= max_nodes),
-    and a set otherwise.  Nothing else is stored: parent and sibling_index
+    Each level is an array('Q') when the box's value bound is below 2^64
+    (8 B a value), and a list of exact ints otherwise.  members is an
+    _OddBitmap when the box has a value bound whose bitmap is no larger than
+    the node budget in bytes (value_bound // 16 <= max_nodes), and a set
+    otherwise.  Nothing else is stored: parent and sibling_index
     come from the value through _link, depth from the level holding the
     value (or the links to the root), residue and is_leaf from the value
     mod 3.
@@ -178,7 +201,7 @@ class TruncatedArborescence:
 
     __slots__ = ("config", "levels", "members")
 
-    def __init__(self, config: TruncationConfig, levels: dict[int, list[int]],
+    def __init__(self, config: TruncationConfig, levels: dict[int, Sequence[int]],
                  members: _OddBitmap | set[int]) -> None:
         self.config = config
         self.levels = levels
@@ -304,19 +327,25 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     from the recurrence v_{n+1} = 4 v_n + 1 up to one stop value that folds
     in the bound and the cap.  The budget is checked after each parent's
     run, so memory overshoots it by at most one run, and overrunning
-    max_nodes raises CapacityError; a capped run is charged by its size
-    (_run_stop), and stops one node past the budget.  Each finished level
-    is marked in the membership object; a repeated value shows as a count
-    that falls short, and raises DuplicateVertexError (it would falsify
-    uniqueness).
+    max_nodes raises CapacityError; a capped run, and any run of a box
+    bounded at 2^60 or above, is charged by its size (_run_stop), and stops
+    one node past the budget.  Each finished level is charged for the set
+    store's members (_SET_FREE), then marked in the membership object; a
+    repeated value shows as a count that falls short, and raises
+    DuplicateVertexError (it would falsify uniqueness).  Each level is grown
+    as a list and stored as an array('Q') when the bound is below 2^64.
     """
     if config.value_bound is not None and config.value_bound < ROOT:
         raise ValueError("value_bound excludes the root")
     bound, cap, max_nodes = config.value_bound, config.sibling_cap, config.max_nodes
-    members = _OddBitmap(bound) if bound is not None and bound // 16 <= max_nodes else set()
+    dense = bound is not None and bound // 16 <= max_nodes
+    members = _OddBitmap(bound) if dense else set()
     members.update((ROOT,))
-    levels: dict[int, list[int]] = {0: [ROOT]}
-    level = levels[0]
+    typed = bound is not None and bound < _TYPED_BELOW
+    if cap is None and bound is not None and bound >= _DIGITS_FROM:
+        cap = bound.bit_length() + 2  # past every run the bound admits: only the charge changes
+    level = [ROOT]
+    levels: dict[int, Sequence[int]] = {0: _typed(level) if typed else level}
     depth = 0
     room = max_nodes - 1  # nodes the budget still admits
     while level and (config.max_depth is None or depth < config.max_depth):
@@ -337,16 +366,28 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
                 v = 4 * v + 1
             if len(level) > room:
                 raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+        if not dense:
+            room -= _SET_CHARGE * (max(0, before + len(level) - _SET_FREE)
+                                   - max(0, before - _SET_FREE))
+        if len(level) > room:
+            raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
         members.update(level)
         if len(members) != before + len(level):
             raise _duplicate(levels, parents, bound, cap, level_room)
         room -= len(level)
         if level:
-            levels[depth] = level
+            levels[depth] = _typed(level) if typed else level
     return TruncatedArborescence(config, levels, members)
 
 
-def _duplicate(levels: dict[int, list[int]], parents: list[int], bound: int | None,
+def _typed(level: list[int]) -> array:
+    """A finished level as an array('Q'); fromlist fills it faster than array("Q", level)."""
+    packed = array("Q")
+    packed.fromlist(level)
+    return packed
+
+
+def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], bound: int | None,
                cap: int | None, room: int) -> DuplicateVertexError:
     """The slow path of a level that repeats a value: replay it against a set.
 
@@ -492,14 +533,13 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     first_depth: dict[int, int] = {}
     level_sizes: dict[int, int] = {}
     for k in sorted(tree.levels):
-        before = len(first_depth)
-        for value in tree.levels[k]:
-            if value <= bound:
-                i = value >> 1
-                bits[i >> 3] |= 1 << (i & 7)
-                first_depth[value] = k
-        if len(first_depth) > before:
-            level_sizes[k] = len(first_depth) - before
+        hits = [v for v in tree.levels[k] if v <= bound]
+        for value in hits:
+            i = value >> 1
+            bits[i >> 3] |= 1 << (i & 7)
+            first_depth[value] = k
+        if hits:
+            level_sizes[k] = len(hits)
     if (bound + 1) // 2 - len(first_depth) > budget:
         raise CapacityError(refused)
     bitmap = int.from_bytes(bits, "little")
@@ -514,18 +554,7 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     )
 
 
-_CHUNK = 4096  # lines per sink write: bounded memory, few write calls
-
-
-def _write_lines(sink: BinaryIO, lines: Iterator[str]) -> None:
-    chunk: list[str] = []
-    for line in lines:
-        chunk.append(line)
-        if len(chunk) == _CHUNK:
-            sink.write("".join(chunk).encode("ascii"))
-            chunk.clear()
-    if chunk:
-        sink.write("".join(chunk).encode("ascii"))
+_CHUNK = 4096  # rows per sink write: bounded memory, few write calls
 
 
 def _rows(tree: TruncatedArborescence) -> Iterator[tuple[int, int, int, int, int]]:
@@ -538,34 +567,58 @@ def _rows(tree: TruncatedArborescence) -> Iterator[tuple[int, int, int, int, int
                 yield v, k, t >> e, (e + 1) >> 1, v % 3
 
 
-def _jsonl_lines(tree: TruncatedArborescence) -> Iterator[str]:
+def _chunks(tree: TruncatedArborescence,
+            root: bool = False) -> Iterator[tuple[int, Sequence[int]]]:
+    """(depth, up to _CHUNK values) of each level in order, the root's level if root."""
+    for k in sorted(tree.levels):
+        if k or root:
+            level = tree.levels[k]
+            for i in range(0, len(level), _CHUNK):
+                yield k, level[i:i + _CHUNK]
+
+
+# The rows below inline _link: with t = 3v + 1 and e its count of trailing
+# zero bits, the parent is t >> e and the sibling index (e + 1) >> 1.  The
+# row's tail, residue and is_leaf, is looked up by v mod 3.
+_JSONL_TAILS = ('"residue": 0, "is_leaf": true}\n', '"residue": 1, "is_leaf": false}\n',
+                '"residue": 2, "is_leaf": false}\n')
+_CSV_TAILS = ("0,true\n", "1,false\n", "2,false\n")
+_DOT_NODE_ENDS = (" [shape=box];\n", ";\n", ";\n")
+
+
+def _jsonl_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     # byte-identical to json.dumps of the record dict, key order = _FIELDS
     yield '{"value": 1, "depth": 0, "parent": null, "sibling_index": null, "residue": 1, ' \
           '"is_leaf": false}\n'
-    for v, k, u, n, r in _rows(tree):
-        yield (f'{{"value": {v}, "depth": {k}, "parent": {u}, "sibling_index": {n}, '
-               f'"residue": {r}, "is_leaf": {"false" if r else "true"}}}\n')
+    for k, chunk in _chunks(tree):
+        depth = f', "depth": {k}, "parent": '
+        yield "".join([f'{{"value": {v}{depth}{t >> e}, "sibling_index": {(e + 1) >> 1}, '
+                       f'{_JSONL_TAILS[v % 3]}'
+                       for v in chunk for t in (3 * v + 1,)
+                       for e in ((t & -t).bit_length() - 1,)])
 
 
-def _csv_lines(tree: TruncatedArborescence) -> Iterator[str]:
+def _csv_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     # byte-identical to csv.writer: integers and bare words need no quoting
-    yield ",".join(_FIELDS) + "\n"
-    yield "1,0,,,1,false\n"
-    for v, k, u, n, r in _rows(tree):
-        yield f"{v},{k},{u},{n},{r},{'false' if r else 'true'}\n"
+    yield ",".join(_FIELDS) + "\n1,0,,,1,false\n"
+    for k, chunk in _chunks(tree):
+        depth = f",{k},"
+        yield "".join([f"{v}{depth}{t >> e},{(e + 1) >> 1},{_CSV_TAILS[v % 3]}"
+                       for v in chunk for t in (3 * v + 1,)
+                       for e in ((t & -t).bit_length() - 1,)])
 
 
-def _dot_lines(tree: TruncatedArborescence) -> Iterator[str]:
+def _dot_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     yield "digraph collatz_arbor {\n"
-    for k in sorted(tree.levels):
-        for v in tree.levels[k]:
-            yield f"    {v};\n" if v % 3 else f"    {v} [shape=box];\n"
-    for v, _, u, _, _ in _rows(tree):
-        yield f"    {u} -> {v};\n"
+    for _, chunk in _chunks(tree, root=True):
+        yield "".join([f"    {v}{_DOT_NODE_ENDS[v % 3]}" for v in chunk])
+    for _, chunk in _chunks(tree):
+        yield "".join([f"    {t >> ((t & -t).bit_length() - 1)} -> {v};\n"
+                       for v in chunk for t in (3 * v + 1,)])
     yield "}\n"
 
 
-_EXPORTERS = {"jsonl": _jsonl_lines, "dot": _dot_lines, "csv": _csv_lines}
+_EXPORTERS = {"jsonl": _jsonl_chunks, "dot": _dot_chunks, "csv": _csv_chunks}
 
 
 def export(tree: TruncatedArborescence, fmt: str, sink: BinaryIO) -> None:
@@ -577,4 +630,5 @@ def export(tree: TruncatedArborescence, fmt: str, sink: BinaryIO) -> None:
     """
     if fmt not in _EXPORTERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {EXPORT_FORMATS}")
-    _write_lines(sink, _EXPORTERS[fmt](tree))
+    for chunk in _EXPORTERS[fmt](tree):
+        sink.write(chunk.encode("ascii"))

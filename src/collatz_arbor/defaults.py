@@ -9,8 +9,8 @@ re-export each name here under the same name.
 # against nontermination without being hit in practice.
 DEFAULT_MAX_STEPS = 10_000
 
-# arbor: the node budget (about 40 B a node, so about 400 MB) and the
-# export formats.
+# arbor: the node budget (a budget node stands for about 40 B, so about
+# 400 MB; a bitmap box below 2^64 stores a node in 8 B) and the export formats.
 DEFAULT_MAX_NODES = 10_000_000
 EXPORT_FORMATS = ("jsonl", "dot", "csv")
 

@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -60,7 +61,7 @@ class TestConfig:
 class TestBuild:
     def test_first_level(self):
         tree = build(TruncationConfig(max_depth=1, value_bound=400))
-        assert tree.levels[1] == [5, 21, 85, 341]
+        assert list(tree.levels[1]) == [5, 21, 85, 341]
 
     def test_trivial_cycle_excluded(self, deep_tree):
         assert deep_tree.node(1).parent is None
@@ -68,8 +69,8 @@ class TestBuild:
 
     def test_bound_filtered_second_level(self, small_tree):
         # 85 and 341 exceed the bound, so only 5 contributes at depth 2
-        assert small_tree.levels[1] == [5, 21]
-        assert small_tree.levels[2] == [3, 13, 53]
+        assert list(small_tree.levels[1]) == [5, 21]
+        assert list(small_tree.levels[2]) == [3, 13, 53]
         assert len(small_tree) == 6
 
     def test_contains_worked_path(self, deep_tree):
@@ -80,7 +81,7 @@ class TestBuild:
     def test_root_only(self):
         tree = build(TruncationConfig(max_depth=0, value_bound=100))
         assert len(tree) == 1
-        assert tree.levels == {0: [1]}
+        assert {k: list(level) for k, level in tree.levels.items()} == {0: [1]}
 
     def test_node_metadata(self, small_tree):
         info = small_tree.node(13)
@@ -208,8 +209,9 @@ class TestBuild:
         assert arbor._run_charge(3, 29) == 29  # values below 2^61 cost one node each
 
     def test_store_bytes_per_node(self):
-        # levels hold one int and one list slot per node (~41 B); the bitmap
-        # adds 1 bit per odd value, and no value -> parent dict is kept
+        # the bound list levels met (one int and one list slot a node, ~41 B);
+        # the bitmap adds 1 bit per odd value, and no value -> parent dict is
+        # kept.  The typed levels of this box meet a tighter bound, below.
         tracemalloc.start()
         try:
             tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
@@ -218,6 +220,61 @@ class TestBuild:
             tracemalloc.stop()
         assert len(tree) == 298_358
         assert peak <= 48 * len(tree)
+
+    def test_typed_store_bytes_per_node(self):
+        # array('Q') levels: 8 B a node, plus the bitmap and the two levels
+        # the build holds as lists
+        tracemalloc.start()
+        try:
+            tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 298_358
+        assert peak <= 12 * len(tree)
+
+    @pytest.mark.parametrize("config,typed", [
+        (TruncationConfig(max_depth=3, value_bound=10**6), True),  # bitmap store
+        (TruncationConfig(max_depth=2, value_bound=2**64 - 1), True),  # set store
+        (TruncationConfig(max_depth=2, value_bound=2**64), False),
+        (TruncationConfig(max_depth=3, sibling_cap=5), False),
+    ])
+    def test_levels_are_typed_exactly_below_2_64(self, config, typed):
+        levels = build(config).levels.values()
+        assert {type(level) for level in levels} == {array if typed else list}
+        assert all(level.typecode == "Q" for level in levels if typed)
+
+    def test_capped_values_past_2_64_stay_exact(self):
+        # the root's children v_n = (4^n - 1)/3 for n = 2..40 reach 2^78
+        tree = build(TruncationConfig(max_depth=1, sibling_cap=40))
+        assert type(tree.levels[1]) is list
+        assert tree.levels[1] == [(4**n - 1) // 3 for n in range(2, 41)]
+        assert tree.levels[1][-1] > 2**64
+        assert all(type(v) is int for v in tree.levels[1])
+
+    def test_bounded_run_past_2_60_is_charged_by_its_digits(self):
+        # the root's children 5, 21, ..., (4^100 - 1)/3 all lie below 2^200:
+        # 99 values of up to 7 digits, charged as a capped run of 99 is
+        charge = 1 + arbor._run_charge(3, 99)
+        assert charge > 100
+        box = {"max_depth": 1, "value_bound": 2**200}
+        assert len(build(TruncationConfig(**box, max_nodes=charge))) == 100
+        with pytest.raises(CapacityError):
+            build(TruncationConfig(**box, max_nodes=charge - 1))
+
+    @pytest.mark.parametrize("bound", [10**12, 10**60])
+    def test_set_store_budget_bounds_bytes(self, bound):
+        # a set member costs its set slot and boxed int on top of its level
+        # slot, and values past 2^60 cost digits: both are charged, so the
+        # budget holds bytes to 48 B a node here too
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build(TruncationConfig(max_depth=30, value_bound=bound, max_nodes=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 100_000
 
     def test_parent_mapping_is_derived_and_read_only(self, small_tree):
         assert dict(small_tree.parent) == {1: None, 5: 1, 21: 1, 3: 5, 13: 5, 53: 5}

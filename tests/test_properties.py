@@ -1,13 +1,25 @@
 """Invariant checks over randomized inputs, driven by hypothesis."""
 
+import io
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verify_reference as reference
 from convergence_reference import reference_check_convergence
-from collatz_arbor import verify
-from collatz_arbor.arbor import DEFAULT_MAX_NODES, NodeInfo, TruncationConfig, build, path_to
+from export_reference import reference_export
+from collatz_arbor import arbor, verify
+from collatz_arbor.arbor import (
+    DEFAULT_MAX_NODES,
+    EXPORT_FORMATS,
+    NodeInfo,
+    TruncationConfig,
+    build,
+    export,
+    path_to,
+)
 from collatz_arbor.core import decompose, w_term, z_term
 from collatz_arbor.errors import CapacityError, MissingVertexError
 from collatz_arbor.forward import f_step, valuation2
@@ -169,7 +181,7 @@ def test_build_matches_reference_build(config):
             build(config)
         return
     tree = build(config)
-    assert tree.levels == levels
+    assert {k: list(level) for k, level in tree.levels.items()} == levels
     assert list(tree.records()) == records
     parents = {v: info.parent for v, info in records}
     assert list(tree.parent.items()) == list(parents.items())
@@ -187,6 +199,47 @@ def test_build_matches_reference_build(config):
     for v, info in records:
         assert tree.node(v) == info
         assert path_to(tree, v) == _reference_path(parents, v)
+
+
+# A bound at or above 2^60 sends every run through _run_stop, so that it is
+# charged by its digits: the stored values must not change.
+big_bound_boxes = st.builds(TruncationConfig, max_depth=st.integers(0, 2),
+                            value_bound=st.integers(2**60, 2**90),
+                            sibling_cap=st.none() | st.integers(1, 50))
+
+
+@given(big_bound_boxes)
+@settings(max_examples=50, deadline=None)
+def test_big_bound_build_matches_reference_build(config):
+    levels, records = _reference_build(config)
+    tree = build(config)
+    assert {k: list(level) for k, level in tree.levels.items()} == levels
+    assert list(tree.records()) == records
+
+
+# array('Q') levels below 2^64; list levels for a cap alone or a larger
+# bound, whose values pass 2^64 (the root's child of index 33, (4^33 - 1)/3, does)
+export_boxes = st.one_of(
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12),
+              value_bound=st.integers(1, 10**5), sibling_cap=st.none() | st.integers(1, 8)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 2), sibling_cap=st.integers(30, 40)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 2),
+              value_bound=st.integers(2**64, 2**72), sibling_cap=st.none() | st.integers(30, 40)),
+)
+
+
+@given(export_boxes, st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_export_matches_reference_writer(config, chunk):
+    # a small chunk puts level ends and chunk ends in different places
+    tree = build(config)
+    for fmt in EXPORT_FORMATS:
+        want = reference_export(tree, fmt)
+        for size in (chunk, arbor._CHUNK):
+            sink = io.BytesIO()
+            with mock.patch.object(arbor, "_CHUNK", size):
+                export(tree, fmt, sink)
+            assert sink.getvalue() == want
 
 
 @given(st.integers(1, 3000), st.integers(1, 150))
