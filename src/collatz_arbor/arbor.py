@@ -60,6 +60,7 @@ _DIGITS_FROM = 1 << 60  # a box bounded at or above this charges its runs by the
 # budget bounds bytes in every box, and small boxes keep one node a value.
 _SET_FREE = 4096
 _SET_CHARGE = 2
+_PCHUNK = 4096  # parents per kernel call in a bounded box, at most
 
 
 class TruncationConfig(Record):
@@ -125,6 +126,7 @@ class _OddBitmap:
     """
 
     __slots__ = ("bits", "bound", "count")
+    _MASK = tuple(1 << (i >> 1 & 7) for i in range(16))  # the bit of v within its byte, by v & 15
 
     def __init__(self, bound: int) -> None:
         self.bits = bytearray((bound >> 4) + 1)
@@ -140,11 +142,11 @@ class _OddBitmap:
 
     def update(self, values: Iterable[int]) -> None:
         """Mark odd values within the bound; len grows by those not marked before."""
-        bits = self.bits
+        bits, mask = self.bits, self._MASK
         fresh = 0
         for v in values:
             i = v >> 4
-            m = 1 << (v >> 1 & 7)
+            m = mask[v & 15]
             b = bits[i]
             if not b & m:
                 bits[i] = b | m
@@ -264,6 +266,29 @@ def _first_child(u: int) -> tuple[int, int]:
     return n, v
 
 
+def _kernel_table(c: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Exponents of the children within the bound B of a parent u, c = 3B + 1.
+
+    Row u % 3, column bit_length(c // u): the exponents s = e of the
+    children (2^s u - 1)/3, from 2 for class 1 (e = 2n) and from 1 for
+    class 2 (e = 2n - 1), so 3 divides each numerator, up to the last with
+    2^s u <= c.  Leaves get ().
+    """
+    columns = range(c.bit_length() + 2)
+    return (((),) * len(columns), tuple(tuple(range(2, b, 2)) for b in columns),
+            tuple(tuple(range(1, b, 2)) for b in columns))
+
+
+def _children(parents: Sequence[int], c: int,
+              table: tuple[tuple[tuple[int, ...], ...], ...]) -> list[int]:
+    """The children within the bound of non-root parents, by parent, then sibling index.
+
+    A child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1,
+    that is when 2^s <= c // u, or s < bit_length(c // u).
+    """
+    return [((u << s) - 1) // 3 for u in parents for s in table[u % 3][(c // u).bit_length()]]
+
+
 def _extra_digits(b: int, m: int) -> int:
     """30-bit int digits beyond two a value held by a run of m siblings from a b-bit one.
 
@@ -323,13 +348,25 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     """Breadth-first expansion from the root inside the truncation box.
 
     Deterministic: each level is ordered by parent position, then sibling
-    index.  Each parent's first child comes from _first_child, later ones
-    from the recurrence v_{n+1} = 4 v_n + 1 up to one stop value that folds
-    in the bound and the cap.  The budget is checked after each parent's
-    run, so memory overshoots it by at most one run, and overrunning
-    max_nodes raises CapacityError; a capped run, and any run of a box
-    bounded at 2^60 or above, is charged by its size (_run_stop), and stops
-    one node past the budget.  Each finished level is charged for the set
+    index.  In a box bounded below 2^60 with no cap, every level past the
+    root's is one list comprehension per chunk of parents (_children): the
+    child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1, that
+    is when s < bit_length(c // u), so a table by u mod 3 and that bit
+    length lists each parent's exponents.  A chunk holds at most _PCHUNK
+    parents, and at most one more than the budget's room over the most
+    children a parent has, so, checked after each chunk, memory overshoots
+    the budget by at most one parent's run.  The kernel does not re-check
+    3v = 2^e u - 1 on each node: verify.check_parent_pointers re-derives
+    every stored child through the raw branch kernel, and the property
+    tests compare whole levels with a reference build.
+
+    The root's level, capped boxes and boxes bounded at 2^60 or above take
+    each parent's first child from _first_child, later ones from the
+    recurrence v_{n+1} = 4 v_n + 1 up to one stop value that folds in the
+    bound and the cap, and check the budget after each run; a capped run,
+    and any run of a box bounded at 2^60 or above, is charged by its size
+    (_run_stop), and stops one node past the budget.  Overrunning max_nodes
+    raises CapacityError.  Each finished level is charged for the set
     store's members (_SET_FREE), then marked in the membership object; a
     repeated value shows as a count that falls short, and raises
     DuplicateVertexError (it would falsify uniqueness).  Each level is grown
@@ -344,6 +381,10 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     typed = bound is not None and bound < _TYPED_BELOW
     if cap is None and bound is not None and bound >= _DIGITS_FROM:
         cap = bound.bit_length() + 2  # past every run the bound admits: only the charge changes
+    if cap is None:
+        c = 3 * bound + 1
+        table = _kernel_table(c)
+        width = (c.bit_length() + 1) // 2  # the most children one parent has
     level = [ROOT]
     levels: dict[int, Sequence[int]] = {0: _typed(level) if typed else level}
     depth = 0
@@ -352,20 +393,29 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
         depth += 1
         parents, level = level, []
         before, level_room = len(members), room
-        for u in parents:
-            if u % 3 == 0:
-                continue
-            n, v = _first_child(u)
-            if cap is None:
-                stop = bound
-            else:
-                stop, extra = _run_stop(n, v, bound, cap, room - len(level))
-                room -= extra
-            while v <= stop:
-                level.append(v)
-                v = 4 * v + 1
-            if len(level) > room:
-                raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+        if cap is None and depth > 1:
+            i = 0
+            while i < len(parents):
+                step = min(_PCHUNK, 1 + (room - len(level)) // width)
+                level += _children(parents[i:i + step], c, table)
+                i += step
+                if len(level) > room:
+                    raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+        else:
+            for u in parents:
+                if u % 3 == 0:
+                    continue
+                n, v = _first_child(u)
+                if cap is None:
+                    stop = bound
+                else:
+                    stop, extra = _run_stop(n, v, bound, cap, room - len(level))
+                    room -= extra
+                while v <= stop:
+                    level.append(v)
+                    v = 4 * v + 1
+                if len(level) > room:
+                    raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
         if not dense:
             room -= _SET_CHARGE * (max(0, before + len(level) - _SET_FREE)
                                    - max(0, before - _SET_FREE))
@@ -397,21 +447,30 @@ def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], bound: int 
     """
     seen = {v for level in levels.values() for v in level}
     grown = 0
+    if cap is None:
+        c = 3 * bound + 1
+        table = _kernel_table(c)
     for u in parents:
         if u % 3 == 0:
             continue
-        n, v = _first_child(u)
-        if cap is None:
-            stop = bound
+        if cap is None and u != ROOT:
+            run = _children((u,), c, table)
         else:
-            stop, extra = _run_stop(n, v, bound, cap, room - grown)
-            room -= extra
-        while v <= stop:
+            n, v = _first_child(u)
+            if cap is None:
+                stop = bound
+            else:
+                stop, extra = _run_stop(n, v, bound, cap, room - grown)
+                room -= extra
+            run = []
+            while v <= stop:
+                run.append(v)
+                v = 4 * v + 1
+        for v in run:
             if v in seen:
                 return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
             seen.add(v)
             grown += 1
-            v = 4 * v + 1
     raise InconsistencyError("a level's count fell short, but no value repeats")
 
 

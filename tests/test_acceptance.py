@@ -6,11 +6,13 @@ forward-orbit oracle (trajectory / trajectory_summary) and then frozen; the
 checks they feed never share code with the inverse-side paths they validate.
 """
 
+import hashlib
 import json
 import random
 import subprocess
 import sys
 import time
+from array import array
 
 from collatz_arbor.arbor import TruncationConfig, build, coverage, path_to
 from collatz_arbor.core import w_term, z_term
@@ -31,6 +33,8 @@ from collatz_arbor.verify import (
 SWEEP_BOUND = 10**4
 MAX_ODD_STEPS = 96
 MAX_EXCURSION = 9_038_141
+# sha256 of the (96, 9038141) tree's levels, frozen from the per-parent build
+C10_LEVELS_SHA256 = "5912a95c81c376138b30c8425082fddf3f2cf775323fff9d6f1e476a1e783f4b"
 
 
 def _passed(num: int, detail: str) -> None:
@@ -187,6 +191,16 @@ def test_c10_empirical_completeness():
     assert convergence.passed, convergence.counterexample
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"took {elapsed:.2f} s"
+    # the tree's content, not only its size: its 97 levels in depth order,
+    # as little-endian 8-byte values
+    digest = hashlib.sha256()
+    for k in sorted(tree.levels):
+        level = array("Q", tree.levels[k])
+        if sys.byteorder == "big":
+            level.byteswap()
+        digest.update(level.tobytes())
+    assert len(tree.levels) == 97
+    assert digest.hexdigest() == C10_LEVELS_SHA256
     _passed(10, f"all odd <= {SWEEP_BOUND} reached in a (K={max_steps}, "
                 f"B={max_peak}) tree of {len(tree)} nodes; "
                 f"convergence swept to 10^5; {elapsed:.1f} s")

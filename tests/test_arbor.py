@@ -27,6 +27,25 @@ from collatz_arbor.inverse import g_branch
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _start_run_at(monkeypatch, parent, first):
+    """Make the bounded build kernel give parent the run first, 4 first + 1, ... within the bound."""
+    real = arbor._children
+
+    def faulty(parents, c, table):
+        out = []
+        for u in parents:
+            if u == parent:
+                v = first
+                while 3 * v + 1 <= c:  # v <= B
+                    out.append(v)
+                    v = 4 * v + 1
+            else:
+                out += real((u,), c, table)
+        return out
+
+    monkeypatch.setattr(arbor, "_children", faulty)
+
+
 @pytest.fixture(scope="module")
 def small_tree():
     return build(TruncationConfig(max_depth=2, value_bound=60))
@@ -106,16 +125,9 @@ class TestBuild:
             build(TruncationConfig(max_depth=6, value_bound=10**6, max_nodes=10))
 
     def test_duplicate_child_aborts_loudly(self, monkeypatch):
-        # cannot happen with the real branch map, so inject a colliding stream
-        import collatz_arbor.arbor as arbor_mod
-        real = arbor_mod._first_child
-
-        def colliding(parent):
-            if parent == 5:
-                return 2, 21  # 21 already stored under the root
-            return real(parent)
-
-        monkeypatch.setattr(arbor_mod, "_first_child", colliding)
+        # cannot happen with the real branch map, so inject a colliding stream:
+        # 21 is already stored under the root
+        _start_run_at(monkeypatch, 5, 21)
         with pytest.raises(DuplicateVertexError) as excinfo:
             build(TruncationConfig(max_depth=2, value_bound=60))
         assert excinfo.value.value == 21
@@ -136,10 +148,11 @@ class TestBuild:
     ])
     def test_duplicate_names_both_parents(self, monkeypatch, config):
         # parent 5's stream starts at 5 itself, stored at depth 1 under the root
-        import collatz_arbor.arbor as arbor_mod
-        real = arbor_mod._first_child
-        monkeypatch.setattr(arbor_mod, "_first_child",
-                            lambda u: (2, 5) if u == 5 else real(u))
+        if config.sibling_cap is None:
+            _start_run_at(monkeypatch, 5, 5)
+        else:  # a capped box grows its runs from _first_child
+            real = arbor._first_child
+            monkeypatch.setattr(arbor, "_first_child", lambda u: (2, 5) if u == 5 else real(u))
         with pytest.raises(DuplicateVertexError) as excinfo:
             build(config)
         err = excinfo.value
@@ -147,10 +160,7 @@ class TestBuild:
 
     def test_duplicate_within_one_level(self, monkeypatch):
         # parent 21 is a leaf; parent 85's stream starts at 13, which 5 also produces
-        import collatz_arbor.arbor as arbor_mod
-        real = arbor_mod._first_child
-        monkeypatch.setattr(arbor_mod, "_first_child",
-                            lambda u: (2, 13) if u == 85 else real(u))
+        _start_run_at(monkeypatch, 85, 13)
         with pytest.raises(DuplicateVertexError) as excinfo:
             build(TruncationConfig(max_depth=2, value_bound=400))
         err = excinfo.value
@@ -275,6 +285,23 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 100_000
+
+    @pytest.mark.parametrize("config, per_node", [
+        (TruncationConfig(max_depth=40, value_bound=2 * 10**6, max_nodes=150_000), 20),  # bitmap
+        (TruncationConfig(max_depth=30, value_bound=10**12, max_nodes=1_000), 100),  # set store
+    ])
+    def test_mid_level_overrun_bounds_bytes(self, config, per_node):
+        # the budget trips partway through a level of a bounded box; each
+        # chunk of parents is sized to the room left, so the level overshoots
+        # the budget by at most one parent's run
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_node * config.max_nodes
 
     def test_parent_mapping_is_derived_and_read_only(self, small_tree):
         assert dict(small_tree.parent) == {1: None, 5: 1, 21: 1, 3: 5, 13: 5, 53: 5}

@@ -1,6 +1,7 @@
 """Invariant checks over randomized inputs, driven by hypothesis."""
 
 import io
+from itertools import takewhile
 from unittest import mock
 
 import pytest
@@ -215,6 +216,25 @@ def test_big_bound_build_matches_reference_build(config):
     tree = build(config)
     assert {k: list(level) for k, level in tree.levels.items()} == levels
     assert list(tree.records()) == records
+
+
+kernel_parents = st.integers(2, 2**58 - 1).map(lambda k: 2 * k + 1).filter(lambda u: u % 3)
+
+
+@given(kernel_parents, st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_reference_run(u, data):
+    # the kernel's edge sits where B crosses a child v_n of u: draw B at
+    # v_n, one below and one above it, or just below 2^60, the last bound
+    # the kernel serves
+    top = 1
+    while g_branch(u, top + 1) < 2**60 - 1:
+        top += 1
+    v = g_branch(u, data.draw(st.integers(1, top)))
+    bound = data.draw(st.sampled_from([v - 1, v, v + 1]) | st.integers(2**60 - 2**8, 2**60 - 1))
+    want = [v for _, v in takewhile(lambda nv: nv[1] <= bound, iter_siblings(u))]
+    c = 3 * bound + 1
+    assert arbor._children((u,), c, arbor._kernel_table(c)) == want
 
 
 # array('Q') levels below 2^64; list levels for a cap alone or a larger
