@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import compress
 from typing import BinaryIO, NamedTuple
 
 from ._record import Record
@@ -121,8 +122,8 @@ class NodeInfo(NamedTuple):
 class _OddBitmap:
     """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
 
-    Bit j of the bytearray stands for the value 2j + 1.  It offers what the
-    build and the tree read from a set: `in`, `len` and `update`.
+    Bit j of the bytearray stands for the value 2j + 1.  It offers the build
+    what a set would (`in`, `len`, `update`), and coverage slices its bits.
     """
 
     __slots__ = ("bits", "bound", "count")
@@ -228,20 +229,16 @@ class TruncatedArborescence:
         """Derived record of one stored value; its depth is its number of links to the root."""
         if value not in self.members:
             raise MissingVertexError(f"{value} is not stored in this truncation")
-        parent, n = _link(value)
-        depth = 0
-        u = parent
-        while u is not None:
-            depth += 1
-            u = _link(u)[0]
         r = value % 3
-        return NodeInfo(depth, parent, n, r, r == 0)
+        return NodeInfo(len(path_to(self, value)) - 1, *_link(value), r, r == 0)
 
     def records(self) -> Iterator[tuple[int, NodeInfo]]:
         """Node records in deterministic (depth, level-position) order."""
         yield ROOT, NodeInfo(0, None, None, 1, False)
-        for v, k, u, n, r in _rows(self):
-            yield v, NodeInfo(k, u, n, r, r == 0)
+        for k, chunk in _chunks(self):
+            for v in chunk:
+                r = v % 3
+                yield v, NodeInfo(k, *_link(v), r, r == 0)
 
 
 def _first_child(u: int) -> tuple[int, int]:
@@ -475,29 +472,30 @@ def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], bound: int 
 
 
 def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
-    """Root-to-target vertex list, verified against the forward orbit of target.
+    """Root-to-target vertex list: the forward orbit of target, reversed.
 
-    The reversed path must equal the forward trajectory of target exactly;
-    a mismatch raises InconsistencyError.  Absent targets raise
-    MissingVertexError (absence under truncation proves nothing).
+    Each step is f, inlined, and each ancestor it reaches must be stored;
+    an ancestor missing from the store, or an orbit that has not reached 1
+    within tree.max_depth steps, raises InconsistencyError.  Absent targets
+    raise MissingVertexError (absence under truncation proves nothing).
     """
-    from .forward import trajectory  # here: tree, export and cover never need it
-
     _require_odd_positive(target, "target")
-    if target not in tree:
+    members = tree.members
+    if target not in members:
         raise MissingVertexError(f"{target} is not stored in this truncation")
-    parent = tree.parent
     path = [target]
-    v = parent[target]
-    while v is not None:
-        path.append(v)
-        v = parent[v]
+    x = target
+    for _ in range(tree.max_depth):
+        if x == ROOT:
+            break
+        t = 3 * x + 1
+        x = t >> ((t & -t).bit_length() - 1)
+        if x not in members:
+            raise InconsistencyError(f"ancestor {x} of stored {target} is not stored")
+        path.append(x)
+    if x != ROOT:
+        raise InconsistencyError(f"{target} does not reach the root in {tree.max_depth} steps")
     path.reverse()
-    orbit = trajectory(target, max_steps=len(path)).values
-    if list(reversed(orbit)) != path:
-        raise InconsistencyError(
-            f"path to {target} is not the reversed forward orbit: {path} vs {orbit}"
-        )
     return path
 
 
@@ -573,10 +571,12 @@ class CoverageReport(Record):
 def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     """Coverage of the odd values <= bound; the root counts at depth 0.
 
-    The missing values are listed, so their count is charged to the tree's
-    node budget: more than max_nodes of them raise CapacityError before the
-    list is made, and before the bitmap when the tree is too small to cover
-    all but max_nodes of the window.
+    first_depth and level_sizes come from one scan of the levels.  The
+    bitmap is a window of the tree's bitmap store (a set store's tree marks
+    one), and the missing values are its clear bits.  Their count is charged
+    to the tree's node budget: more than max_nodes of them raise CapacityError
+    before the list is made, and before the bitmap when the tree is too small
+    to cover all but max_nodes of the window.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -585,45 +585,37 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
             f"report bound {bound} exceeds the tree's value bound {tree.config.value_bound}"
         )
     budget = tree.config.max_nodes
+    odd = (bound + 1) // 2  # the window's odd values
     refused = f"the report up to {bound} lists more than {budget} missing values (the node budget)"
-    if (bound + 1) // 2 - len(tree) > budget:  # at most len(tree) values are covered
+    if odd - len(tree) > budget:  # at most len(tree) values are covered
         raise CapacityError(refused)
-    bits = bytearray((bound + 15) // 16)
     first_depth: dict[int, int] = {}
     level_sizes: dict[int, int] = {}
     for k in sorted(tree.levels):
         hits = [v for v in tree.levels[k] if v <= bound]
-        for value in hits:
-            i = value >> 1
-            bits[i >> 3] |= 1 << (i & 7)
-            first_depth[value] = k
         if hits:
+            first_depth.update(dict.fromkeys(hits, k))
             level_sizes[k] = len(hits)
-    if (bound + 1) // 2 - len(first_depth) > budget:
+    if odd - len(first_depth) > budget:
         raise CapacityError(refused)
-    bitmap = int.from_bytes(bits, "little")
-    missing = tuple(x for x in range(1, bound + 1, 2) if x not in first_depth)
+    window = tree.members
+    if not isinstance(window, _OddBitmap):  # a set store
+        window = _OddBitmap(bound)
+        window.update(first_depth)
+    bitmap = int.from_bytes(window.bits[:(bound + 15) // 16], "little") & ((1 << odd) - 1)
+    unset = bytes.maketrans(b"01", b"\x01\x00")  # a bit's character -> a missing flag
+    flags = f"{bitmap:0{odd}b}"[::-1].encode("ascii").translate(unset)
     return CoverageReport(
         bound=bound,
         covered_count=len(first_depth),
         bitmap=bitmap,
-        missing=missing,
+        missing=tuple(compress(range(1, bound + 1, 2), flags)),
         first_depth=first_depth,
         level_sizes=level_sizes,
     )
 
 
 _CHUNK = 4096  # rows per sink write: bounded memory, few write calls
-
-
-def _rows(tree: TruncatedArborescence) -> Iterator[tuple[int, int, int, int, int]]:
-    """(value, depth, parent, sibling_index, residue) of every non-root node."""
-    for k in sorted(tree.levels):
-        if k:
-            for v in tree.levels[k]:
-                t = 3 * v + 1  # _link, inlined: parent f(v) = t / 2^e, index (e + 1) div 2
-                e = (t & -t).bit_length() - 1
-                yield v, k, t >> e, (e + 1) >> 1, v % 3
 
 
 def _chunks(tree: TruncatedArborescence,
@@ -636,9 +628,17 @@ def _chunks(tree: TruncatedArborescence,
                 yield k, level[i:i + _CHUNK]
 
 
-# The rows below inline _link: with t = 3v + 1 and e its count of trailing
-# zero bits, the parent is t >> e and the sibling index (e + 1) >> 1.  The
-# row's tail, residue and is_leaf, is looked up by v mod 3.
+class _IndexText(dict):
+    """Text of the sibling index b >> 1 by b, made on a miss (a capped index reaches its cap)."""
+
+    def __missing__(self, b: int) -> str:
+        text = self[b] = str(b >> 1)
+        return text
+
+
+# The rows below inline _link: with t = 3v + 1 and b = e + 1 the bit length of its lowest
+# set bit 2^e, the parent is t >> e; each export keeps its own _IndexText, index[b], for the
+# sibling index, and the row's tail, residue and is_leaf, is by v mod 3.
 _JSONL_TAILS = ('"residue": 0, "is_leaf": true}\n', '"residue": 1, "is_leaf": false}\n',
                 '"residue": 2, "is_leaf": false}\n')
 _CSV_TAILS = ("0,true\n", "1,false\n", "2,false\n")
@@ -649,22 +649,22 @@ def _jsonl_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     # byte-identical to json.dumps of the record dict, key order = _FIELDS
     yield '{"value": 1, "depth": 0, "parent": null, "sibling_index": null, "residue": 1, ' \
           '"is_leaf": false}\n'
+    index = _IndexText()
     for k, chunk in _chunks(tree):
         depth = f', "depth": {k}, "parent": '
-        yield "".join([f'{{"value": {v}{depth}{t >> e}, "sibling_index": {(e + 1) >> 1}, '
-                       f'{_JSONL_TAILS[v % 3]}'
-                       for v in chunk for t in (3 * v + 1,)
-                       for e in ((t & -t).bit_length() - 1,)])
+        yield "".join([f'{{"value": {v}{depth}'
+                       f'{(t := 3 * v + 1) >> (b := (t & -t).bit_length()) - 1}, "sibling_index": '
+                       f'{index[b]}, {_JSONL_TAILS[v % 3]}' for v in chunk])
 
 
 def _csv_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     # byte-identical to csv.writer: integers and bare words need no quoting
     yield ",".join(_FIELDS) + "\n1,0,,,1,false\n"
+    index = _IndexText()
     for k, chunk in _chunks(tree):
         depth = f",{k},"
-        yield "".join([f"{v}{depth}{t >> e},{(e + 1) >> 1},{_CSV_TAILS[v % 3]}"
-                       for v in chunk for t in (3 * v + 1,)
-                       for e in ((t & -t).bit_length() - 1,)])
+        yield "".join([f"{v}{depth}{(t := 3 * v + 1) >> (b := (t & -t).bit_length()) - 1},"
+                       f"{index[b]},{_CSV_TAILS[v % 3]}" for v in chunk])
 
 
 def _dot_chunks(tree: TruncatedArborescence) -> Iterator[str]:
@@ -672,8 +672,8 @@ def _dot_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     for _, chunk in _chunks(tree, root=True):
         yield "".join([f"    {v}{_DOT_NODE_ENDS[v % 3]}" for v in chunk])
     for _, chunk in _chunks(tree):
-        yield "".join([f"    {t >> ((t & -t).bit_length() - 1)} -> {v};\n"
-                       for v in chunk for t in (3 * v + 1,)])
+        yield "".join([f"    {(t := 3 * v + 1) >> (t & -t).bit_length() - 1} -> {v};\n"
+                       for v in chunk])
     yield "}\n"
 
 

@@ -89,6 +89,7 @@ def trajectory(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
     """Iterate the map from x0 until 1 is reached or the budget runs out.
 
     Budget exhaustion is a normal outcome (converged=False), not an error.
+    The arguments are checked once; each step is f_step's arithmetic, inlined.
     """
     _require_odd_positive(x0, "x0")
     if max_steps < 1:
@@ -96,8 +97,12 @@ def trajectory(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
     values = [x0]
     exponents: list[int] = []
     x = x0
-    while x != 1 and len(exponents) < max_steps:
-        x, a = f_step(x)
+    for _ in range(max_steps):
+        if x == 1:
+            break
+        t = 3 * x + 1
+        a = (t & -t).bit_length() - 1
+        x = t >> a
         values.append(x)
         exponents.append(a)
     return TrajectoryRecord(x0, tuple(values), tuple(exponents), x == 1)

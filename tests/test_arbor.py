@@ -5,6 +5,7 @@ from array import array
 from pathlib import Path
 
 import pytest
+from export_reference import reference_export
 
 from collatz_arbor import arbor
 from collatz_arbor.arbor import (
@@ -18,6 +19,7 @@ from collatz_arbor.arbor import (
 from collatz_arbor.errors import (
     CapacityError,
     DuplicateVertexError,
+    InconsistencyError,
     MissingVertexError,
     NonEdgeError,
 )
@@ -363,6 +365,26 @@ class TestPath:
             path = path_to(small_tree, value)
             assert path == list(reversed(trajectory(value).values))
 
+    def test_unstored_ancestor_is_inconsistent(self):
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
+        assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
+        tree.members.bits[17 >> 4] &= ~(1 << (17 >> 1 & 7))  # drop 17 from the store
+        with pytest.raises(InconsistencyError, match="ancestor 17 of stored 9"):
+            path_to(tree, 9)
+        assert path_to(tree, 13) == [1, 5, 13]
+        with pytest.raises(MissingVertexError):
+            path_to(tree, 17)
+        with pytest.raises(MissingVertexError):
+            path_to(tree, 27)
+
+    def test_path_longer_than_the_tree_is_inconsistent(self):
+        # a store that claims the whole orbit of 27 (41 steps) in a depth-6 tree
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
+        for x in trajectory(27).values:
+            tree.members.bits[x >> 4] |= 1 << (x >> 1 & 7)
+        with pytest.raises(InconsistencyError, match="does not reach the root in 6 steps"):
+            path_to(tree, 27)
+
 
 class TestClassifyEdge:
     def test_ascending_initial_edge(self):
@@ -523,6 +545,14 @@ class TestExport:
             export(build(config), fmt, a)
             export(build(config), fmt, b)
             assert a.getvalue() == b.getvalue()
+
+    def test_capped_indices_past_any_fixed_table(self):
+        # the root's children of index 2..300: sibling_index text up to the cap
+        tree = build(TruncationConfig(max_depth=1, sibling_cap=300))
+        for fmt in ("jsonl", "dot", "csv"):
+            sink = io.BytesIO()
+            export(tree, fmt, sink)
+            assert sink.getvalue() == reference_export(tree, fmt)
 
     def test_unknown_format_rejected(self, small_tree):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Invariant checks over randomized inputs, driven by hypothesis."""
 
 import io
+import re
 from itertools import takewhile
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import verify_reference as reference
 from convergence_reference import reference_check_convergence
+from coverage_reference import reference_coverage
 from export_reference import reference_export
 from collatz_arbor import arbor, verify
 from collatz_arbor.arbor import (
@@ -18,6 +20,7 @@ from collatz_arbor.arbor import (
     NodeInfo,
     TruncationConfig,
     build,
+    coverage,
     export,
     path_to,
 )
@@ -260,6 +263,62 @@ def test_export_matches_reference_writer(config, chunk):
             with mock.patch.object(arbor, "_CHUNK", size):
                 export(tree, fmt, sink)
             assert sink.getvalue() == want
+
+
+def _same_coverage(tree, window):
+    """coverage(tree, window) equals the oracle's report, or raises its CapacityError."""
+    try:
+        want = reference_coverage(tree, window)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError, match=re.escape(str(exc))):
+            coverage(tree, window)
+        return
+    got = coverage(tree, window)
+    assert got == want
+    assert got.first_depth == want.first_depth
+
+
+# bitmap stores (value_bound // 16 <= max_nodes), set stores just past that
+# budget, and cap-only set stores; max_depth 0 is the root-only tree
+coverage_boxes = st.one_of(
+    st.builds(TruncationConfig, max_depth=st.integers(0, 14), value_bound=st.integers(1, 20000),
+              sibling_cap=st.none() | st.integers(1, 8)),
+    st.integers(32, 20000).flatmap(lambda b: st.builds(
+        TruncationConfig, max_depth=st.integers(0, 8), value_bound=st.just(b),
+        max_nodes=st.just(b // 16 - 1))),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 6), sibling_cap=st.integers(1, 3)),
+)
+
+
+@given(coverage_boxes, st.data())
+@settings(max_examples=100, deadline=None)
+def test_coverage_matches_reference(config, data):
+    try:
+        tree = build(config)
+    except CapacityError:
+        return
+    top = config.value_bound or 4000
+    q = data.draw(st.integers(0, top // 16))
+    # a window of every residue mod 16, clipped into [1, top], and the tree's bound
+    for window in {min(top, max(1, 16 * q + r)) for r in range(16)} | {top}:
+        _same_coverage(tree, window)
+
+
+@pytest.mark.parametrize("config", [
+    TruncationConfig(max_depth=0, value_bound=1),
+    TruncationConfig(max_depth=0, value_bound=17),
+    TruncationConfig(max_depth=0, value_bound=4000, max_nodes=200),
+    TruncationConfig(max_depth=0, sibling_cap=1),
+    TruncationConfig(max_depth=10, value_bound=200_000, max_nodes=12_000),
+])
+def test_coverage_matches_reference_on_fixed_boxes(config):
+    tree = build(config)
+    assert isinstance(tree.members, arbor._OddBitmap) == (
+        config.value_bound is not None and config.value_bound // 16 <= config.max_nodes)
+    top = config.value_bound or 20001
+    for window in {*range(1, 41), 20001, top}:
+        if window <= top:
+            _same_coverage(tree, window)
 
 
 @given(st.integers(1, 3000), st.integers(1, 150))
