@@ -52,7 +52,10 @@ ROOT = 1
 
 _FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
 
-_TYPED_BELOW = 1 << 64  # a box bounded below this stores its levels as array('Q')
+# Level typecodes, narrowest first, with the bound each holds exactly: a box
+# bounded below 2^(8 itemsize) stores its levels in that code (4 B a value
+# below 2^32 on mainstream platforms, 8 B below 2^64), and as lists above.
+_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "IQ")
 _DIGITS_FROM = 1 << 60  # a box bounded at or above this charges its runs by their digits
 # Beyond its level slot, a set store's member costs its slot in the set's
 # table, which CPython keeps 1/4 to 3/5 full and grows fourfold below 50,000
@@ -74,9 +77,10 @@ class TruncationConfig(Record):
     about 40 B, and what a stored value is charged depends on its store:
 
     - a box bounded below 2^64 whose bitmap fits the budget (value_bound //
-      16 <= max_nodes) is charged one node a value, which costs 8 B (its
-      array('Q') slot) plus a bit per odd value up to the bound, so the
-      default of 10M nodes holds at most about 90 MB there;
+      16 <= max_nodes) is charged one node a value, which costs 4 B (its
+      array('I') slot; 8 B in an array('Q') once the bound reaches 2^32,
+      which takes a budget of 2^28 nodes) plus a bit per odd value up to
+      the bound, so the default of 10M nodes holds at most about 50 MB there;
     - every other box keeps a set of its members.  A value costs its level
       slot and its int, about 40 B below 2^60, and each member past the
       first 4,096 is charged two more nodes for its set slot and boxed int.
@@ -141,6 +145,14 @@ class _OddBitmap:
         return (isinstance(value, int) and 0 < value <= self.bound and value & 1 == 1
                 and self.bits[value >> 4] >> (value >> 1 & 7) & 1 == 1)
 
+    def issuperset(self, values: Iterable[int]) -> bool:
+        """Whether every value is marked, as set.issuperset; the bit test is inlined."""
+        bits, bound = self.bits, self.bound
+        for v in values:
+            if not (0 < v <= bound and v & 1 and bits[v >> 4] >> (v >> 1 & 7) & 1):
+                return False
+        return True
+
     def update(self, values: Iterable[int]) -> None:
         """Mark odd values within the bound; len grows by those not marked before."""
         bits, mask = self.bits, self._MASK
@@ -192,14 +204,15 @@ class _Parents(Mapping):
 class TruncatedArborescence:
     """Per-depth levels in build order, plus one membership object.
 
-    Each level is an array('Q') when the box's value bound is below 2^64
-    (8 B a value), and a list of exact ints otherwise.  members is an
-    _OddBitmap when the box has a value bound whose bitmap is no larger than
-    the node budget in bytes (value_bound // 16 <= max_nodes), and a set
-    otherwise.  Nothing else is stored: parent and sibling_index
-    come from the value through _link, depth from the level holding the
-    value (or the links to the root), residue and is_leaf from the value
-    mod 3.
+    Each level is an array('I') when the box's value bound is below 2^32
+    (4 B a value), an array('Q') when it is below 2^64 (8 B), and a list of
+    exact ints otherwise (the bounds follow the items' sizes, _TYPECODES).
+    members is an _OddBitmap when the box has a value bound whose bitmap is
+    no larger than the node budget in bytes (value_bound // 16 <=
+    max_nodes), and a set otherwise.  Nothing else is stored: parent and
+    sibling_index come from the value through _link, depth from the level
+    holding the value (or the links to the root), residue and is_leaf from
+    the value mod 3.
     """
 
     __slots__ = ("config", "levels", "members")
@@ -367,7 +380,8 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     store's members (_SET_FREE), then marked in the membership object; a
     repeated value shows as a count that falls short, and raises
     DuplicateVertexError (it would falsify uniqueness).  Each level is grown
-    as a list and stored as an array('Q') when the bound is below 2^64.
+    as a list and stored in the narrowest typed array whose items hold the
+    bound (_TYPECODES: 'I' below 2^32, 'Q' below 2^64), picked once per box.
     """
     if config.value_bound is not None and config.value_bound < ROOT:
         raise ValueError("value_bound excludes the root")
@@ -375,7 +389,7 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     dense = bound is not None and bound // 16 <= max_nodes
     members = _OddBitmap(bound) if dense else set()
     members.update((ROOT,))
-    typed = bound is not None and bound < _TYPED_BELOW
+    typecode = next((code for top, code in _TYPECODES if bound is not None and bound < top), None)
     if cap is None and bound is not None and bound >= _DIGITS_FROM:
         cap = bound.bit_length() + 2  # past every run the bound admits: only the charge changes
     if cap is None:
@@ -383,7 +397,7 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
         table = _kernel_table(c)
         width = (c.bit_length() + 1) // 2  # the most children one parent has
     level = [ROOT]
-    levels: dict[int, Sequence[int]] = {0: _typed(level) if typed else level}
+    levels: dict[int, Sequence[int]] = {0: _typed(level, typecode)}
     depth = 0
     room = max_nodes - 1  # nodes the budget still admits
     while level and (config.max_depth is None or depth < config.max_depth):
@@ -423,13 +437,18 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
             raise _duplicate(levels, parents, bound, cap, level_room)
         room -= len(level)
         if level:
-            levels[depth] = _typed(level) if typed else level
+            levels[depth] = _typed(level, typecode)
     return TruncatedArborescence(config, levels, members)
 
 
-def _typed(level: list[int]) -> array:
-    """A finished level as an array('Q'); fromlist fills it faster than array("Q", level)."""
-    packed = array("Q")
+def _typed(level: list[int], typecode: str | None) -> Sequence[int]:
+    """A finished level as an array of typecode, or the list itself when typecode is None.
+
+    fromlist fills the array faster than array(typecode, level).
+    """
+    if typecode is None:
+        return level
+    packed = array(typecode)
     packed.fromlist(level)
     return packed
 
@@ -474,10 +493,11 @@ def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], bound: int 
 def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     """Root-to-target vertex list: the forward orbit of target, reversed.
 
-    Each step is f, inlined, and each ancestor it reaches must be stored;
-    an ancestor missing from the store, or an orbit that has not reached 1
-    within tree.max_depth steps, raises InconsistencyError.  Absent targets
-    raise MissingVertexError (absence under truncation proves nothing).
+    Each step is f, inlined, for at most tree.max_depth steps; the store then
+    checks the whole path at once.  An ancestor missing from the store, or an
+    orbit that has not reached 1 within tree.max_depth steps, raises
+    InconsistencyError.  Absent targets raise MissingVertexError (absence
+    under truncation proves nothing).
     """
     _require_odd_positive(target, "target")
     members = tree.members
@@ -490,9 +510,10 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
             break
         t = 3 * x + 1
         x = t >> ((t & -t).bit_length() - 1)
-        if x not in members:
-            raise InconsistencyError(f"ancestor {x} of stored {target} is not stored")
         path.append(x)
+    if not members.issuperset(path):
+        absent = next(v for v in path if v not in members)
+        raise InconsistencyError(f"ancestor {absent} of stored {target} is not stored")
     if x != ROOT:
         raise InconsistencyError(f"{target} does not reach the root in {tree.max_depth} steps")
     path.reverse()

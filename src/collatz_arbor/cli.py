@@ -61,9 +61,9 @@ def _default_max_nodes() -> int:
 
 
 _MAX_NODES_HELP = (f"node budget (default {defaults.DEFAULT_MAX_NODES}, or ${MAX_NODES_ENV}): "
-                   f"8 B a node (about 90 MB) when the bound is below both 2^64 and 16 times "
-                   f"the budget; otherwise about 40 B a charged node (about 400 MB), with set "
-                   f"members and values past 2^60 charged more")
+                   f"4 B a node (about 50 MB) when the bound is below both 2^32 and 16 times "
+                   f"the budget (8 B below 2^64); otherwise about 40 B a charged node (about "
+                   f"400 MB), with set members and values past 2^60 charged more")
 
 
 def build_parser() -> argparse.ArgumentParser:

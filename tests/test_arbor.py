@@ -9,6 +9,7 @@ from export_reference import reference_export
 
 from collatz_arbor import arbor
 from collatz_arbor.arbor import (
+    DEFAULT_MAX_NODES,
     TruncationConfig,
     build,
     classify_edge,
@@ -234,7 +235,7 @@ class TestBuild:
         assert peak <= 48 * len(tree)
 
     def test_typed_store_bytes_per_node(self):
-        # array('Q') levels: 8 B a node, plus the bitmap and the two levels
+        # array('I') levels: 4 B a node, plus the bitmap and the two levels
         # the build holds as lists
         tracemalloc.start()
         try:
@@ -243,18 +244,24 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert len(tree) == 298_358
-        assert peak <= 12 * len(tree)
+        assert peak <= 8 * len(tree)
 
-    @pytest.mark.parametrize("config,typed", [
-        (TruncationConfig(max_depth=3, value_bound=10**6), True),  # bitmap store
-        (TruncationConfig(max_depth=2, value_bound=2**64 - 1), True),  # set store
-        (TruncationConfig(max_depth=2, value_bound=2**64), False),
-        (TruncationConfig(max_depth=3, sibling_cap=5), False),
+    @pytest.mark.parametrize("config,typecode", [
+        (TruncationConfig(max_depth=3, value_bound=10**6), "I"),  # bitmap store
+        (TruncationConfig(max_depth=2, value_bound=2**32 - 1), "I"),  # set store
+        (TruncationConfig(max_depth=2, value_bound=2**32), "Q"),
+        (TruncationConfig(max_depth=2, value_bound=2**64 - 1), "Q"),
+        (TruncationConfig(max_depth=2, value_bound=2**64), None),
+        (TruncationConfig(max_depth=3, sibling_cap=5), None),
     ])
-    def test_levels_are_typed_exactly_below_2_64(self, config, typed):
+    def test_levels_are_typed_exactly_below_2_64(self, config, typecode):
+        # the narrowest code whose items hold the bound: 'I' below 2^32, 'Q'
+        # below 2^64, exact lists otherwise
         levels = build(config).levels.values()
-        assert {type(level) for level in levels} == {array if typed else list}
-        assert all(level.typecode == "Q" for level in levels if typed)
+        if typecode is None:
+            assert {type(level) for level in levels} == {list}
+        else:
+            assert {(type(level), level.typecode) for level in levels} == {(array, typecode)}
 
     def test_capped_values_past_2_64_stay_exact(self):
         # the root's children v_n = (4^n - 1)/3 for n = 2..40 reach 2^78
@@ -366,24 +373,39 @@ class TestPath:
             assert path == list(reversed(trajectory(value).values))
 
     def test_unstored_ancestor_is_inconsistent(self):
-        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
-        assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
-        tree.members.bits[17 >> 4] &= ~(1 << (17 >> 1 & 7))  # drop 17 from the store
-        with pytest.raises(InconsistencyError, match="ancestor 17 of stored 9"):
-            path_to(tree, 9)
-        assert path_to(tree, 13) == [1, 5, 13]
-        with pytest.raises(MissingVertexError):
-            path_to(tree, 17)
-        with pytest.raises(MissingVertexError):
-            path_to(tree, 27)
+        _path_with_unstored_ancestor(DEFAULT_MAX_NODES)
 
     def test_path_longer_than_the_tree_is_inconsistent(self):
-        # a store that claims the whole orbit of 27 (41 steps) in a depth-6 tree
-        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
-        for x in trajectory(27).values:
-            tree.members.bits[x >> 4] |= 1 << (x >> 1 & 7)
-        with pytest.raises(InconsistencyError, match="does not reach the root in 6 steps"):
-            path_to(tree, 27)
+        _path_longer_than_the_tree(DEFAULT_MAX_NODES)
+
+    def test_set_store_reports_both_errors(self):
+        # a budget below 10^4 // 16 nodes keeps the same tree in a set
+        _path_with_unstored_ancestor(600)
+        _path_longer_than_the_tree(600)
+
+
+def _path_with_unstored_ancestor(max_nodes):
+    tree = build(TruncationConfig(max_depth=6, value_bound=10**4, max_nodes=max_nodes))
+    assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
+    if isinstance(tree.members, set):  # drop 17 from the store
+        tree.members.discard(17)
+    else:
+        tree.members.bits[17 >> 4] &= ~(1 << (17 >> 1 & 7))
+    with pytest.raises(InconsistencyError, match="ancestor 17 of stored 9"):
+        path_to(tree, 9)
+    assert path_to(tree, 13) == [1, 5, 13]
+    with pytest.raises(MissingVertexError):
+        path_to(tree, 17)
+    with pytest.raises(MissingVertexError):
+        path_to(tree, 27)
+
+
+def _path_longer_than_the_tree(max_nodes):
+    # a store that claims the whole orbit of 27 (41 steps) in a depth-6 tree
+    tree = build(TruncationConfig(max_depth=6, value_bound=10**4, max_nodes=max_nodes))
+    tree.members.update(trajectory(27).values)
+    with pytest.raises(InconsistencyError, match="does not reach the root in 6 steps"):
+        path_to(tree, 27)
 
 
 class TestClassifyEdge:

@@ -152,6 +152,12 @@ def _reference_build(config):
     return levels, list(records.items())
 
 
+# Bounds across 2^32, where the levels widen from array('I') to array('Q').
+# No vertex within 12 steps of 1 lies within 2^12 of 2^32, so the first
+# range stores the same levels in either code; in the second, once B passes
+# it, depth 1 holds (4^17 - 1)/3 > 2^32, which an 'I' level cannot hold.
+edge_bounds = st.integers(2**32 - 2**12, 2**32 + 2**12) | st.integers(2**32, 2**33)
+
 # The store is a bitmap while value_bound // 16 <= max_nodes, else a set;
 # small budgets also reach the CapacityError path.
 budgets = st.just(DEFAULT_MAX_NODES) | st.integers(1, 3000)
@@ -166,6 +172,8 @@ small_boxes = st.one_of(
     # unbounded values: the cap alone stops each sibling stream (set store)
     st.builds(TruncationConfig, max_depth=st.integers(0, 12), sibling_cap=st.integers(1, 3),
               max_nodes=budgets),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 3), value_bound=edge_bounds,
+              sibling_cap=st.none() | st.integers(1, 8), max_nodes=budgets),
 )
 
 
@@ -240,11 +248,14 @@ def test_kernel_matches_reference_run(u, data):
     assert arbor._children((u,), c, arbor._kernel_table(c)) == want
 
 
-# array('Q') levels below 2^64; list levels for a cap alone or a larger
-# bound, whose values pass 2^64 (the root's child of index 33, (4^33 - 1)/3, does)
+# array('I') levels below 2^32, array('Q') ones below 2^64; list levels for a
+# cap alone or a larger bound, whose values pass 2^64 (the root's child of
+# index 33, (4^33 - 1)/3, does)
 export_boxes = st.one_of(
     st.builds(TruncationConfig, max_depth=st.integers(0, 12),
               value_bound=st.integers(1, 10**5), sibling_cap=st.none() | st.integers(1, 8)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 3), value_bound=edge_bounds,
+              sibling_cap=st.none() | st.integers(1, 8)),
     st.builds(TruncationConfig, max_depth=st.integers(0, 2), sibling_cap=st.integers(30, 40)),
     st.builds(TruncationConfig, max_depth=st.integers(0, 2),
               value_bound=st.integers(2**64, 2**72), sibling_cap=st.none() | st.integers(30, 40)),
