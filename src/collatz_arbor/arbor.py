@@ -19,12 +19,12 @@ uniqueness property the build exists to witness.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, ItemsView, Iterator, Mapping, Sequence
 from itertools import compress
 from typing import BinaryIO, NamedTuple
 
 from ._record import Record
-from .core import _require_odd_positive
+from .core import _require_int, _require_odd_positive
 from .defaults import DEFAULT_MAX_NODES, EXPORT_FORMATS
 from .errors import (
     CapacityError,
@@ -65,6 +65,11 @@ _DIGITS_FROM = 1 << 60  # a box bounded at or above this charges its runs by the
 _SET_FREE = 4096
 _SET_CHARGE = 2
 _PCHUNK = 4096  # parents per kernel call in a bounded box, at most
+# Typecodes of a coverage table, narrowest first, with the bound each holds;
+# an entry is 1 + a depth, so a tree of max_depth d takes the first with d + 1 < bound.
+_DEPTH_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
+_BIT_DIGITS = b"0" + b"1" * 255  # a covered flag byte -> its bitmap digit
+_ABSENT = b"\x01" + bytes(255)  # a covered flag byte -> a missing flag
 
 
 class TruncationConfig(Record):
@@ -89,7 +94,8 @@ class TruncationConfig(Record):
       tenth of a node.  So the budget bounds bytes in every box: the default
       is about 400 MB.
 
-    It also bounds the missing list of a coverage report.
+    It also bounds the missing list of a coverage report.  Every field is an
+    int (not a bool); all but max_nodes may be None.
     """
 
     __slots__ = ("max_depth", "value_bound", "sibling_cap", "max_nodes")
@@ -101,6 +107,10 @@ class TruncationConfig(Record):
     max_nodes: int
 
     def __post_init__(self) -> None:
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if value is not None or name == "max_nodes":
+                _require_int(value, name)
         if self.max_depth is None and self.value_bound is None:
             raise ValueError("at least one of max_depth / value_bound must be set")
         if self.max_depth is not None and self.max_depth < 0:
@@ -127,7 +137,7 @@ class _OddBitmap:
     """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
 
     Bit j of the bytearray stands for the value 2j + 1.  It offers the build
-    what a set would (`in`, `len`, `update`), and coverage slices its bits.
+    what a set would (`in`, `len`, `update`, `issuperset`).
     """
 
     __slots__ = ("bits", "bound", "count")
@@ -565,11 +575,51 @@ def classify_edge(parent: int, child: int) -> str:
     return kind
 
 
+class _FirstDepth(Mapping):
+    """Read-only covered value -> first depth view of a coverage table, by ascending value.
+
+    Entry j of the table is 1 + the depth of the value 2j + 1, or 0 where the
+    tree does not hold it; count is the number of nonzero entries.
+    """
+
+    __slots__ = ("_table", "_count")
+
+    def __init__(self, table: array, count: int) -> None:
+        self._table = table
+        self._count = count
+
+    def __getitem__(self, value: int) -> int:
+        table = self._table
+        if isinstance(value, int) and 0 < value and value & 1 and value >> 1 < len(table):
+            entry = table[value >> 1]
+            if entry:
+                return entry - 1
+        raise KeyError(value)
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(range(1, 2 * len(self._table), 2), self._table)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def items(self) -> ItemsView[int, int]:
+        return _FirstDepthItems(self)
+
+
+class _FirstDepthItems(ItemsView):
+    """(value, depth) pairs of a _FirstDepth, read from its table in one pass."""
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        table = self._mapping._table
+        return zip(self._mapping, (entry - 1 for entry in table if entry))
+
+
 class CoverageReport(Record):
     """Which odd values up to a bound the truncated tree reaches.
 
     bitmap has bit i set iff value 2i + 1 is present; first_depth maps each
-    covered value to the depth where it appears; level_sizes counts covered
+    covered value to the depth where it appears (coverage returns a read-only
+    mapping that iterates by ascending value); level_sizes counts covered
     values per depth.  covered_count + len(missing) always equals the number
     of odd values within the bound.
     """
@@ -580,25 +630,31 @@ class CoverageReport(Record):
     covered_count: int
     bitmap: int
     missing: tuple[int, ...]
-    first_depth: dict[int, int]
+    first_depth: Mapping[int, int]
     level_sizes: dict[int, int]
 
-    def covers(self, value: int) -> bool:
-        if value < 1 or value > self.bound or value % 2 == 0:
-            return False
-        return bool(self.bitmap >> ((value - 1) // 2) & 1)
+    def covers(self, value: object) -> bool:
+        """Whether value is a covered odd value of the window; False for a non-int."""
+        return isinstance(value, int) and value in self.first_depth
 
 
 def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     """Coverage of the odd values <= bound; the root counts at depth 0.
 
-    first_depth and level_sizes come from one scan of the levels.  The
-    bitmap is a window of the tree's bitmap store (a set store's tree marks
-    one), and the missing values are its clear bits.  Their count is charged
-    to the tree's node budget: more than max_nodes of them raise CapacityError
-    before the list is made, and before the bitmap when the tree is too small
-    to cover all but max_nodes of the window.
+    One scan of the levels fills a table of 1 + the depth of each odd value
+    in the window (0 where the tree does not hold it), in the narrowest
+    array code that holds 1 + tree.max_depth (_DEPTH_TYPECODES), and counts
+    each level's values in the window.  Everything else is derived from the
+    table: a byte per odd value, nonzero where it is covered, translates to
+    the bitmap's binary digits and to the missing flags that drive
+    itertools.compress over range(1, bound + 1, 2), and first_depth is a
+    read-only view of the table (_FirstDepth).  Both membership stores take
+    this one route.  The missing count is charged to the tree's node budget:
+    more than max_nodes of them raise CapacityError before the list is
+    made, and before the table when the tree is too small to cover all but
+    max_nodes of the window.
     """
+    _require_int(bound, "bound")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if tree.config.value_bound is not None and bound > tree.config.value_bound:
@@ -610,28 +666,26 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     refused = f"the report up to {bound} lists more than {budget} missing values (the node budget)"
     if odd - len(tree) > budget:  # at most len(tree) values are covered
         raise CapacityError(refused)
-    first_depth: dict[int, int] = {}
+    code = next(code for top, code in _DEPTH_TYPECODES if tree.max_depth + 1 < top)
+    table = array(code, (0,)) * odd
     level_sizes: dict[int, int] = {}
     for k in sorted(tree.levels):
         hits = [v for v in tree.levels[k] if v <= bound]
         if hits:
-            first_depth.update(dict.fromkeys(hits, k))
             level_sizes[k] = len(hits)
-    if odd - len(first_depth) > budget:
+            d = k + 1
+            for v in hits:
+                table[v >> 1] = d
+    covered_count = sum(level_sizes.values())
+    if odd - covered_count > budget:
         raise CapacityError(refused)
-    window = tree.members
-    if not isinstance(window, _OddBitmap):  # a set store
-        window = _OddBitmap(bound)
-        window.update(first_depth)
-    bitmap = int.from_bytes(window.bits[:(bound + 15) // 16], "little") & ((1 << odd) - 1)
-    unset = bytes.maketrans(b"01", b"\x01\x00")  # a bit's character -> a missing flag
-    flags = f"{bitmap:0{odd}b}"[::-1].encode("ascii").translate(unset)
+    flags = bytes(table) if table.itemsize == 1 else bytes(map(bool, table))  # nonzero: covered
     return CoverageReport(
         bound=bound,
-        covered_count=len(first_depth),
-        bitmap=bitmap,
-        missing=tuple(compress(range(1, bound + 1, 2), flags)),
-        first_depth=first_depth,
+        covered_count=covered_count,
+        bitmap=int(flags.translate(_BIT_DIGITS)[::-1], 2),
+        missing=tuple(compress(range(1, bound + 1, 2), flags.translate(_ABSENT))),
+        first_depth=_FirstDepth(table, covered_count),
         level_sizes=level_sizes,
     )
 

@@ -252,7 +252,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
             "covered_count": report.covered_count,
             "missing": list(report.missing),
             "level_sizes": {str(k): v for k, v in sorted(report.level_sizes.items())},
-            "first_depth": {str(k): v for k, v in sorted(report.first_depth.items())},
+            "first_depth": {str(k): v for k, v in report.first_depth.items()},
         })
     else:
         print(f"bound={report.bound} covered={report.covered_count} "

@@ -12,6 +12,12 @@ from .errors import InconsistencyError
 __all__ = ["OddInteger", "decompose", "z_term", "w_term", "BaseSequences", "base_sequences"]
 
 
+def _require_int(x: object, what: str) -> None:
+    """Reject a bool or a non-int with a TypeError that names it."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an int, got {type(x).__name__}")
+
+
 def _require_odd_positive(x: int, what: str = "x") -> None:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"{what} must be an int, got {type(x).__name__}")

@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ._record import Record
-from .core import w_term, z_term
+from .core import _require_int, w_term, z_term
 from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOUND,
                        DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
                        DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
@@ -101,8 +101,7 @@ def _parents_up_to(bound: int) -> Iterator[int]:
 def _require_box(least: int = 1, **sizes: int) -> None:
     """Each named size of a box (parent_bound, count, max_d, ...) must be an int >= least."""
     for what, size in sizes.items():
-        if not isinstance(size, int) or isinstance(size, bool):
-            raise TypeError(f"{what} must be an int, got {type(size).__name__}")
+        _require_int(size, what)
         if size < least:
             raise ValueError(f"{what} must be >= {least}, got {size}")
 

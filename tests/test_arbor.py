@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from export_reference import reference_export
@@ -77,6 +78,19 @@ class TestConfig:
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
+            TruncationConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("max_depth", {"max_depth": 2.5, "value_bound": 100}),
+        ("max_depth", {"max_depth": True, "value_bound": 100}),
+        ("value_bound", {"max_depth": 2, "value_bound": 100.5}),
+        ("value_bound", {"max_depth": 2, "value_bound": "100"}),
+        ("sibling_cap", {"max_depth": 2, "sibling_cap": 2.0}),
+        ("max_nodes", {"value_bound": 100, "max_nodes": 1e6}),
+        ("max_nodes", {"value_bound": 100, "max_nodes": None}),
+    ])
+    def test_type_errors_name_the_field(self, field, kwargs):
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
             TruncationConfig(**kwargs)
 
 
@@ -485,6 +499,39 @@ class TestCoverage:
         assert len(covered) == report.covered_count
         assert covered | set(report.missing) == set(range(1, 61, 2))
         assert not covered & set(report.missing)
+        # even values, 0, negative values, values past the window and non-ints
+        for x in (*range(-61, 1), *range(2, 62, 2), 61, 63, 9.0, 5.0, "5", None):
+            assert not report.covers(x)
+
+    @pytest.mark.parametrize("bound", [True, 10.5, "21", None])
+    def test_bound_must_be_an_int(self, small_tree, bound):
+        with pytest.raises(TypeError, match="bound must be an int"):
+            coverage(small_tree, bound)
+
+    def test_first_depth_is_a_read_only_mapping_by_ascending_value(self, deep_tree):
+        first_depth = coverage(deep_tree, 21).first_depth
+        assert list(first_depth) == list(range(1, 22, 2))  # six levels cover them all
+        assert list(first_depth.items()) == [(v, first_depth[v]) for v in first_depth]
+        assert len(first_depth) == 11 and 23 not in first_depth and 9.0 not in first_depth
+        for absent in (4, 0, -1, 23, 9.0):
+            with pytest.raises(KeyError):
+                first_depth[absent]
+        with pytest.raises(TypeError):
+            first_depth[5] = 1
+
+    def test_peak_bytes_on_a_wide_window(self):
+        # the depth-40, 2e6 tree's window of 250,000 odd values, 117,839 of
+        # them covered: a dict of first depths peaked at 14.2 MB, a table of
+        # one byte a value at 6.3 MB (mostly the missing tuple)
+        tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
+        tracemalloc.start()
+        try:
+            report = coverage(tree, 5 * 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.covered_count, len(report.missing)) == (117_839, 132_161)
+        assert peak < 10_000_000
 
     def test_window_may_not_exceed_tree_bound(self, small_tree):
         with pytest.raises(ValueError):
@@ -511,6 +558,15 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert peak < 10_000
+
+    @pytest.mark.parametrize("codes", [1, 2, 3])
+    def test_wider_tables_give_the_same_report(self, deep_tree, codes):
+        # a tree of depth 255 or more takes a table of 2 B or more a value
+        want = coverage(deep_tree, 61)
+        with mock.patch.object(arbor, "_DEPTH_TYPECODES", arbor._DEPTH_TYPECODES[codes:]):
+            got = coverage(deep_tree, 61)
+        assert got.first_depth._table.typecode == "BHIQ"[codes]
+        assert got == want and list(got.first_depth.items()) == list(want.first_depth.items())
 
 
 class TestExport:

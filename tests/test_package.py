@@ -145,6 +145,11 @@ class TestRecords:
         (lambda: OddInteger(7, 1, 2, 0), TypeError),
         (lambda: OddInteger(7, 1, multiple=2, residue=1), TypeError),
         (lambda: SiblingSet(5, cont=3), TypeError),
+        (lambda: TruncationConfig(max_depth=2.5, value_bound=100), TypeError),
+        (lambda: TruncationConfig(max_depth=2, value_bound=100.5), TypeError),
+        (lambda: TruncationConfig(max_depth=2, sibling_cap=2.0), TypeError),
+        (lambda: TruncationConfig(max_depth=True, value_bound=100), TypeError),
+        (lambda: TruncationConfig(value_bound=100, max_nodes=False), TypeError),
     ])
     def test_constructor_checks_stay(self, make, bad):
         with pytest.raises(bad):

@@ -285,8 +285,10 @@ def _same_coverage(tree, window):
             coverage(tree, window)
         return
     got = coverage(tree, window)
-    assert got == want
+    assert got == want and want == got
     assert got.first_depth == want.first_depth
+    assert dict(got.first_depth) == want.first_depth
+    assert list(got.first_depth.items()) == sorted(want.first_depth.items())
 
 
 # bitmap stores (value_bound // 16 <= max_nodes), set stores just past that
