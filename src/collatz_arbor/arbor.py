@@ -223,6 +223,14 @@ class TruncatedArborescence:
     sibling_index come from the value through _link, depth from the level
     holding the value (or the links to the root), residue and is_leaf from
     the value mod 3.
+
+    Every level is the parent-ordered concatenation of complete sibling
+    runs v_1, 4 v_1 + 1, ... (v_2 = 5, ... under the root): the kernel's
+    exponents have no gaps, the per-parent loop steps 4v + 1 from
+    _first_child, and an overrun raises instead of storing part of a run.
+    A first child v_1 is 1 mod 8 (class-1 parent) or 3 mod 4 (class 2), and
+    each later sibling 5 mod 8, so a value's residue mod 8 tells whether it
+    opens a run; the exporters rely on this.
     """
 
     __slots__ = ("config", "levels", "members")
@@ -304,9 +312,10 @@ def _children(parents: Sequence[int], c: int,
     """The children within the bound of non-root parents, by parent, then sibling index.
 
     A child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1,
-    that is when 2^s <= c // u, or s < bit_length(c // u).
+    that is when 2^s <= c // u, or s < bit_length(c // u).  Every exponent
+    the table lists has 2^s u = 1 (mod 3), so the child is (2^s u) // 3.
     """
-    return [((u << s) - 1) // 3 for u in parents for s in table[u % 3][(c // u).bit_length()]]
+    return [(u << s) // 3 for u in parents for s in table[u % 3][(c // u).bit_length()]]
 
 
 def _extra_digits(b: int, m: int) -> int:
@@ -704,19 +713,31 @@ def _chunks(tree: TruncatedArborescence,
 
 
 class _IndexText(dict):
-    """Text of the sibling index b >> 1 by b, made on a miss (a capped index reaches its cap)."""
+    """prefix + the text of sibling index n, by n, made on a miss (a capped index hits its cap)."""
 
-    def __missing__(self, b: int) -> str:
-        text = self[b] = str(b >> 1)
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = f"{self.prefix}{n}"
         return text
 
 
-# The rows below inline _link: with t = 3v + 1 and b = e + 1 the bit length of its lowest
-# set bit 2^e, the parent is t >> e; each export keeps its own _IndexText, index[b], for the
-# sibling index, and the row's tail, residue and is_leaf, is by v mod 3.
-_JSONL_TAILS = ('"residue": 0, "is_leaf": true}\n', '"residue": 1, "is_leaf": false}\n',
-                '"residue": 2, "is_leaf": false}\n')
-_CSV_TAILS = ("0,true\n", "1,false\n", "2,false\n")
+# The rows below follow each level's sibling runs (see TruncatedArborescence), carrying the
+# parent's decimal text and the sibling index n from row to row: a value v = 5 mod 8 is
+# 4u + 1 of the row before, so it keeps that row's parent text and takes index n + 1; any
+# other value is a first child, index 1, of the parent (3v + 1) >> e, e = _SHIFT[v & 7]:
+# 2 for v = 1 mod 8 (class-1 parent), 1 for v = 3 mod 4 (class 2).  The carry starts at the
+# root and index 1, so the root's run 5, 21, ... is numbered 2, 3, ...; it crosses chunk
+# ends, and each later level resets it with its first row.  The row's tail, residue and
+# is_leaf with the separator before them, is by v mod 3.
+_SHIFT = (0, 2, 0, 1, 0, 0, 0, 1)
+_JSONL_TAILS = (', "residue": 0, "is_leaf": true}\n', ', "residue": 1, "is_leaf": false}\n',
+                ', "residue": 2, "is_leaf": false}\n')
+_CSV_TAILS = (",0,true\n", ",1,false\n", ",2,false\n")
 _DOT_NODE_ENDS = (" [shape=box];\n", ";\n", ";\n")
 
 
@@ -724,31 +745,38 @@ def _jsonl_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     # byte-identical to json.dumps of the record dict, key order = _FIELDS
     yield '{"value": 1, "depth": 0, "parent": null, "sibling_index": null, "residue": 1, ' \
           '"is_leaf": false}\n'
-    index = _IndexText()
+    index = _IndexText(', "sibling_index": ')
+    parent, n = f"{ROOT}", 1
     for k, chunk in _chunks(tree):
         depth = f', "depth": {k}, "parent": '
         yield "".join([f'{{"value": {v}{depth}'
-                       f'{(t := 3 * v + 1) >> (b := (t & -t).bit_length()) - 1}, "sibling_index": '
-                       f'{index[b]}, {_JSONL_TAILS[v % 3]}' for v in chunk])
+                       f'{(parent := parent if v & 7 == 5 else f"{3 * v + 1 >> _SHIFT[v & 7]}")}'
+                       f'{index[(n := n + 1 if v & 7 == 5 else 1)]}{_JSONL_TAILS[v % 3]}'
+                       for v in chunk])
 
 
 def _csv_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     # byte-identical to csv.writer: integers and bare words need no quoting
     yield ",".join(_FIELDS) + "\n1,0,,,1,false\n"
-    index = _IndexText()
+    index = _IndexText(",")
+    parent, n = f"{ROOT}", 1
     for k, chunk in _chunks(tree):
         depth = f",{k},"
-        yield "".join([f"{v}{depth}{(t := 3 * v + 1) >> (b := (t & -t).bit_length()) - 1},"
-                       f"{index[b]},{_CSV_TAILS[v % 3]}" for v in chunk])
+        yield "".join([f"{v}{depth}"
+                       f"{(parent := parent if v & 7 == 5 else f'{3 * v + 1 >> _SHIFT[v & 7]}')}"
+                       f"{index[(n := n + 1 if v & 7 == 5 else 1)]}{_CSV_TAILS[v % 3]}"
+                       for v in chunk])
 
 
 def _dot_chunks(tree: TruncatedArborescence) -> Iterator[str]:
     yield "digraph collatz_arbor {\n"
     for _, chunk in _chunks(tree, root=True):
         yield "".join([f"    {v}{_DOT_NODE_ENDS[v % 3]}" for v in chunk])
+    parent = f"{ROOT}"
     for _, chunk in _chunks(tree):
-        yield "".join([f"    {(t := 3 * v + 1) >> (t & -t).bit_length() - 1} -> {v};\n"
-                       for v in chunk])
+        yield "".join(["    "
+                       f"{(parent := parent if v & 7 == 5 else f'{3 * v + 1 >> _SHIFT[v & 7]}')}"
+                       f" -> {v};\n" for v in chunk])
     yield "}\n"
 
 

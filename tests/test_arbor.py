@@ -625,7 +625,8 @@ class TestExport:
             assert a.getvalue() == b.getvalue()
 
     def test_capped_indices_past_any_fixed_table(self):
-        # the root's children of index 2..300: sibling_index text up to the cap
+        # the root's children of index 2..300, one run that the exporters number by
+        # carrying the index, its text made on each _IndexText miss up to the cap
         tree = build(TruncationConfig(max_depth=1, sibling_cap=300))
         for fmt in ("jsonl", "dot", "csv"):
             sink = io.BytesIO()

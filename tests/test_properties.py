@@ -276,6 +276,20 @@ def test_export_matches_reference_writer(config, chunk):
             assert sink.getvalue() == want
 
 
+@given(export_boxes)
+@settings(max_examples=60, deadline=None)
+def test_levels_are_complete_sibling_runs(config):
+    # the exporters' carry: a value 5 mod 8 follows its elder sibling (v - 1) / 4 in the
+    # same level, or is 5 at the head of level 1; every other value is a first child
+    tree = build(config)
+    for k, level in tree.levels.items():
+        for i, v in enumerate(level if k else ()):
+            if v & 7 == 5:
+                assert (i > 0 and level[i - 1] == (v - 1) // 4) or (k, i, v) == (1, 0, 5)
+            else:
+                assert arbor._link(v)[1] == 1
+
+
 def _same_coverage(tree, window):
     """coverage(tree, window) equals the oracle's report, or raises its CapacityError."""
     try:
