@@ -56,7 +56,6 @@ _FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
 # bounded below 2^(8 itemsize) stores its levels in that code (4 B a value
 # below 2^32 on mainstream platforms, 8 B below 2^64), and as lists above.
 _TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "IQ")
-_DIGITS_FROM = 1 << 60  # a box bounded at or above this charges its runs by their digits
 # Beyond its level slot, a set store's member costs its slot in the set's
 # table, which CPython keeps 1/4 to 3/5 full and grows fourfold below 50,000
 # members (about 30 to 130 B), and, in a typed level, its boxed int.  Past
@@ -89,10 +88,10 @@ class TruncationConfig(Record):
     - every other box keeps a set of its members.  A value costs its level
       slot and its int, about 40 B below 2^60, and each member past the
       first 4,096 is charged two more nodes for its set slot and boxed int.
-      Where values can pass 2^60 (a sibling cap, or a bound at or above
-      2^60), each 30-bit digit a value holds beyond two is charged as a
-      tenth of a node.  So the budget bounds bytes in every box: the default
-      is about 400 MB.
+      Where values can pass 2^60 (a sibling cap with no bound, or a bound
+      at or above 2^60), each 30-bit digit a value holds beyond two is
+      charged as a tenth of a node.  So the budget bounds bytes in every
+      box: the default is about 400 MB.
 
     It also bounds the missing list of a coverage report.  Every field is an
     int (not a bool); all but max_nodes may be None.
@@ -225,9 +224,9 @@ class TruncatedArborescence:
     the value mod 3.
 
     Every level is the parent-ordered concatenation of complete sibling
-    runs v_1, 4 v_1 + 1, ... (v_2 = 5, ... under the root): the kernel's
-    exponents have no gaps, the per-parent loop steps 4v + 1 from
-    _first_child, and an overrun raises instead of storing part of a run.
+    runs v_1, 4 v_1 + 1, ... (v_2 = 5, ... under the root): each entry of
+    the kernel's table is a range of exponents with step 2 from the first
+    child's, and an overrun raises instead of storing part of a run.
     A first child v_1 is 1 mod 8 (class-1 parent) or 3 mod 4 (class 2), and
     each later sibling 5 mod 8, so a value's residue mod 8 tells whether it
     opens a run; the exporters rely on this.
@@ -272,48 +271,32 @@ class TruncatedArborescence:
                 yield v, NodeInfo(k, *_link(v), r, r == 0)
 
 
-def _first_child(u: int) -> tuple[int, int]:
-    """(n, v_n) for the first child the build stores under non-leaf u.
-
-    That is v_1 = (4u - 1)/3 for class 1 and (2u - 1)/3 for class 2; for the
-    root it is v_2 = 5, since v_1 = 1 would close the trivial cycle.  Raw
-    arithmetic with g_branch's cross-check: 3 v_n = 2^e u - 1 and
-    v_n = z_n + 2^e (u div 3).
-    """
-    if u == ROOT:
-        n, e, z = 2, 4, 5
-    elif u % 3 == 1:
-        n, e, z = 1, 2, 1
-    else:
-        n, e, z = 1, 1, 1
-    t = (u << e) - 1
-    v = t // 3
-    if 3 * v != t or v != z + ((u // 3) << e):
-        raise InconsistencyError(f"first child {v} of {u} fails 3v = 2^{e} u - 1 "
-                                 f"or the multiple form")
-    return n, v
-
-
-def _kernel_table(c: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Exponents of the children within the bound B of a parent u, c = 3B + 1.
+def _kernel_table(c: int, cap: int | None) -> tuple[tuple[range, ...], ...]:
+    """Exponents of the children of a parent u within the box, c = 3B + 1 (0 for no bound).
 
     Row u % 3, column bit_length(c // u): the exponents s = e of the
     children (2^s u - 1)/3, from 2 for class 1 (e = 2n) and from 1 for
     class 2 (e = 2n - 1), so 3 divides each numerator, up to the last with
-    2^s u <= c.  Leaves get ().
+    2^s u <= c, and to 2 cap (class 1) or 2 cap - 1 (class 2) under a cap.
+    Leaves get an empty range.  With no bound, c // u is 0: one column.
+    Each entry is a range, so the table grows with the bound's bit length,
+    not its square.
     """
-    columns = range(c.bit_length() + 2)
-    return (((),) * len(columns), tuple(tuple(range(2, b, 2)) for b in columns),
-            tuple(tuple(range(1, b, 2)) for b in columns))
+    ends = range(c.bit_length() + 2) if c else (2 * cap + 1,)
+    if cap is not None:
+        ends = [min(b, 2 * cap + 1) for b in ends]
+    return ((range(0),) * len(ends), tuple(range(2, b, 2) for b in ends),
+            tuple(range(1, b, 2) for b in ends))
 
 
 def _children(parents: Sequence[int], c: int,
-              table: tuple[tuple[tuple[int, ...], ...], ...]) -> list[int]:
-    """The children within the bound of non-root parents, by parent, then sibling index.
+              table: tuple[tuple[range, ...], ...]) -> list[int]:
+    """The children within the box of parents, by parent, then sibling index.
 
     A child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1,
     that is when 2^s <= c // u, or s < bit_length(c // u).  Every exponent
     the table lists has 2^s u = 1 (mod 3), so the child is (2^s u) // 3.
+    The root's run opens with 1, its own first child.
     """
     return [(u << s) // 3 for u in parents for s in table[u % 3][(c // u).bit_length()]]
 
@@ -342,65 +325,53 @@ def _run_charge(b: int, m: int) -> int:
     return m + -(-_extra_digits(b, m) // 10)
 
 
-def _run_stop(n: int, v: int, bound: int | None, cap: int, room: int) -> tuple[int, int]:
-    """Stop value of the sibling run from (n, v) in a capped box, and its charge past its count.
+def _charge(parents: Sequence[int], c: int,
+            table: tuple[tuple[range, ...], ...]) -> tuple[int, int]:
+    """(children, nodes charged past them) of the runs of parents, from the table alone.
 
-    The run v_n, ..., v_{n+m-1} ends at the cap's index, at the value bound
-    when it is set, or one node past what the budget's room admits, so that
-    the build sees the overrun.  A stop below v admits nothing.
+    Each run is charged _run_charge of its length and first child's bits,
+    so the build can refuse a chunk before it grows any of it.
     """
-    t = 3 * v + 1  # v_{n+j} = (t 4^j - 1) / 3
-    m = cap - n + 1
-    if bound is not None:
-        c = 3 * bound + 1  # v_{n+j} <= bound iff t 4^j <= c
-        j = (c.bit_length() - t.bit_length()) // 2  # the last such j is j or j - 1
-        if j < m:
-            if j >= 0 and t << 2 * j > c:
-                j -= 1
-            m = max(0, j + 1)
-    if m <= 0:
-        return 0, 0
-    b = v.bit_length()
-    if _run_charge(b, m) > room:
-        fits, over = 0, min(m, room + 1)  # k nodes are charged at least k
-        while over - fits > 1:
-            mid = (fits + over) // 2
-            if _run_charge(b, mid) > room:
-                over = mid
-            else:
-                fits = mid
-        m = over
-    return ((t << 2 * (m - 1)) - 1) // 3, _run_charge(b, m) - m
+    count = extra = 0
+    for u in parents:
+        exponents = table[u % 3][(c // u).bit_length()]
+        if exponents:
+            m = len(exponents)
+            count += m
+            extra += _run_charge(((u << exponents[0]) // 3).bit_length(), m) - m
+    return count, extra
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
     """Breadth-first expansion from the root inside the truncation box.
 
     Deterministic: each level is ordered by parent position, then sibling
-    index.  In a box bounded below 2^60 with no cap, every level past the
-    root's is one list comprehension per chunk of parents (_children): the
-    child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1, that
-    is when s < bit_length(c // u), so a table by u mod 3 and that bit
-    length lists each parent's exponents.  A chunk holds at most _PCHUNK
-    parents, and at most one more than the budget's room over the most
-    children a parent has, so, checked after each chunk, memory overshoots
-    the budget by at most one parent's run.  The kernel does not re-check
-    3v = 2^e u - 1 on each node: verify.check_parent_pointers re-derives
-    every stored child through the raw branch kernel, and the property
-    tests compare whole levels with a reference build.
+    index.  Every level is one list comprehension per chunk of parents
+    (_children): the child (2^s u - 1)/3 is at most B exactly when
+    2^s u <= c = 3B + 1, that is when s < bit_length(c // u), so a table by
+    u mod 3 and that bit length lists each parent's exponents, cut at the
+    sibling cap (_kernel_table); a cap-only box has c = 0 and reads one
+    column.  The root's level is the kernel's run of the root without its
+    first child, 1 itself, which would close the trivial cycle.  A chunk
+    holds at most _PCHUNK parents, and at most one more than the budget's
+    room over the most children a parent has, so, checked after each chunk,
+    memory overshoots the budget by at most one parent's run.  The kernel
+    does not re-check 3v = 2^e u - 1 on each node:
+    verify.check_parent_pointers re-derives every stored child through the
+    raw branch kernel, and the property tests compare whole levels with a
+    reference build and the kernel with the sibling stream.
 
-    The root's level, capped boxes and boxes bounded at 2^60 or above take
-    each parent's first child from _first_child, later ones from the
-    recurrence v_{n+1} = 4 v_n + 1 up to one stop value that folds in the
-    bound and the cap, and check the budget after each run; a capped run,
-    and any run of a box bounded at 2^60 or above, is charged by its size
-    (_run_stop), and stops one node past the budget.  Overrunning max_nodes
-    raises CapacityError.  Each finished level is charged for the set
-    store's members (_SET_FREE), then marked in the membership object; a
-    repeated value shows as a count that falls short, and raises
-    DuplicateVertexError (it would falsify uniqueness).  Each level is grown
-    as a list and stored in the narrowest typed array whose items hold the
-    bound (_TYPECODES: 'I' below 2^32, 'Q' below 2^64), picked once per box.
+    Where values can pass 2^60 (a cap with no bound, or a bound at or
+    above 2^60), each run is also charged a tenth of a node a 30-bit digit
+    past two (_run_charge), in closed form for the whole chunk before it is
+    grown (_charge), so a chunk that overruns the budget raises before it
+    holds any memory.  Overrunning max_nodes raises CapacityError.  Each finished
+    level is charged for the set store's members (_SET_FREE), then marked
+    in the membership object; a repeated value shows as a count that falls
+    short, and raises DuplicateVertexError (it would falsify uniqueness).
+    Each level is grown as a list and stored in the narrowest typed array
+    whose items hold the bound (_TYPECODES: 'I' below 2^32, 'Q' below
+    2^64), picked once per box.
     """
     if config.value_bound is not None and config.value_bound < ROOT:
         raise ValueError("value_bound excludes the root")
@@ -409,43 +380,34 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     members = _OddBitmap(bound) if dense else set()
     members.update((ROOT,))
     typecode = next((code for top, code in _TYPECODES if bound is not None and bound < top), None)
-    if cap is None and bound is not None and bound >= _DIGITS_FROM:
-        cap = bound.bit_length() + 2  # past every run the bound admits: only the charge changes
-    if cap is None:
-        c = 3 * bound + 1
-        table = _kernel_table(c)
-        width = (c.bit_length() + 1) // 2  # the most children one parent has
+    digits = bound is None or bound >= 1 << 60  # values can hold 30-bit digits past two
+    c = 0 if bound is None else 3 * bound + 1
+    table = _kernel_table(c, cap)
+    width = max(map(len, table[1] + table[2]))  # the most children one parent has
     level = [ROOT]
     levels: dict[int, Sequence[int]] = {0: _typed(level, typecode)}
     depth = 0
-    room = max_nodes - 1  # nodes the budget still admits
+    room = max_nodes  # nodes the budget still admits; level 1 is grown with the root at its head
     while level and (config.max_depth is None or depth < config.max_depth):
         depth += 1
         parents, level = level, []
-        before, level_room = len(members), room
-        if cap is None and depth > 1:
-            i = 0
-            while i < len(parents):
-                step = min(_PCHUNK, 1 + (room - len(level)) // width)
-                level += _children(parents[i:i + step], c, table)
-                i += step
-                if len(level) > room:
+        before = len(members)
+        i = 0
+        while i < len(parents):
+            step = min(_PCHUNK, 1 + (room - len(level)) // width)
+            chunk = parents[i:i + step]
+            i += step
+            if digits:
+                count, extra = _charge(chunk, c, table)
+                room -= extra
+                if len(level) + count > room:
                     raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
-        else:
-            for u in parents:
-                if u % 3 == 0:
-                    continue
-                n, v = _first_child(u)
-                if cap is None:
-                    stop = bound
-                else:
-                    stop, extra = _run_stop(n, v, bound, cap, room - len(level))
-                    room -= extra
-                while v <= stop:
-                    level.append(v)
-                    v = 4 * v + 1
-                if len(level) > room:
-                    raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+            level += _children(chunk, c, table)
+            if len(level) > room:
+                raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
+        if depth == 1:
+            del level[0]  # the root's first child is the root: no self-edge is stored
+            room -= 1
         if not dense:
             room -= _SET_CHARGE * (max(0, before + len(level) - _SET_FREE)
                                    - max(0, before - _SET_FREE))
@@ -453,7 +415,7 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
             raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
         members.update(level)
         if len(members) != before + len(level):
-            raise _duplicate(levels, parents, bound, cap, level_room)
+            raise _duplicate(levels, parents, c, table)
         room -= len(level)
         if level:
             levels[depth] = _typed(level, typecode)
@@ -472,40 +434,20 @@ def _typed(level: list[int], typecode: str | None) -> Sequence[int]:
     return packed
 
 
-def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], bound: int | None,
-               cap: int | None, room: int) -> DuplicateVertexError:
-    """The slow path of a level that repeats a value: replay it against a set.
+def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], c: int,
+               table: tuple[tuple[range, ...], ...]) -> DuplicateVertexError:
+    """The slow path of a level that repeats a value: replay it, parent by parent, against a set.
 
     Returns the error for the first value the level grown from parents
     repeats, with the parent f(v) it is stored under and the parent that
-    produced it again.  room is the budget's room when the level began.
+    produced it again.
     """
     seen = {v for level in levels.values() for v in level}
-    grown = 0
-    if cap is None:
-        c = 3 * bound + 1
-        table = _kernel_table(c)
     for u in parents:
-        if u % 3 == 0:
-            continue
-        if cap is None and u != ROOT:
-            run = _children((u,), c, table)
-        else:
-            n, v = _first_child(u)
-            if cap is None:
-                stop = bound
-            else:
-                stop, extra = _run_stop(n, v, bound, cap, room - grown)
-                room -= extra
-            run = []
-            while v <= stop:
-                run.append(v)
-                v = 4 * v + 1
-        for v in run:
+        for v in _children((u,), c, table)[u == ROOT:]:  # the root's run opens with the root
             if v in seen:
                 return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
             seen.add(v)
-            grown += 1
     raise InconsistencyError("a level's count fell short, but no value repeats")
 
 

@@ -31,18 +31,22 @@ from collatz_arbor.inverse import g_branch
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _start_run_at(monkeypatch, parent, first):
-    """Make the bounded build kernel give parent the run first, 4 first + 1, ... within the bound."""
+def _start_run_at(monkeypatch, parent, first, count=None):
+    """Make the build kernel give parent the run first, 4 first + 1, ... within the bound.
+
+    With count, the run stops after count values too: a cap-only box has no
+    bound (c = 0) to stop it.
+    """
     real = arbor._children
 
     def faulty(parents, c, table):
         out = []
         for u in parents:
             if u == parent:
-                v = first
-                while 3 * v + 1 <= c:  # v <= B
+                v, n = first, 0
+                while (c == 0 or 3 * v + 1 <= c) and n != count:  # v <= B
                     out.append(v)
-                    v = 4 * v + 1
+                    v, n = 4 * v + 1, n + 1
             else:
                 out += real((u,), c, table)
         return out
@@ -161,15 +165,14 @@ class TestBuild:
     @pytest.mark.parametrize("config", [
         TruncationConfig(max_depth=2, value_bound=60),  # bitmap store
         TruncationConfig(max_depth=2, value_bound=10**4, max_nodes=100),  # set store
+        TruncationConfig(max_depth=2, value_bound=10**4, sibling_cap=3),  # cap and bound
         TruncationConfig(max_depth=2, sibling_cap=3),  # cap only: set store
+        TruncationConfig(max_depth=2, value_bound=2**70),  # values charged by their digits
     ])
     def test_duplicate_names_both_parents(self, monkeypatch, config):
-        # parent 5's stream starts at 5 itself, stored at depth 1 under the root
-        if config.sibling_cap is None:
-            _start_run_at(monkeypatch, 5, 5)
-        else:  # a capped box grows its runs from _first_child
-            real = arbor._first_child
-            monkeypatch.setattr(arbor, "_first_child", lambda u: (2, 5) if u == 5 else real(u))
+        # parent 5's stream starts at 5 itself, stored at depth 1 under the root;
+        # every box grows and replays its levels through the one kernel
+        _start_run_at(monkeypatch, 5, 5, config.sibling_cap)
         with pytest.raises(DuplicateVertexError) as excinfo:
             build(config)
         err = excinfo.value
@@ -284,6 +287,25 @@ class TestBuild:
         assert tree.levels[1] == [(4**n - 1) // 3 for n in range(2, 41)]
         assert tree.levels[1][-1] > 2**64
         assert all(type(v) is int for v in tree.levels[1])
+
+    def test_inert_cap_builds_the_uncapped_levels(self):
+        # no parent of this box has 64 children within the bound, so the cap
+        # cuts no row of the kernel's table
+        box = {"max_depth": 40, "value_bound": 2 * 10**6}
+        capped = build(TruncationConfig(**box, sibling_cap=64))
+        assert capped.levels == build(TruncationConfig(**box)).levels
+
+    def test_kernel_table_grows_with_the_bounds_bit_length(self):
+        # one range of exponents an entry: a table of tuples would hold the
+        # exponents of every column, 195 MB for a 3,322-bit bound
+        tracemalloc.start()
+        try:
+            tree = build(TruncationConfig(max_depth=1, value_bound=10**1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 1661
+        assert peak <= 2 * 10**6
 
     def test_bounded_run_past_2_60_is_charged_by_its_digits(self):
         # the root's children 5, 21, ..., (4^100 - 1)/3 all lie below 2^200:

@@ -2,7 +2,6 @@
 
 import io
 import re
-from itertools import takewhile
 from unittest import mock
 
 import pytest
@@ -213,8 +212,8 @@ def test_build_matches_reference_build(config):
         assert path_to(tree, v) == _reference_path(parents, v)
 
 
-# A bound at or above 2^60 sends every run through _run_stop, so that it is
-# charged by its digits: the stored values must not change.
+# A bound at or above 2^60 charges every run by its digits (arbor._charge):
+# the stored values must not change.
 big_bound_boxes = st.builds(TruncationConfig, max_depth=st.integers(0, 2),
                             value_bound=st.integers(2**60, 2**90),
                             sibling_cap=st.none() | st.integers(1, 50))
@@ -229,23 +228,33 @@ def test_big_bound_build_matches_reference_build(config):
     assert list(tree.records()) == records
 
 
-kernel_parents = st.integers(2, 2**58 - 1).map(lambda k: 2 * k + 1).filter(lambda u: u % 3)
+# The root, whose run the build stores from index 2, and non-leaf parents up to 2^100.
+kernel_parents = st.just(1) | st.integers(1, 2**99).map(lambda k: 2 * k + 1).filter(
+    lambda u: u % 3)
+big_bounds = st.builds(lambda k, d: (1 << k) + d, st.integers(59, 200), st.integers(-2**8, 2**8))
 
 
-@given(kernel_parents, st.data())
-@settings(max_examples=200, deadline=None)
-def test_kernel_matches_reference_run(u, data):
-    # the kernel's edge sits where B crosses a child v_n of u: draw B at
-    # v_n, one below and one above it, or just below 2^60, the last bound
-    # the kernel serves
-    top = 1
-    while g_branch(u, top + 1) < 2**60 - 1:
-        top += 1
-    v = g_branch(u, data.draw(st.integers(1, top)))
-    bound = data.draw(st.sampled_from([v - 1, v, v + 1]) | st.integers(2**60 - 2**8, 2**60 - 1))
-    want = [v for _, v in takewhile(lambda nv: nv[1] <= bound, iter_siblings(u))]
-    c = 3 * bound + 1
-    assert arbor._children((u,), c, arbor._kernel_table(c)) == want
+@given(kernel_parents, st.none() | st.integers(1, 60), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_reference_run(u, cap, data):
+    # the kernel's edge sits where B crosses a child v_n of u: draw B at v_n,
+    # one below and one above it, or from 2^59 to 2^200; under a cap, also
+    # no bound at all (c = 0, one column of the table)
+    v = g_branch(u, data.draw(st.integers(1, 100)))
+    bounds = st.sampled_from([max(1, v - 1), v, v + 1]) | big_bounds
+    bound = data.draw(bounds if cap is None else bounds | st.none())
+    c = 0 if bound is None else 3 * bound + 1
+    run = arbor._children((u,), c, arbor._kernel_table(c, cap))
+    want = []
+    for n, w in iter_siblings(u, first_index=2 if u == 1 else 1):
+        if (cap is not None and n > cap) or (bound is not None and w > bound):
+            break
+        assert w == g_branch(u, n)
+        want.append(w)
+    if u == 1:  # the root's run opens with the root itself, which the build drops
+        assert run[0] == 1
+        del run[0]
+    assert run == want
 
 
 # array('I') levels below 2^32, array('Q') ones below 2^64; list levels for a
