@@ -280,13 +280,16 @@ def _kernel_table(c: int, cap: int | None) -> tuple[tuple[range, ...], ...]:
     2^s u <= c, and to 2 cap (class 1) or 2 cap - 1 (class 2) under a cap.
     Leaves get an empty range.  With no bound, c // u is 0: one column.
     Each entry is a range, so the table grows with the bound's bit length,
-    not its square.
+    not its square; equal ranges (columns 2k + 1, 2k + 2) are one object.
     """
     ends = range(c.bit_length() + 2) if c else (2 * cap + 1,)
     if cap is not None:
         ends = [min(b, 2 * cap + 1) for b in ends]
-    return ((range(0),) * len(ends), tuple(range(2, b, 2) for b in ends),
-            tuple(range(1, b, 2) for b in ends))
+    empty = range(0)
+    shared = {empty: empty}
+    class1, class2 = (tuple(shared.setdefault(r, r) for r in (range(s, b, 2) for b in ends))
+                      for s in (2, 1))
+    return (empty,) * len(ends), class1, class2
 
 
 def _children(parents: Sequence[int], c: int,

@@ -46,7 +46,7 @@ def _require_parent(u: int) -> int:
     return r
 
 
-def branch_exponent(u: int, n: int) -> int:
+def _branch_exponent(u: int, n: int) -> int:
     """Power of two consumed by the n-th branch: 2n for class 1, 2n-1 for class 2."""
     r = _require_parent(u)
     _require_index(n)
@@ -79,7 +79,7 @@ def g_branch(u: int, n: int) -> int:
     Checks u and n, then computes (2^e u - 1) / 3 with e the class-determined
     exponent through _raw_branch, which asserts it equals z_n + 2^e (u div 3).
     """
-    return _raw_branch(u, branch_exponent(u, n), z_term(n))
+    return _raw_branch(u, _branch_exponent(u, n), z_term(n))
 
 
 def branch_forms(u: int, n: int) -> dict[str, int]:

@@ -6,6 +6,8 @@ VerificationReport that embeds that box, so a "pass" can never be read as
 more than evidence on the stated range.  A failed check always carries a
 counterexample with enough data to replay it.  Each check validates its box
 once, at its boundary; its inner loops then do plain integer arithmetic.
+Every check runs through one driver, _Run, which owns its clock, its case
+count and its report.
 """
 
 from __future__ import annotations
@@ -91,6 +93,21 @@ def _finish(name: str, params: dict, passed: bool, counterexample: dict | None,
     return VerificationReport(name, params, passed, counterexample, stats)
 
 
+class _Run:
+    """A check's box, clock and case count; report() is the only caller of _finish."""
+
+    __slots__ = ("name", "params", "t0", "cases")
+
+    def __init__(self, name: str, params: dict) -> None:
+        self.name, self.params, self.cases = name, params, 0
+        self.t0 = time.perf_counter()
+
+    def report(self, counterexample: dict | None = None, **extra) -> VerificationReport:
+        """Close the run, failed exactly when it is given a counterexample."""
+        return _finish(self.name, self.params, counterexample is None, counterexample,
+                       self.cases, self.t0, **extra)
+
+
 def _parents_up_to(bound: int) -> Iterator[int]:
     """Odd non-multiples of 3 up to bound (the valid parents)."""
     for u in range(1, bound + 1, 2):
@@ -119,16 +136,15 @@ def _over_parents(name: str, params: dict, parents: Iterable[int], count: int,
     A failed report counts the cases up to the failing child (the
     counterexample's "n"), or with whole_parent all of the failing parent's.
     """
-    t0 = time.perf_counter()
+    run = _Run(name, params)
     counterexample = kernel(count)
-    cases = 0
     for u in parents:
         bad = counterexample(u)
         if bad is not None:
-            return _finish(name, params, False, bad,
-                           cases + (count if whole_parent else bad["n"]), t0)
-        cases += count
-    return _finish(name, params, True, None, cases, t0)
+            run.cases += count if whole_parent else bad["n"]
+            return run.report(bad)
+        run.cases += count
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +225,18 @@ def collision_parity_sweep(max_d: int = DEFAULT_MAX_OFFSET,
     case with partner 2i + 1, then the same-class case with partner 2i.
     """
     _require_box(max_d=max_d, partners_per_class=partners_per_class)
-    t0 = time.perf_counter()
-    params = {"max_d": max_d, "partners_per_class": partners_per_class}
-    cases = 0
+    run = _Run("collision_parity", {"max_d": max_d, "partners_per_class": partners_per_class})
     for d in range(1, max_d + 1):
         z = z_term(d)
         mixed, same = 1 << (2 * d - 1), 1 << (2 * d)
         for i in range(partners_per_class):
             for same_class, partner, scale in ((False, 2 * i + 1, mixed), (True, 2 * i, same)):
-                cases += 1
+                run.cases += 1
                 required = scale * partner + z
                 if required % 2 == 0:
-                    return _finish("collision_parity", params, False,
-                                   {"d": d, "partner_multiple": partner,
-                                    "same_class": same_class, "required_multiple": required},
-                                   cases, t0)
-    return _finish("collision_parity", params, True, None, cases, t0)
+                    return run.report({"d": d, "partner_multiple": partner,
+                                       "same_class": same_class, "required_multiple": required})
+    return run.report()
 
 
 def _closed_forms_kernel(count: int) -> Callable[[int], dict | None]:
@@ -331,13 +343,11 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     """
     from .arbor import ROOT
 
-    t0 = time.perf_counter()
     cfg = tree.config
-    params = {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
-              "sibling_cap": cfg.sibling_cap}
+    run = _Run("uniqueness", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
+                              "sibling_cap": cfg.sibling_cap})
     counts: Counter[int] = Counter()
     zs = [0]
-    cases = 0
     for parent in _expansion_parents(tree):
         n = 2 if parent == ROOT else 1
         while cfg.sibling_cap is None or n <= cfg.sibling_cap:
@@ -345,22 +355,19 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
             if cfg.value_bound is not None and child > cfg.value_bound:
                 break
             counts[child] += 1
-            cases += 1
             n += 1
+    run.cases = counts.total()  # every child derived
     duplicates = sorted(v for v, c in counts.items() if c > 1)
     stored = set(tree.parent) - {ROOT}
     derived = set(counts)
     if duplicates:
         v = duplicates[0]
-        return _finish("uniqueness", params, False,
-                       {"value": v, "occurrences": counts[v]}, cases, t0)
+        return run.report({"value": v, "occurrences": counts[v]})
     if derived != stored:
         off = sorted(derived.symmetric_difference(stored))
-        return _finish("uniqueness", params, False,
-                       {"value": off[0],
-                        "reason": "derived child set differs from stored nodes"},
-                       cases, t0)
-    return _finish("uniqueness", params, True, None, cases, t0)
+        return run.report({"value": off[0],
+                           "reason": "derived child set differs from stored nodes"})
+    return run.report()
 
 
 def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
@@ -372,30 +379,21 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     """
     from .arbor import _edge_index
 
-    t0 = time.perf_counter()
-    params = {"nodes": len(tree)}
+    run = _Run("parent_pointers", {"nodes": len(tree)})
     zs = [0]
-    cases = 0
     for value, parent in tree.parent.items():
         if parent is None:
             continue
-        cases += 1
+        run.cases += 1
         if parent not in tree:
-            return _finish("parent_pointers", params, False,
-                           {"value": value, "parent": parent,
-                            "reason": "parent not stored"},
-                           cases, t0)
+            return run.report({"value": value, "parent": parent, "reason": "parent not stored"})
         try:
             n = _edge_index(parent, value)
         except NonEdgeError as exc:
-            return _finish("parent_pointers", params, False,
-                           {"value": value, "parent": parent, "reason": str(exc)},
-                           cases, t0)
+            return run.report({"value": value, "parent": parent, "reason": str(exc)})
         if _branch(parent, n, zs) != value:
-            return _finish("parent_pointers", params, False,
-                           {"value": value, "parent": parent, "sibling_index": n},
-                           cases, t0)
-    return _finish("parent_pointers", params, True, None, cases, t0)
+            return run.report({"value": value, "parent": parent, "sibling_index": n})
+    return run.report()
 
 
 def _require_covering_depth(tree: TruncatedArborescence) -> None:
@@ -406,66 +404,47 @@ def _require_covering_depth(tree: TruncatedArborescence) -> None:
 def check_covering(tree: TruncatedArborescence) -> VerificationReport:
     """Residue-class structure of the stored tree.
 
-    (a) children of class-1 parents only ever land on {1, 5, 9} mod 12;
     (b) children of class-2 parents realize all six odd classes mod 12
         within the sample;
     (c) every stored child sits on the residue its parent's template
         predicts for its sibling index (mod 24 for class-1 parents, mod 12
-        for class-2);
-    (d) the two child populations share no value.
+        for class-2), tested first.
 
-    Parents of template keys absent from the tree are reported as warnings
-    in the statistics, not failures.
+    (c) implies (a): class-1 children land on {1, 5, 9} mod 12, as their
+    template residues 1, 17, 9, 5, 21, 13 mod 24 all do.  (d), no value in
+    both classes, holds as a value's parent is f(value).  Parents of
+    template keys absent from the tree are reported as warnings in the
+    statistics, not failures.
     """
     _require_covering_depth(tree)
-    t0 = time.perf_counter()
     cfg = tree.config
-    params = {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound}
-    class1: set[int] = set()
-    class2: set[int] = set()
+    run = _Run("covering_patterns", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound})
+    realized: set[int] = set()  # residues mod 12 of the class-2 children
+    class2 = 0
     seen_keys: set[tuple[int, int]] = set()
-    cases = 0
     for value, info in tree.records():
         if info.parent is None:
             continue
-        cases += 1
+        run.cases += 1
         parent_class = info.parent % 3
         key = (parent_class, (info.parent // 3) % 3)
         seen_keys.add(key)
         template = INITIAL_RESIDUE_TEMPLATES[key]
         modulus, expected = template[0], _template_residue(template, info.sibling_index)
         if value % modulus != expected:
-            return _finish("covering_patterns", params, False,
-                           {"value": value, "parent": info.parent,
-                            "sibling_index": info.sibling_index,
-                            "expected_mod": expected, "modulus": modulus,
-                            "observed": value % modulus},
-                           cases, t0)
-        if parent_class == 1:
-            class1.add(value)
-        else:
-            class2.add(value)
-    bad1 = sorted(v for v in class1 if v % 12 not in (1, 5, 9))
-    if bad1:
-        return _finish("covering_patterns", params, False,
-                       {"value": bad1[0], "observed_mod_12": bad1[0] % 12,
-                        "reason": "class-1 child outside {1, 5, 9} mod 12"},
-                       cases, t0)
-    realized = {v % 12 for v in class2}
+            return run.report({"value": value, "parent": info.parent,
+                               "sibling_index": info.sibling_index,
+                               "expected_mod": expected, "modulus": modulus,
+                               "observed": value % modulus})
+        if parent_class == 2:
+            class2 += 1
+            realized.add(value % 12)
     if realized != {1, 3, 5, 7, 9, 11}:
-        return _finish("covering_patterns", params, False,
-                       {"missing_classes_mod_12": sorted({1, 3, 5, 7, 9, 11} - realized)},
-                       cases, t0)
-    overlap = class1 & class2
-    if overlap:
-        return _finish("covering_patterns", params, False,
-                       {"value": min(overlap), "reason": "value in both partitions"},
-                       cases, t0)
+        return run.report({"missing_classes_mod_12": sorted({1, 3, 5, 7, 9, 11} - realized)})
     warnings = [f"no parent with template key {key}" for key in
                 sorted(set(INITIAL_RESIDUE_TEMPLATES) - seen_keys)]
-    return _finish("covering_patterns", params, True, None, cases, t0,
-                   class1_sample=len(class1), class2_sample=len(class2),
-                   warnings=warnings)
+    return run.report(class1_sample=run.cases - class2, class2_sample=class2,
+                      warnings=warnings)
 
 
 def _template_kernel(count: int) -> Callable[[int], dict | None]:
@@ -496,33 +475,17 @@ def check_covering_templates(parent_bound: int = DEFAULT_PARENT_BOUND,
 def check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
     """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
     _require_box(7, parent_bound=parent_bound)
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound}
-    from_class1: set[int] = set()
-    from_class2: set[int] = set()
+    run = _Run("initial_vertex_partition", {"parent_bound": parent_bound})
     z1 = z_term(1)
-    cases = 0
     for u in _parents_up_to(parent_bound):
         v1 = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
-        cases += 1
+        run.cases += 1
         if u % 3 == 1:
             if v1 % 8 != 1:
-                return _finish("initial_vertex_partition", params, False,
-                               {"u": u, "v1": v1, "observed_mod_8": v1 % 8},
-                               cases, t0)
-            from_class1.add(v1)
-        else:
-            if v1 % 4 != 3:
-                return _finish("initial_vertex_partition", params, False,
-                               {"u": u, "v1": v1, "observed_mod_4": v1 % 4},
-                               cases, t0)
-            from_class2.add(v1)
-    overlap = from_class1 & from_class2
-    if overlap:
-        return _finish("initial_vertex_partition", params, False,
-                       {"v1": min(overlap), "reason": "initial vertex in both forms"},
-                       cases, t0)
-    return _finish("initial_vertex_partition", params, True, None, cases, t0)
+                return run.report({"u": u, "v1": v1, "observed_mod_8": v1 % 8})
+        elif v1 % 4 != 3:
+            return run.report({"u": u, "v1": v1, "observed_mod_4": v1 % 4})
+    return run.report()
 
 
 # The convergence sweep's step table stops growing at this many bytes,
@@ -554,8 +517,7 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     from array import array
 
     _require_box(bound=bound, max_steps=max_steps)
-    t0 = time.perf_counter()
-    params = {"bound": bound, "max_steps": max_steps}
+    run = _Run("convergence", {"bound": bound, "max_steps": max_steps})
     # step counts of the starts swept so far, indexed by x >> 1 (start 1
     # takes none), grown one entry per start up to table_cap.  A count never
     # exceeds max_steps, and no orbit can be walked for the 2^32 steps that
@@ -563,11 +525,11 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     table = array("H" if max_steps < 1 << 16 else "L", [0])
     table_cap = _STEP_TABLE_BYTES // table.itemsize
     zs = [0]  # z_n at index n, grown from z_term as the exponents need
-    cases = 1
+    run.cases = 1  # start 1, which takes no step
     max_len = 0
     max_peak = 1
     for x0 in range(3, bound + 1, 2):
-        cases += 1
+        run.cases += 1
         x = x0
         steps = 0
         while x >= x0 and steps < max_steps:
@@ -577,21 +539,17 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             y = t >> a
             ry = y % 3
             if ry == 0 or a % 2 != (0 if ry == 1 else 1):
-                return _finish("convergence", params, False,
-                               {"start": x0, "x": x, "image": y, "exponent": a,
-                                "reason": "image class incompatible with exponent"},
-                               cases, t0,
-                               max_steps_observed=max_len, max_excursion=max_peak)
-            n = a // 2 if ry == 1 else (a + 1) // 2
+                return run.report({"start": x0, "x": x, "image": y, "exponent": a,
+                                   "reason": "image class incompatible with exponent"},
+                                  max_steps_observed=max_len, max_excursion=max_peak)
+            n = (a + 1) >> 1
             if n >= len(zs):
                 zs.extend(z_term(k) for k in range(len(zs), n + 1))
             if _raw_branch(y, a, zs[n]) != x:
-                return _finish("convergence", params, False,
-                               {"start": x0, "x": x, "image": y, "exponent": a,
-                                "branch_index": n,
-                                "reason": "reverse branch does not recover x"},
-                               cases, t0,
-                               max_steps_observed=max_len, max_excursion=max_peak)
+                return run.report({"start": x0, "x": x, "image": y, "exponent": a,
+                                   "branch_index": n,
+                                   "reason": "reverse branch does not recover x"},
+                                  max_steps_observed=max_len, max_excursion=max_peak)
             x = y
             steps += 1
             if x > max_peak:
@@ -605,11 +563,9 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
         if x >> 1 >= len(table) or steps + table[x >> 1] > max_steps:
             from .forward import trajectory
 
-            return _finish("convergence", params, False,
-                           {"start": x0, "reason": "step budget exhausted",
-                            "reached": trajectory(x0, max_steps).values[-1]},
-                           cases, t0,
-                           max_steps_observed=max_len, max_excursion=max_peak)
+            return run.report({"start": x0, "reason": "step budget exhausted",
+                               "reached": trajectory(x0, max_steps).values[-1]},
+                              max_steps_observed=max_len, max_excursion=max_peak)
         steps += table[x >> 1]
         if len(table) < table_cap:
             table.append(steps)
@@ -617,8 +573,7 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             max_peak = x0
         if steps > max_len:
             max_len = steps
-    return _finish("convergence", params, True, None, cases, t0,
-                   max_steps_observed=max_len, max_excursion=max_peak)
+    return run.report(max_steps_observed=max_len, max_excursion=max_peak)
 
 
 # ---------------------------------------------------------------------------
@@ -660,20 +615,16 @@ def adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) -> Verific
     inverse.adjacent_initials.
     """
     _require_box(parent_bound=parent_bound)
-    t0 = time.perf_counter()
-    params = {"parent_bound": parent_bound}
+    run = _Run("adjacent_initials", {"parent_bound": parent_bound})
     z1 = z_term(1)
-    cases = 0
     for u in range(1, parent_bound + 1, 6):  # the class-1 parents
-        cases += 1
+        run.cases += 1
         v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
         successor = 1 + 4 * u
         if (v1 != _raw_branch(u, 2, z1) or v1 != successor // 3
                 or v1_next != _raw_branch(successor, 1, z1) or v1_next != 1 + 2 * v1):
-            return _finish("adjacent_initials", params, False,
-                           {"u": u, "v1": v1, "v1_next": v1_next},
-                           cases, t0)
-    return _finish("adjacent_initials", params, True, None, cases, t0)
+            return run.report({"u": u, "v1": v1, "v1_next": v1_next})
+    return run.report()
 
 
 def _gaps_kernel(count: int) -> Callable[[int], dict | None]:

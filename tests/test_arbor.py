@@ -307,6 +307,15 @@ class TestBuild:
         assert len(tree) == 1661
         assert peak <= 2 * 10**6
 
+    @pytest.mark.parametrize("c,cap", [(3 * 10**1000 + 1, None), (3 * 10**6 + 1, None),
+                                       (3 * 10**6 + 1, 5), (0, 4)],
+                             ids=["bound-1e1000", "bound-1e6", "bound-1e6-cap-5", "cap-4"])
+    def test_kernel_table_holds_each_distinct_range_once(self, c, cap):
+        # columns 2k + 1 and 2k + 2 of a row list the same exponents, as do
+        # the columns a cap clamps, and every row has empty ranges
+        entries = [r for row in arbor._kernel_table(c, cap) for r in row]
+        assert len({id(r) for r in entries}) == len(set(entries))
+
     def test_bounded_run_past_2_60_is_charged_by_its_digits(self):
         # the root's children 5, 21, ..., (4^100 - 1)/3 all lie below 2^200:
         # 99 values of up to 7 digits, charged as a capped run of 99 is

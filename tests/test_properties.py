@@ -2,6 +2,7 @@
 
 import io
 import re
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ import verify_reference as reference
 from convergence_reference import reference_check_convergence
 from coverage_reference import reference_coverage
 from export_reference import reference_export
-from collatz_arbor import arbor, verify
+from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import (
     DEFAULT_MAX_NODES,
     EXPORT_FORMATS,
@@ -392,3 +393,77 @@ def test_collision_sweep_matches_reference(max_d, partners):
 def test_per_parent_checks_match_reference(u, count):
     for name in ("check_residue_cycle", "check_closed_forms", "check_multiples"):
         _same(getattr(verify, name)(u, count), getattr(reference, f"reference_{name}")(u, count))
+
+
+@contextmanager
+def _corrupt_branch(u0, e0, corrupt):
+    """The raw branch kernel gives corrupt(v) at (u0, e0), in verify and its oracles alike."""
+    real = inverse._raw_branch
+
+    def faulty(u, e, z):
+        v = real(u, e, z)
+        return corrupt(v) if (u, e) == (u0, e0) else v
+
+    with mock.patch.object(verify, "_raw_branch", faulty), \
+            mock.patch.object(inverse, "_raw_branch", faulty), \
+            mock.patch.object(reference, "_raw_branch", faulty):
+        yield
+
+
+def _same_outcome(name, *args):
+    """verify's check and its oracle give the same report, or the same box error."""
+    try:
+        want = getattr(reference, f"reference_{name}")(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            getattr(verify, name)(*args)
+        return
+    _same(getattr(verify, name)(*args), want)
+
+
+# a tree too shallow for covering raises in both; small bounds and caps leave
+# class-2 residues mod 12 unrealized, a failed report
+covering_trees = st.builds(TruncationConfig, max_depth=st.integers(3, 8),
+                           value_bound=st.integers(1, 1000) | st.integers(1000, 10**6),
+                           sibling_cap=st.none() | st.integers(1, 8)).map(build)
+
+
+@given(covering_trees)
+@settings(max_examples=60, deadline=None)
+def test_covering_matches_reference(tree):
+    _same_outcome("check_covering", tree)
+
+
+@given(covering_trees, st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_covering_matches_reference_under_a_wrong_sibling_index(tree, shift, data):
+    # one stored value's derived link names a sibling index `shift` too high
+    if tree.max_depth < 1:
+        return
+    v0 = data.draw(st.sampled_from([v for v, info in tree.records() if info.parent]))
+    real = arbor._link
+
+    def faulty(v):
+        parent, n = real(v)
+        return (parent, n + shift) if v == v0 else (parent, n)
+
+    with mock.patch.object(arbor, "_link", faulty):
+        _same_outcome("check_covering", tree)
+
+
+@given(st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_first_child_sweeps_match_reference(parent_bound):
+    for name in ("check_initial_vertex_partition", "adjacent_initials_sweep"):
+        _same_outcome(name, parent_bound)
+
+
+@given(st.integers(7, 3000), st.data(), st.integers(-12, 12))
+@settings(max_examples=60, deadline=None)
+def test_first_child_sweeps_match_reference_under_a_wrong_first_child(parent_bound, data,
+                                                                      delta):
+    # one parent's first child (exponent 2 for class 1, 1 for class 2) off by delta
+    u = data.draw(st.sampled_from(list(verify._parents_up_to(parent_bound))))
+    with _corrupt_branch(u, 2 if u % 3 == 1 else 1, lambda v: v + delta):
+        for name in ("check_initial_vertex_partition", "adjacent_initials_sweep"):
+            _same_outcome(name, parent_bound)

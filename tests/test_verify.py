@@ -359,7 +359,7 @@ class TestSweepFaults:
 
     @pytest.fixture
     def corrupt_branch(self, monkeypatch):
-        """Replace the raw branch kernel's value for one (u, e) in both modules."""
+        """Corrupt the raw branch kernel at one (u, e) in verify, its oracles and inverse."""
         def install(u0, e0, corrupt):
             real = inverse._raw_branch
 
@@ -369,6 +369,7 @@ class TestSweepFaults:
 
             monkeypatch.setattr(verify, "_raw_branch", faulty)
             monkeypatch.setattr(inverse, "_raw_branch", faulty)
+            monkeypatch.setattr(verify_reference, "_raw_branch", faulty)
         return install
 
     def test_closed_forms(self, corrupt_branch):
@@ -477,10 +478,10 @@ class TestSweepFaults:
         # the first child of 7 (class 1, exponent 2) three too large: the
         # sweep's own comparison reports it, with the closed forms
         corrupt_branch(7, 2, lambda v: v + 3)
-        report = adjacent_initials_sweep(100)
-        assert not report.passed
-        assert report.counterexample == {"u": 7, "v1": 9, "v1_next": 19}
-        assert report.statistics["cases"] == 2
+        report = _same_failed_report(adjacent_initials_sweep(100),
+                                     verify_reference.reference_adjacent_initials_sweep(100))
+        assert report["counterexample"] == {"u": 7, "v1": 9, "v1_next": 19}
+        assert report["statistics"]["cases"] == 2
 
     def test_tree_checks(self, corrupt_branch, tree_k6):
         # v_2 of 5 (exponent 3) read as 15, which 23 also produces at depth 5
@@ -495,6 +496,21 @@ class TestSweepFaults:
     def test_initial_vertex_partition(self, corrupt_branch):
         # the first child of 7 as 12, which is 4 mod 8
         corrupt_branch(7, 2, lambda v: 12)
-        report = check_initial_vertex_partition(100)
-        assert report.counterexample == {"u": 7, "v1": 12, "observed_mod_8": 4}
-        assert report.statistics["cases"] == 3
+        report = _same_failed_report(
+            check_initial_vertex_partition(100),
+            verify_reference.reference_check_initial_vertex_partition(100))
+        assert report["counterexample"] == {"u": 7, "v1": 12, "observed_mod_8": 4}
+        assert report["statistics"]["cases"] == 3
+
+    def test_covering(self, monkeypatch, tree_k6):
+        # 13, the second child of 5 (template (2, 1): 3, then 1, 5, 9 mod 12),
+        # read as its third: 13 is 1 mod 12, not 5.  It is the eleventh child
+        # in record order, after the root's nine and 3
+        real = arbor._link
+        monkeypatch.setattr(arbor, "_link",
+                            lambda v: (5, 3) if v == 13 else real(v))
+        report = _same_failed_report(check_covering(tree_k6),
+                                     verify_reference.reference_check_covering(tree_k6))
+        assert report["counterexample"] == {"value": 13, "parent": 5, "sibling_index": 3,
+                                            "expected_mod": 5, "modulus": 12, "observed": 1}
+        assert report["statistics"]["cases"] == 11
