@@ -221,21 +221,28 @@ def collision_parity_sweep(max_d: int = DEFAULT_MAX_OFFSET,
     """Every probe over the box must force an odd (hence impossible) multiple.
 
     The probes are those check_collision_parity takes, valid by construction
-    and not built: for each d (z_d read once) and each i, first the mixed
-    case with partner 2i + 1, then the same-class case with partner 2i.
+    and not built: for each d (z_d read once) and each odd p up to
+    2 * partners_per_class, first the mixed case with partner p, then the
+    same-class case with partner p - 1.
     """
     _require_box(max_d=max_d, partners_per_class=partners_per_class)
     run = _Run("collision_parity", {"max_d": max_d, "partners_per_class": partners_per_class})
     for d in range(1, max_d + 1):
         z = z_term(d)
         mixed, same = 1 << (2 * d - 1), 1 << (2 * d)
-        for i in range(partners_per_class):
-            for same_class, partner, scale in ((False, 2 * i + 1, mixed), (True, 2 * i, same)):
-                run.cases += 1
-                required = scale * partner + z
-                if required % 2 == 0:
-                    return run.report({"d": d, "partner_multiple": partner,
-                                       "same_class": same_class, "required_multiple": required})
+        # the probes with partners p and p - 1 are this d's p-th and (p + 1)-th cases
+        for p in range(1, 2 * partners_per_class, 2):
+            required = mixed * p + z
+            if required % 2 == 0:
+                run.cases += p
+                return run.report({"d": d, "partner_multiple": p,
+                                   "same_class": False, "required_multiple": required})
+            required = same * (p - 1) + z
+            if required % 2 == 0:
+                run.cases += p + 1
+                return run.report({"d": d, "partner_multiple": p - 1,
+                                   "same_class": True, "required_multiple": required})
+        run.cases += 2 * partners_per_class
     return run.report()
 
 
@@ -503,14 +510,17 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     seen.
 
     Starts are swept in ascending order, and each orbit is walked and checked
-    only until it drops below its start: from there on it is the orbit of an
-    earlier start, whose steps were all checked, whose values were all
-    counted in the excursion, and whose step count sits in a table (2 B per
-    odd start, and at most 32 MB whatever the bound).  Past the table
-    the orbit is stepped on, unchecked, until it lands inside it.  The first
-    start whose orbit takes a step is the one that walks it, so a failed
-    report names the same start and step, with the same statistics, as
-    walking every orbit to 1 would.
+    only until it drops below its start or reaches a value whose step count
+    is known: an earlier walk has taken the rest of it, so its steps were all
+    checked, its values all counted in the excursion, and its step count
+    sits in a table (2 B per odd start up to the bound, and at most 32 MB
+    whatever the bound).  Each walk then fills in the count of its start and
+    of every value it passed above the start, up to the bound, and the sweep
+    counts such a start without walking it.  An orbit that drops below a
+    start past the table steps on, unchecked, until it lands inside it.  The
+    first start whose orbit takes a step is the one that walks it, so a
+    failed report names the same start and step, with the same statistics,
+    as walking every orbit to 1 would.
     """
     # imported here, not at the top: only this sweep needs the array
     # extension (0.4 ms to load)
@@ -518,21 +528,26 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
 
     _require_box(bound=bound, max_steps=max_steps)
     run = _Run("convergence", {"bound": bound, "max_steps": max_steps})
-    # step counts of the starts swept so far, indexed by x >> 1 (start 1
-    # takes none), grown one entry per start up to table_cap.  A count never
-    # exceeds max_steps, and no orbit can be walked for the 2^32 steps that
-    # would overflow "L".
+    # step counts indexed by x >> 1, 0 while unknown: every start >= 3 takes
+    # a step, and start 1 (index 0) is below every other.  The table holds
+    # the odd starts up to index `reach`, grown in place only as far as the
+    # largest index filled so far.  A count never exceeds max_steps, and no
+    # orbit can be walked for the 2^32 steps that would overflow "L".
     table = array("H" if max_steps < 1 << 16 else "L", [0])
-    table_cap = _STEP_TABLE_BYTES // table.itemsize
+    reach = min((bound - 1) >> 1, _STEP_TABLE_BYTES // table.itemsize - 1)
+    size = 1  # len(table), kept as it grows
     zs = [0]  # z_n at index n, grown from z_term as the exponents need
     run.cases = 1  # start 1, which takes no step
     max_len = 0
     max_peak = 1
     for x0 in range(3, bound + 1, 2):
         run.cases += 1
+        if x0 >> 1 < size and table[x0 >> 1]:
+            continue  # on an earlier walk, which checked and counted its orbit
         x = x0
         steps = 0
-        while x >= x0 and steps < max_steps:
+        walked = [x0 >> 1]  # the index of each value walked, in orbit order
+        while steps < max_steps:
             # f_step inlined: x is odd and positive by construction
             t = 3 * x + 1
             a = (t & -t).bit_length() - 1
@@ -554,25 +569,39 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             steps += 1
             if x > max_peak:
                 max_peak = x
-        # below x0 the orbit is an earlier start's: checked, its values
-        # counted.  Step it unchecked until it lands in the table.
-        while x >> 1 >= len(table) and steps < max_steps:
+            i = x >> 1
+            if x < x0 or i < size and table[i]:
+                break
+            walked.append(i)
+        # below x0 or at a known count, an earlier walk took the rest of the
+        # orbit: checked, its values counted.  Step it unchecked until it
+        # lands in the table.  Unless the budget ran out above x0 (the count
+        # of x unknown), whatever lands there is a start swept already.
+        while x >> 1 >= size and steps < max_steps:
             t = 3 * x + 1
             x = t >> ((t & -t).bit_length() - 1)
             steps += 1
-        if x >> 1 >= len(table) or steps + table[x >> 1] > max_steps:
+        rest = table[x >> 1] if x >> 1 < size else 0
+        if (rest == 0 and x != 1) or steps + rest > max_steps:
             from .forward import trajectory
 
             return run.report({"start": x0, "reason": "step budget exhausted",
                                "reached": trajectory(x0, max_steps).values[-1]},
                               max_steps_observed=max_len, max_excursion=max_peak)
-        steps += table[x >> 1]
-        if len(table) < table_cap:
-            table.append(steps)
+        steps += rest
         if x0 > max_peak:
             max_peak = x0
         if steps > max_len:
             max_len = steps
+        # fill in the start and each value walked above it, as far as the
+        # table reaches: the k-th value walked is `steps - k` steps from 1
+        for i in walked:
+            if i <= reach:
+                if i >= size:
+                    table.frombytes(bytes((i + 1 - size) * table.itemsize))
+                    size = i + 1
+                table[i] = steps
+            steps -= 1
     return run.report(max_steps_observed=max_len, max_excursion=max_peak)
 
 

@@ -199,8 +199,10 @@ class TestBuild:
             assert len(tree.members.bits) <= config.max_nodes + 1
 
     def test_capped_run_stops_at_the_budget(self):
-        # 20000 capped children of the root would hold ~50 MB of ints; the
-        # budget folds into the run's stop, so the build stops after 11
+        # 20000 capped children of the root would hold ~50 MB of ints.  The
+        # build grows a chunk of at most 1 + room // width parents, here the
+        # root alone; its values pass 2^60, so _charge prices the chunk's
+        # 20000 children before it is grown, and the build raises holding none
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):

@@ -421,6 +421,22 @@ def _same_outcome(name, *args):
     _same(getattr(verify, name)(*args), want)
 
 
+@given(st.integers(3, 3000), st.integers(20, 150) | st.just(10_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_convergence_sweep_matches_reference_under_a_wrong_step(bound, max_steps, data):
+    # the raw kernel misses x on the step x -> f(x), x a value on the orbit of
+    # a start up to the bound, often above it; under a small budget the start
+    # that first takes the step may run out of steps before it
+    x = 2 * data.draw(st.integers(1, (bound - 1) // 2)) + 1
+    orbit = []
+    while x != 1:
+        orbit.append(x)
+        x = f_step(x)[0]
+    x = data.draw(st.sampled_from(orbit))
+    with _corrupt_branch(*f_step(x), lambda v: v + 2):
+        _same(check_convergence(bound, max_steps), reference_check_convergence(bound, max_steps))
+
+
 # a tree too shallow for covering raises in both; small bounds and caps leave
 # class-2 residues mod 12 unrealized, a failed report
 covering_trees = st.builds(TruncationConfig, max_depth=st.integers(3, 8),

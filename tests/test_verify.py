@@ -236,23 +236,49 @@ def _same_reports(bound, max_steps=10_000):
 class TestConvergenceSweep:
     """The memoized sweep against the walk-every-orbit reference."""
 
+    @pytest.fixture
+    def wrong_step(self, monkeypatch):
+        """Make the raw kernel miss the start x of the step x -> f(x)."""
+        def install(x):
+            bad = f_step(x)  # the raw kernel's exponent is the step's a
+            real = inverse._raw_branch
+
+            def faulty(u, e, z):
+                return real(u, e, z) + 2 if (u, e) == bad else real(u, e, z)
+
+            monkeypatch.setattr(verify, "_raw_branch", faulty)
+            monkeypatch.setattr(inverse, "_raw_branch", faulty)  # the reference's g_branch
+        return install
+
     @pytest.mark.parametrize("x", [5, 1367, 3077])
-    def test_wrong_reverse_branch_gives_the_same_failed_report(self, monkeypatch, x):
+    def test_wrong_reverse_branch_gives_the_same_failed_report(self, wrong_step, x):
         # 5 is first reached by start 3, 1367 and 3077 by start 27; about a
         # thousand of the later starts up to 5000 pass through each of them
-        y, a = f_step(x)
-        bad = (y, a)  # the raw kernel's exponent is the step's a
-        real = inverse._raw_branch
-
-        def faulty(u, e, z):
-            return real(u, e, z) + 2 if (u, e) == bad else real(u, e, z)
-
-        monkeypatch.setattr(verify, "_raw_branch", faulty)
-        monkeypatch.setattr(inverse, "_raw_branch", faulty)  # the reference's g_branch
+        wrong_step(x)
         report = _same_reports(5000)
         assert not report["passed"]
         assert report["counterexample"]["x"] == x
         assert report["counterexample"]["reason"] == "reverse branch does not recover x"
+
+    def test_wrong_step_above_the_bound_is_found_on_a_walk(self, wrong_step):
+        # 3077 (3 * 3077 + 1 = 9232, the top of 27's orbit) is no start below
+        # 1001, and no table entry: only the walks that pass it check its step
+        wrong_step(3077)
+        report = _same_reports(1001)
+        assert report["counterexample"]["start"] == 27
+        assert report["counterexample"]["x"] == 3077
+        assert report["statistics"]["cases"] == 14
+
+    @pytest.mark.parametrize("x, start", [(1367, 27), (4997, 2463)])
+    def test_wrong_step_under_a_capped_table(self, monkeypatch, wrong_step, x, start):
+        # 8 entries reach start 15, so no walk above it fills anything in,
+        # and each orbit that drops below its start past 15 steps on
+        # unchecked until it lands in the table; x is first walked by start
+        monkeypatch.setattr(verify, "_STEP_TABLE_BYTES", 16)
+        wrong_step(x)
+        report = _same_reports(5000)
+        assert report["counterexample"]["start"] == start
+        assert report["counterexample"]["x"] == x
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -276,7 +302,8 @@ class TestConvergenceSweep:
         assert max(len(t) for t in tables) == 16 // itemsize
 
     def test_huge_bound_allocates_nothing_up_front(self, tables):
-        # the table grows one entry per start swept: 1, 3 and 5 pass, 7 fails
+        # the table grows only as far as the largest index filled: start 3's
+        # walk fills 3 and 5 (indices 1 and 2), 5 is skipped, 7 fails
         report = check_convergence(10**15, max_steps=3)
         assert report.counterexample == {"start": 7, "reason": "step budget exhausted",
                                          "reached": 13}
