@@ -25,11 +25,9 @@ _EXPORTS = {
                      "NonEdgeError"), "errors"),
     **dict.fromkeys(("TrajectoryRecord", "TrajectorySummary", "f_step", "trajectory",
                      "trajectory_summary", "valuation2"), "forward"),
-    **dict.fromkeys(("MultiplesSequence", "SiblingSet", "adjacent_initials", "branch_forms",
-                     "g_branch", "initial_vertex", "multiples_sequence", "sibling_gap",
-                     "siblings"), "inverse"),
-    **dict.fromkeys(("CollisionProbe", "VerificationReport", "check_collision_parity",
-                     "run_suite"), "verify"),
+    **dict.fromkeys(("SiblingSet", "branch_forms", "g_branch", "initial_vertex", "siblings"),
+                    "inverse"),
+    **dict.fromkeys(("VerificationReport", "run_suite"), "verify"),
 }
 _MODULES = ("arbor", "cli", "core", "defaults", "errors", "forward", "inverse", "verify")
 

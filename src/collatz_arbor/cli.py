@@ -236,11 +236,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    from .arbor import TruncationConfig, build, coverage
+    from .arbor import build, coverage
 
-    max_nodes = args.max_nodes if args.max_nodes is not None else _default_max_nodes()
-    config = TruncationConfig(max_depth=args.depth, value_bound=args.bound, max_nodes=max_nodes)
-    tree = build(config)
+    tree = build(_tree_config(args))
     window = args.report_bound if args.report_bound is not None else args.bound
     try:
         report = coverage(tree, window)
@@ -276,6 +274,10 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # exact integers at any size: lift the 4,300-digit limit on int <-> str
+    # conversion (Python 3.11+; 3.10 has none)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,8 +19,7 @@ def _require_int(x: object, what: str) -> None:
 
 
 def _require_odd_positive(x: int, what: str = "x") -> None:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"{what} must be an int, got {type(x).__name__}")
+    _require_int(x, what)
     if x < 1:
         raise ValueError(f"{what} must be positive, got {x}")
     if x % 2 == 0:
@@ -28,8 +27,7 @@ def _require_odd_positive(x: int, what: str = "x") -> None:
 
 
 def _require_index(n: int, what: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    _require_int(n, what)
     if n < 1:
         raise ValueError(f"{what} must be >= 1, got {n}")
 
@@ -68,66 +66,22 @@ def decompose(x: int) -> OddInteger:
     return OddInteger(x, r, (x - r) // 3)
 
 
-# Memo caches, 1-indexed with a [0] sentinel.  Both sequences are cheap to
+# Memo cache of Z, 1-indexed with a [0] sentinel.  The terms are cheap to
 # recompute, so there is deliberately no persistent cache.
 _Z: list[int] = [0]
-_W: list[int] = [0]
 
 
 def z_term(n: int) -> int:
-    """n-th term of Z: (2^(2n) - 1) / 3, equal to 1 + 4 + ... + 4^(n-1).
-
-    The closed form and the geometric sum are both evaluated and must agree;
-    a mismatch raises InconsistencyError.
-    """
+    """n-th term of Z: (2^(2n) - 1) / 3, equal to 1 + 4 + ... + 4^(n-1)."""
     _require_index(n)
-    while len(_Z) <= n:
-        k = len(_Z)
-        numer = (1 << (2 * k)) - 1
-        if numer % 3:
-            raise InconsistencyError(f"2^{2 * k} - 1 not divisible by 3")
-        closed = numer // 3
-        summed = _Z[k - 1] + (1 << (2 * (k - 1)))
-        if closed != summed:
-            raise InconsistencyError(f"z_{k}: closed form {closed} != geometric sum {summed}")
-        _Z.append(closed)
+    if len(_Z) <= n:
+        _Z.extend(((1 << (2 * k)) - 1) // 3 for k in range(len(_Z), n + 1))
     return _Z[n]
 
 
 def w_term(n: int) -> int:
-    """n-th term of W: the multiple of z_n, i.e. (z_n - z_n mod 3) / 3.
-
-    Evaluated by the piecewise sum selected by n mod 3:
-
-        n == 0 (mod 3):  7 * sum 4^(3(i-1))      for i = 1 .. n/3
-        n == 1 (mod 3):  7 * sum 4^(3(i-1)+1)    for i = 1 .. (n-1)/3
-        n == 2 (mod 3):  1 + 7 * sum 4^(3(i-1)+2) for i = 1 .. (n-2)/3
-
-    and cross-checked against the direct multiple of z_n; a mismatch raises
-    InconsistencyError.
-    """
-    _require_index(n)
-    while len(_W) <= n:
-        k = len(_W)
-        r = k % 3
-        if r == 0:
-            terms = k // 3
-            offset, base = 0, 0
-        elif r == 1:
-            terms = (k - 1) // 3
-            offset, base = 2, 0
-        else:
-            terms = (k - 2) // 3
-            offset, base = 4, 1
-        acc = 0
-        for i in range(1, terms + 1):
-            acc += 1 << (6 * (i - 1) + offset)
-        piecewise = base + 7 * acc
-        direct = decompose(z_term(k)).multiple
-        if piecewise != direct:
-            raise InconsistencyError(f"w_{k}: piecewise form {piecewise} != (z_{k} - r) / 3 {direct}")
-        _W.append(piecewise)
-    return _W[n]
+    """n-th term of W: the multiple of z_n, (z_n - z_n mod 3) / 3 = z_n div 3."""
+    return z_term(n) // 3
 
 
 class BaseSequences(Record):

@@ -15,26 +15,15 @@ routes agree exactly.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 from ._record import Record
-from .core import _require_index, _require_odd_positive, w_term, z_term
+from .core import _require_index, _require_int, _require_odd_positive, z_term
 from .errors import InconsistencyError, LeafParentError
 
 # iter_siblings is deliberately not in __all__: the supported enumeration
 # surface is SiblingSet, which carries an explicit stop criterion.
-__all__ = [
-    "g_branch",
-    "branch_forms",
-    "initial_vertex",
-    "siblings",
-    "sibling_gap",
-    "multiples_sequence",
-    "adjacent_initials",
-    "SiblingSet",
-    "MultiplesSequence",
-]
+__all__ = ["g_branch", "branch_forms", "initial_vertex", "siblings", "SiblingSet"]
 
 
 def _require_parent(u: int) -> int:
@@ -172,12 +161,12 @@ class SiblingSet(Record):
         _require_parent(self.parent)
         if (self.count is None) == (self.bound is None):
             raise ValueError("exactly one of count/bound must be given")
-        if self.count is not None and self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.bound is not None and self.bound < 1:
-            raise ValueError(f"bound must be >= 1, got {self.bound}")
-        if self.depth is not None and self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+        for what in ("count", "bound", "depth"):
+            size = getattr(self, what)
+            if size is not None:
+                _require_int(size, what)
+                if size < 1:
+                    raise ValueError(f"{what} must be >= 1, got {size}")
 
     def indexed(self) -> Iterator[tuple[int, int]]:
         for n, v in iter_siblings(self.parent):
@@ -198,105 +187,3 @@ def siblings(u: int, *, count: int | None = None, bound: int | None = None,
              depth: int | None = None) -> SiblingSet:
     """Bounded sibling set of parent u; exactly one stop criterion required."""
     return SiblingSet(u, count=count, bound=bound, depth=depth)
-
-
-def sibling_gap(u: int, n: int) -> int:
-    """Gap v_{n+1} - v_n: 2^(2n) u for class-1 parents, 2^(2n-1) u for class-2.
-
-    The closed form is asserted against the enumerated difference.
-    """
-    r = _require_parent(u)
-    _require_index(n)
-    gap = (1 << (2 * n)) * u if r == 1 else (1 << (2 * n - 1)) * u
-    enumerated = g_branch(u, n + 1) - g_branch(u, n)
-    if gap != enumerated:
-        raise InconsistencyError(
-            f"gap closed form {gap} != enumerated difference {enumerated} (u={u}, n={n})"
-        )
-    return gap
-
-
-class MultiplesSequence(Record):
-    """Multiples m_n = (v_n - v_n mod 3) / 3 of a sibling set, with the
-    piecewise closed form evaluated alongside for per-term comparison.
-
-    The closed form is selected by the first child's residue class; `matches`
-    records term-by-term agreement with the direct computation rather than
-    trusting the closed form blindly.
-    """
-
-    __slots__ = ("parent", "terms", "closed_form", "matches", "first_child_residue")
-    parent: int
-    terms: tuple[int, ...]
-    closed_form: tuple[int, ...]
-    matches: tuple[bool, ...]
-    first_child_residue: int
-
-    @property
-    def all_match(self) -> bool:
-        return all(self.matches)
-
-    @property
-    def strictly_ascending(self) -> bool:
-        return all(a < b for a, b in zip(self.terms, self.terms[1:]))
-
-
-def multiples_sequence(u: int, count: int) -> MultiplesSequence:
-    """First `count` multiples of u's children, with closed-form comparison.
-
-    Direct route: m_n = (v_n - r_n) / 3 for each enumerated child.  Closed
-    route, keyed by r1 = v_1 mod 3 with mu the multiple of v_1 (n > 1):
-
-        r1 == 0:  m_n = w_{n-1} + 4^(n-1) * mu
-        r1 == 1:  m_n = w_n     + 4^(n-1) * mu
-        r1 == 2:  m_n = w_{n+1} + 4^(n-1) * (mu - 1)
-
-    and m_1 = mu in every class.  Disagreement is reported per term, not
-    raised; callers decide what a mismatch means.
-    """
-    _require_parent(u)
-    _require_index(count, "count")
-    children = [v for _, v in islice(iter_siblings(u), count)]
-    terms = tuple((v - v % 3) // 3 for v in children)
-    r1 = children[0] % 3
-    mu = children[0] // 3
-    closed = [mu]
-    for n in range(2, count + 1):
-        scale = 1 << (2 * (n - 1))
-        if r1 == 0:
-            closed.append(w_term(n - 1) + scale * mu)
-        elif r1 == 1:
-            closed.append(w_term(n) + scale * mu)
-        else:
-            closed.append(w_term(n + 1) + scale * (mu - 1))
-    matches = tuple(a == b for a, b in zip(terms, closed))
-    return MultiplesSequence(u, terms, tuple(closed), matches, r1)
-
-
-def adjacent_initials(u_i: int) -> tuple[int, int]:
-    """Initial vertices of a class-1 parent and of its successor sibling.
-
-    For u_i == 1 (mod 3) with multiple mu, the successor sibling is
-    u_{i+1} = 1 + 4 u_i (class 2, multiple 1 + 4 mu).  Returns
-    (v_1(u_i), v_1(u_{i+1})) = (1 + 4 mu, 3 + 8 mu) and asserts the chained
-    identities: v_1(u_i) equals the successor's multiple, and
-    v_1(u_{i+1}) = 1 + 2 v_1(u_i).
-    """
-    _require_odd_positive(u_i, "u_i")
-    if u_i % 3 != 1:
-        raise ValueError(f"u_i must be 1 mod 3, got {u_i} (mod 3 = {u_i % 3})")
-    mu = u_i // 3
-    v1_i = 1 + 4 * mu
-    v1_next = 3 + 8 * mu
-    successor = 1 + 4 * u_i
-    if successor % 3 != 2:
-        raise InconsistencyError(f"successor sibling {successor} is not class 2")
-    if v1_i != g_branch(u_i, 1):
-        raise InconsistencyError(f"v1({u_i}) closed form {v1_i} != direct branch")
-    if successor // 3 != v1_i:
-        raise InconsistencyError(
-            f"v1({u_i}) = {v1_i} != multiple {successor // 3} of successor {successor}"
-        )
-    if v1_next != g_branch(successor, 1) or v1_next != 1 + 2 * v1_i:
-        raise InconsistencyError(f"v1({successor}) disagrees with 3 + 8*mu = {v1_next}")
-    return v1_i, v1_next

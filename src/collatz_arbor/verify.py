@@ -31,8 +31,8 @@ if TYPE_CHECKING:
     from .arbor import TruncatedArborescence
 
 __all__ = [
-    "VerificationReport", "CollisionProbe",
-    "check_residue_cycle", "check_collision_parity", "check_closed_forms", "check_multiples",
+    "VerificationReport",
+    "check_residue_cycle", "check_closed_forms", "check_multiples",
     "check_uniqueness", "check_parent_pointers", "check_covering", "check_covering_templates",
     "check_initial_vertex_partition", "check_convergence",
     "residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep", "adjacent_initials_sweep",
@@ -177,53 +177,17 @@ def check_residue_cycle(u: int, count: int) -> VerificationReport:
                          _residue_cycle_kernel)
 
 
-class CollisionProbe(Record):
-    """A hypothetical equal-children collision between distinct parents.
-
-    `d` is the positive offset between the two sibling indices.  For the
-    mixed-class case the partner multiple plays the class-2 role and must be
-    odd; for the same-class case it plays a class-1 role and must be even.
-    """
-
-    __slots__ = ("d", "partner_multiple", "same_class")
-    d: int
-    partner_multiple: int
-    same_class: bool
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.partner_multiple < 0:
-            raise ValueError(f"partner_multiple must be >= 0, got {self.partner_multiple}")
-        want_even = self.same_class
-        if (self.partner_multiple % 2 == 0) != want_even:
-            kind = "even" if want_even else "odd"
-            raise ValueError(
-                f"partner_multiple must be {kind} for this case, got {self.partner_multiple}"
-            )
-
-
-def check_collision_parity(probe: CollisionProbe) -> tuple[int, bool]:
-    """The class-1 multiple a collision would force, and whether it is odd.
-
-    A collision at offset d requires mu = 2^(2d-1) * partner + z_d (mixed
-    classes) or mu = 2^(2d) * partner + z_d (same class).  Both are odd for
-    every valid probe, while a genuine class-1 multiple is even; oddness here
-    is the witness that the collision cannot happen.
-    """
-    shift = 2 * probe.d if probe.same_class else 2 * probe.d - 1
-    required = (1 << shift) * probe.partner_multiple + z_term(probe.d)
-    return required, required % 2 == 1
-
-
 def collision_parity_sweep(max_d: int = DEFAULT_MAX_OFFSET,
                            partners_per_class: int = DEFAULT_PARTNERS) -> VerificationReport:
     """Every probe over the box must force an odd (hence impossible) multiple.
 
-    The probes are those check_collision_parity takes, valid by construction
-    and not built: for each d (z_d read once) and each odd p up to
-    2 * partners_per_class, first the mixed case with partner p, then the
-    same-class case with partner p - 1.
+    A collision of equal children at index offset d requires the class-1
+    multiple 2^(2d-1) * p + z_d with an odd partner multiple p (mixed
+    classes), or 2^(2d) * p + z_d with an even one (same class).  A genuine
+    class-1 multiple is even, so an odd one witnesses that the collision
+    cannot happen.  For each d (z_d read once) and each odd p up to
+    2 * partners_per_class, the mixed case with partner p comes first, then
+    the same-class case with partner p - 1.
     """
     _require_box(max_d=max_d, partners_per_class=partners_per_class)
     run = _Run("collision_parity", {"max_d": max_d, "partners_per_class": partners_per_class})
@@ -479,20 +443,22 @@ def check_covering_templates(parent_bound: int = DEFAULT_PARENT_BOUND,
                          _parents_up_to(parent_bound), count, _template_kernel)
 
 
+def _partition_kernel(count: int) -> Callable[[int], dict | None]:
+    z1 = z_term(1)
+
+    def counterexample(u: int) -> dict | None:
+        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        if u % 3 == 1:
+            return None if v1 % 8 == 1 else {"u": u, "v1": v1, "observed_mod_8": v1 % 8}
+        return None if v1 % 4 == 3 else {"u": u, "v1": v1, "observed_mod_4": v1 % 4}
+    return counterexample
+
+
 def check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
     """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
     _require_box(7, parent_bound=parent_bound)
-    run = _Run("initial_vertex_partition", {"parent_bound": parent_bound})
-    z1 = z_term(1)
-    for u in _parents_up_to(parent_bound):
-        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
-        run.cases += 1
-        if u % 3 == 1:
-            if v1 % 8 != 1:
-                return run.report({"u": u, "v1": v1, "observed_mod_8": v1 % 8})
-        elif v1 % 4 != 3:
-            return run.report({"u": u, "v1": v1, "observed_mod_4": v1 % 4})
-    return run.report()
+    return _over_parents("initial_vertex_partition", {"parent_bound": parent_bound},
+                         _parents_up_to(parent_bound), 1, _partition_kernel, whole_parent=True)
 
 
 # The convergence sweep's step table stops growing at this many bytes,
@@ -635,25 +601,30 @@ def closed_forms_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
                          whole_parent=True)
 
 
+def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
+    z1 = z_term(1)
+
+    def counterexample(u: int) -> dict | None:
+        v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
+        successor = 1 + 4 * u
+        if (v1 != _raw_branch(u, 2, z1) or v1 != successor // 3
+                or v1_next != _raw_branch(successor, 1, z1) or v1_next != 1 + 2 * v1):
+            return {"u": u, "v1": v1, "v1_next": v1_next}
+        return None
+    return counterexample
+
+
 def adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) -> VerificationReport:
     """Chained initial-vertex identities for every class-1 parent up to the bound.
 
     For u with multiple mu and its class-2 successor sibling 1 + 4u, the
     closed forms v_1(u) = 1 + 4 mu and v_1(1 + 4u) = 3 + 8 mu must equal the
-    raw branches, the successor's multiple and 1 + 2 v_1(u), as in
-    inverse.adjacent_initials.
+    raw branches, the successor's multiple and 1 + 2 v_1(u).
     """
     _require_box(parent_bound=parent_bound)
-    run = _Run("adjacent_initials", {"parent_bound": parent_bound})
-    z1 = z_term(1)
-    for u in range(1, parent_bound + 1, 6):  # the class-1 parents
-        run.cases += 1
-        v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
-        successor = 1 + 4 * u
-        if (v1 != _raw_branch(u, 2, z1) or v1 != successor // 3
-                or v1_next != _raw_branch(successor, 1, z1) or v1_next != 1 + 2 * v1):
-            return run.report({"u": u, "v1": v1, "v1_next": v1_next})
-    return run.report()
+    return _over_parents("adjacent_initials", {"parent_bound": parent_bound},
+                         range(1, parent_bound + 1, 6),  # the class-1 parents
+                         1, _adjacent_initials_kernel, whole_parent=True)
 
 
 def _gaps_kernel(count: int) -> Callable[[int], dict | None]:

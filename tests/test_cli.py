@@ -47,6 +47,16 @@ class TestTrajectory:
         assert result.returncode == 2
         assert result.stdout == ""
 
+    def test_start_past_4300_digits(self):
+        # Python's default int/str limit once refused this as a usage error
+        start = "1" + "0" * 4399 + "1"
+        result = run_cli("trajectory", start, "--max-steps", "3")
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0].split(" -> ")[0] == start
+        assert lines[2] == "length = 3 (not converged)"
+
 
 class TestSiblings:
     def test_count_stop(self):
@@ -76,6 +86,18 @@ class TestSiblings:
         assert payload["values"] == [3, 13, 53]
         assert payload["indices"] == [1, 2, 3]
 
+    def test_values_past_4300_digits(self):
+        # v_7200 of 5 has 4,335 digits; printing it once exited 2 after the
+        # values were all computed
+        result = run_cli("siblings", "5", "--count", "7200")
+        assert result.returncode == 0, result.stderr[-500:]
+        assert "Traceback" not in result.stderr
+        values = result.stdout.rstrip("\n").split(", ")
+        assert len(values) == 7200 and values[:3] == ["3", "13", "53"]
+        last = ((5 << (2 * 7200 - 1)) - 1) // 3
+        assert 10 ** (len(values[-1]) - 1) <= last < 10 ** len(values[-1])
+        assert int(values[-1][-18:]) == last % 10**18
+
 
 class TestTree:
     def test_jsonl_to_stdout(self):
@@ -101,6 +123,18 @@ class TestTree:
         via_tree = run_cli("tree", "--depth", "1", "--bound", "25", "--format", "dot")
         via_export = run_cli("export", "--depth", "1", "--bound", "25", "--format", "dot")
         assert via_tree.stdout == via_export.stdout
+
+    def test_values_past_4300_digits(self):
+        # the root's last child here, v_7201, has over 4,300 digits; the
+        # export once wrote the rows before it and then exited 2
+        result = run_cli("tree", "--depth", "1", "--sibling-cap", "7201", "--format", "csv")
+        assert result.returncode == 0, result.stderr[-500:]
+        assert "Traceback" not in result.stderr
+        rows = result.stdout.splitlines()
+        assert len(rows) == 2 + 7200  # the header, the root and v_2 .. v_7201
+        last = ((1 << (2 * 7201)) - 1) // 3
+        value = rows[-1].split(",")[0]
+        assert len(value) > 4300 and int(value[-18:]) == last % 10**18
 
     def test_budget_exceeded_exit_code(self):
         result = run_cli("tree", "--depth", "6", "--bound", "1000000",

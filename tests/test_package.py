@@ -9,11 +9,12 @@ import sys
 import pytest
 
 import collatz_arbor
+from verify_reference import CollisionProbe, MultiplesSequence, multiples_sequence
 from collatz_arbor.arbor import CoverageReport, TruncationConfig, build, coverage
 from collatz_arbor.core import BaseSequences, OddInteger
 from collatz_arbor.forward import TrajectoryRecord, TrajectorySummary
-from collatz_arbor.inverse import MultiplesSequence, SiblingSet, multiples_sequence
-from collatz_arbor.verify import CollisionProbe, VerificationReport
+from collatz_arbor.inverse import SiblingSet, siblings
+from collatz_arbor.verify import VerificationReport
 
 MODULES = ("arbor", "cli", "core", "defaults", "errors", "forward", "inverse", "verify")
 
@@ -97,7 +98,7 @@ def _report():
     return coverage(build(TruncationConfig(max_depth=2, value_bound=60)), 25)
 
 
-# one valid instance of each record type
+# one valid instance of each record type, the two test oracles included
 RECORDS = {
     "OddInteger": lambda: OddInteger(7, 1, 2),
     "BaseSequences": lambda: BaseSequences({1: 1}, {1: 0}),
@@ -150,6 +151,10 @@ class TestRecords:
         (lambda: TruncationConfig(max_depth=2, sibling_cap=2.0), TypeError),
         (lambda: TruncationConfig(max_depth=True, value_bound=100), TypeError),
         (lambda: TruncationConfig(value_bound=100, max_nodes=False), TypeError),
+        (lambda: siblings(5, count=2.5), TypeError),
+        (lambda: siblings(5, count=True), TypeError),
+        (lambda: SiblingSet(5, bound=100.0), TypeError),
+        (lambda: SiblingSet(5, count=3, depth=False), TypeError),
     ])
     def test_constructor_checks_stay(self, make, bad):
         with pytest.raises(bad):

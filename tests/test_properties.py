@@ -32,11 +32,9 @@ from collatz_arbor.inverse import (
     g_branch,
     initial_vertex,
     iter_siblings,
-    multiples_sequence,
-    sibling_gap,
     siblings,
 )
-from collatz_arbor.verify import CollisionProbe, check_collision_parity, check_convergence
+from collatz_arbor.verify import check_convergence
 
 odd_positive = st.integers(min_value=0, max_value=10**30).map(lambda k: 2 * k + 1)
 parents = odd_positive.filter(lambda u: u % 3 != 0)
@@ -81,10 +79,17 @@ def test_branch_formulations_agree(u, n):
 
 @given(parents, small_index)
 def test_gap_closed_form(u, n):
-    gap = sibling_gap(u, n)
     e = 2 * n if u % 3 == 1 else 2 * n - 1
-    assert gap == (1 << e) * u
-    assert gap == g_branch(u, n + 1) - g_branch(u, n)
+    assert g_branch(u, n + 1) - g_branch(u, n) == (1 << e) * u
+
+
+@given(odd_positive.filter(lambda u: u % 3 == 1))
+def test_adjacent_initials_of_a_class_one_parent(u):
+    # u and its successor sibling 1 + 4u (class 2, multiple 1 + 4 mu)
+    mu, successor = u // 3, 1 + 4 * u
+    v1, v1_next = g_branch(u, 1), g_branch(successor, 1)
+    assert (v1, v1_next) == (1 + 4 * mu, 3 + 8 * mu)
+    assert v1 == successor // 3 and v1_next == 1 + 2 * v1
 
 
 @given(parents)
@@ -106,7 +111,7 @@ def test_initial_vertex_residue_forms(u):
 @given(parents)
 @settings(max_examples=50)
 def test_multiples_ascend_and_match_closed_form(u):
-    seq = multiples_sequence(u, 12)
+    seq = reference.multiples_sequence(u, 12)
     assert seq.strictly_ascending
     assert seq.all_match
 
@@ -123,7 +128,8 @@ def test_base_sequence_terms_interlock(n):
        st.booleans())
 def test_collision_probe_always_forces_odd(d, base, same_class):
     partner = 2 * base if same_class else 2 * base + 1
-    required, is_odd = check_collision_parity(CollisionProbe(d, partner, same_class))
+    required, is_odd = reference.check_collision_parity(
+        reference.CollisionProbe(d, partner, same_class))
     assert is_odd
     assert required % 2 == 1
 

@@ -5,17 +5,16 @@ import pytest
 
 import convergence_reference
 import verify_reference
+from verify_reference import CollisionProbe, check_collision_parity
 from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import TruncationConfig, build
 from collatz_arbor.errors import LeafParentError
 from collatz_arbor.forward import f_step
 from collatz_arbor.verify import (
     INITIAL_RESIDUE_TEMPLATES,
-    CollisionProbe,
     VerificationReport,
     adjacent_initials_sweep,
     check_closed_forms,
-    check_collision_parity,
     check_convergence,
     check_covering,
     check_covering_templates,
@@ -422,7 +421,7 @@ class TestSweepFaults:
             return real(k) + 1 if k == 6 else real(k)
 
         monkeypatch.setattr(verify, "w_term", faulty)
-        monkeypatch.setattr(inverse, "w_term", faulty)
+        monkeypatch.setattr(verify_reference, "w_term", faulty)
         m6 = _branch(1, 6) // 3
         report = _same_failed_report(multiples_sweep(100, 12),
                                      verify_reference.reference_multiples_sweep(100, 12))
@@ -456,7 +455,7 @@ class TestSweepFaults:
             return real(k) + 1 if k == 6 else real(k)
 
         monkeypatch.setattr(verify, "w_term", faulty)
-        monkeypatch.setattr(inverse, "w_term", faulty)
+        monkeypatch.setattr(verify_reference, "w_term", faulty)
         report = _same_failed_report(check_multiples(13, 12),
                                      verify_reference.reference_check_multiples(13, 12))
         assert (report["counterexample"]["n"], report["counterexample"]["first_child_residue"]) \
@@ -494,7 +493,12 @@ class TestSweepFaults:
                 return int(other) + int(self) + (other == 224)
 
         real = verify.z_term
-        monkeypatch.setattr(verify, "z_term", lambda d: Skewed(real(d)) if d == 3 else real(d))
+
+        def skewed(d):
+            return Skewed(real(d)) if d == 3 else real(d)
+
+        monkeypatch.setattr(verify, "z_term", skewed)
+        monkeypatch.setattr(verify_reference, "z_term", skewed)
         report = _same_failed_report(collision_parity_sweep(5, 10),
                                      verify_reference.reference_collision_parity_sweep(5, 10))
         assert report["counterexample"] == {"d": 3, "partner_multiple": 7, "same_class": False,

@@ -7,6 +7,12 @@ and every collision case builds a `CollisionProbe`.  The rewritten sweeps
 and per-object checks in `collatz_arbor.verify` must return the same
 reports, failed ones included.
 
+`MultiplesSequence`/`multiples_sequence` and `CollisionProbe`/
+`check_collision_parity`, once public helpers of the package, live here as
+the multiples and collision oracles.  They read the base sequences through
+this module's `z_term` and `w_term`, which a fault test patches together
+with verify's.
+
 The covering, partition and adjacent-initials checks are kept as they stood
 before every check ran through one report driver: each with its own clock
 and case count, and covering and partition with their post-passes over the
@@ -17,25 +23,121 @@ patches together with verify's.
 """
 
 import time
+from itertools import islice
 
+from collatz_arbor._record import Record
 from collatz_arbor.arbor import TruncatedArborescence
-from collatz_arbor.core import z_term
-from collatz_arbor.inverse import _raw_branch, g_branch, iter_siblings, multiples_sequence
+from collatz_arbor.core import _require_index, w_term, z_term
+from collatz_arbor.inverse import _raw_branch, _require_parent, g_branch, iter_siblings
 from collatz_arbor.verify import (
     DEFAULT_MAX_OFFSET,
     DEFAULT_PARENT_BOUND,
     DEFAULT_PARTNERS,
     DEFAULT_SIBLING_COUNT,
     INITIAL_RESIDUE_TEMPLATES,
-    CollisionProbe,
     VerificationReport,
     _finish,
     _parents_up_to,
     _require_box,
     _require_covering_depth,
     _template_residue,
-    check_collision_parity,
 )
+
+
+class MultiplesSequence(Record):
+    """Multiples m_n = (v_n - v_n mod 3) / 3 of a sibling set, with the
+    piecewise closed form evaluated alongside for per-term comparison.
+
+    The closed form is selected by the first child's residue class; `matches`
+    records term-by-term agreement with the direct computation rather than
+    trusting the closed form blindly.
+    """
+
+    __slots__ = ("parent", "terms", "closed_form", "matches", "first_child_residue")
+    parent: int
+    terms: tuple[int, ...]
+    closed_form: tuple[int, ...]
+    matches: tuple[bool, ...]
+    first_child_residue: int
+
+    @property
+    def all_match(self) -> bool:
+        return all(self.matches)
+
+    @property
+    def strictly_ascending(self) -> bool:
+        return all(a < b for a, b in zip(self.terms, self.terms[1:]))
+
+
+def multiples_sequence(u: int, count: int) -> MultiplesSequence:
+    """First `count` multiples of u's children, with closed-form comparison.
+
+    Direct route: m_n = (v_n - r_n) / 3 for each enumerated child.  Closed
+    route, keyed by r1 = v_1 mod 3 with mu the multiple of v_1 (n > 1):
+
+        r1 == 0:  m_n = w_{n-1} + 4^(n-1) * mu
+        r1 == 1:  m_n = w_n     + 4^(n-1) * mu
+        r1 == 2:  m_n = w_{n+1} + 4^(n-1) * (mu - 1)
+
+    and m_1 = mu in every class.  Disagreement is reported per term, not
+    raised; callers decide what a mismatch means.
+    """
+    _require_parent(u)
+    _require_index(count, "count")
+    children = [v for _, v in islice(iter_siblings(u), count)]
+    terms = tuple((v - v % 3) // 3 for v in children)
+    r1 = children[0] % 3
+    mu = children[0] // 3
+    closed = [mu]
+    for n in range(2, count + 1):
+        scale = 1 << (2 * (n - 1))
+        if r1 == 0:
+            closed.append(w_term(n - 1) + scale * mu)
+        elif r1 == 1:
+            closed.append(w_term(n) + scale * mu)
+        else:
+            closed.append(w_term(n + 1) + scale * (mu - 1))
+    matches = tuple(a == b for a, b in zip(terms, closed))
+    return MultiplesSequence(u, terms, tuple(closed), matches, r1)
+
+
+class CollisionProbe(Record):
+    """A hypothetical equal-children collision between distinct parents.
+
+    `d` is the positive offset between the two sibling indices.  For the
+    mixed-class case the partner multiple plays the class-2 role and must be
+    odd; for the same-class case it plays a class-1 role and must be even.
+    """
+
+    __slots__ = ("d", "partner_multiple", "same_class")
+    d: int
+    partner_multiple: int
+    same_class: bool
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.partner_multiple < 0:
+            raise ValueError(f"partner_multiple must be >= 0, got {self.partner_multiple}")
+        want_even = self.same_class
+        if (self.partner_multiple % 2 == 0) != want_even:
+            kind = "even" if want_even else "odd"
+            raise ValueError(
+                f"partner_multiple must be {kind} for this case, got {self.partner_multiple}"
+            )
+
+
+def check_collision_parity(probe: CollisionProbe) -> tuple[int, bool]:
+    """The class-1 multiple a collision would force, and whether it is odd.
+
+    A collision at offset d requires mu = 2^(2d-1) * partner + z_d (mixed
+    classes) or mu = 2^(2d) * partner + z_d (same class).  Both are odd for
+    every valid probe, while a genuine class-1 multiple is even; oddness here
+    is the witness that the collision cannot happen.
+    """
+    shift = 2 * probe.d if probe.same_class else 2 * probe.d - 1
+    required = (1 << shift) * probe.partner_multiple + z_term(probe.d)
+    return required, required % 2 == 1
 
 
 def _template_for(parent: int) -> tuple[int, int, tuple[int, int, int]]:
@@ -323,8 +425,7 @@ def reference_adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) 
 
     For u with multiple mu and its class-2 successor sibling 1 + 4u, the
     closed forms v_1(u) = 1 + 4 mu and v_1(1 + 4u) = 3 + 8 mu must equal the
-    raw branches, the successor's multiple and 1 + 2 v_1(u), as in
-    inverse.adjacent_initials.
+    raw branches, the successor's multiple and 1 + 2 v_1(u).
     """
     _require_box(parent_bound=parent_bound)
     t0 = time.perf_counter()
