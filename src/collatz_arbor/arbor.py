@@ -33,6 +33,7 @@ from .errors import (
     MissingVertexError,
     NonEdgeError,
 )
+from .inverse import _charge, _children, _kernel_table
 
 __all__ = [
     "TruncationConfig",
@@ -269,80 +270,6 @@ class TruncatedArborescence:
             for v in chunk:
                 r = v % 3
                 yield v, NodeInfo(k, *_link(v), r, r == 0)
-
-
-def _kernel_table(c: int, cap: int | None) -> tuple[tuple[range, ...], ...]:
-    """Exponents of the children of a parent u within the box, c = 3B + 1 (0 for no bound).
-
-    Row u % 3, column bit_length(c // u): the exponents s = e of the
-    children (2^s u - 1)/3, from 2 for class 1 (e = 2n) and from 1 for
-    class 2 (e = 2n - 1), so 3 divides each numerator, up to the last with
-    2^s u <= c, and to 2 cap (class 1) or 2 cap - 1 (class 2) under a cap.
-    Leaves get an empty range.  With no bound, c // u is 0: one column.
-    Each entry is a range, so the table grows with the bound's bit length,
-    not its square; equal ranges (columns 2k + 1, 2k + 2) are one object.
-    """
-    ends = range(c.bit_length() + 2) if c else (2 * cap + 1,)
-    if cap is not None:
-        ends = [min(b, 2 * cap + 1) for b in ends]
-    empty = range(0)
-    shared = {empty: empty}
-    class1, class2 = (tuple(shared.setdefault(r, r) for r in (range(s, b, 2) for b in ends))
-                      for s in (2, 1))
-    return (empty,) * len(ends), class1, class2
-
-
-def _children(parents: Sequence[int], c: int,
-              table: tuple[tuple[range, ...], ...]) -> list[int]:
-    """The children within the box of parents, by parent, then sibling index.
-
-    A child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1,
-    that is when 2^s <= c // u, or s < bit_length(c // u).  Every exponent
-    the table lists has 2^s u = 1 (mod 3), so the child is (2^s u) // 3.
-    The root's run opens with 1, its own first child.
-    """
-    return [(u << s) // 3 for u in parents for s in table[u % 3][(c // u).bit_length()]]
-
-
-def _extra_digits(b: int, m: int) -> int:
-    """30-bit int digits beyond two a value held by a run of m siblings from a b-bit one.
-
-    Sibling j of the run has b + 2j bits.  Summed over the digits i >= 2 it
-    may pass, the siblings holding more than 30i bits are those with
-    j >= 15i - c, c = (b - 1) // 2: all m of them for each i <= c // 15,
-    and m + c - 15i for each i up to (m + c) // 15.
-    """
-    c = (b - 1) // 2
-    full = max(0, c // 15 - 1)  # digits past two that every sibling has
-    first, last = max(2, c // 15 + 1), (m + c) // 15
-    partial = max(0, last - first + 1)
-    return m * full + partial * (m + c) - 15 * (first + last) * partial // 2
-
-
-def _run_charge(b: int, m: int) -> int:
-    """Nodes charged for a run of m siblings from a b-bit one.
-
-    One a node, as for the 40 B of a value below 2^60 and its list slot,
-    plus a tenth of a node (4 B) for each digit past two.
-    """
-    return m + -(-_extra_digits(b, m) // 10)
-
-
-def _charge(parents: Sequence[int], c: int,
-            table: tuple[tuple[range, ...], ...]) -> tuple[int, int]:
-    """(children, nodes charged past them) of the runs of parents, from the table alone.
-
-    Each run is charged _run_charge of its length and first child's bits,
-    so the build can refuse a chunk before it grows any of it.
-    """
-    count = extra = 0
-    for u in parents:
-        exponents = table[u % 3][(c // u).bit_length()]
-        if exponents:
-            m = len(exponents)
-            count += m
-            extra += _run_charge(((u << exponents[0]) // 3).bit_length(), m) - m
-    return count, extra
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:

@@ -159,20 +159,26 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def _cmd_siblings(args: argparse.Namespace) -> int:
-    from .inverse import siblings
+    from .inverse import _charge, siblings
 
     family = siblings(args.u, count=args.count, bound=args.bound)
-    pairs = list(family.indexed())
+    # the run is priced in closed form, as a tree's chunk is, before any child is grown
+    count, extra = _charge((args.u,), *family._box())
+    max_nodes = _default_max_nodes()
+    if count + extra > max_nodes:
+        raise CapacityError(f"node budget {max_nodes} exhausted: {count} siblings "
+                            f"are charged {count + extra} nodes")
+    values = family.values()
     if args.output == "json":
         _emit_json({
             "parent": args.u,
             "count": args.count,
             "bound": args.bound,
-            "indices": [n for n, _ in pairs],
-            "values": [v for _, v in pairs],
+            "indices": list(range(1, len(values) + 1)),
+            "values": values,
         })
     else:
-        print(", ".join(str(v) for _, v in pairs))
+        print(*values, sep=", ")  # one value's text at a time, never the joined line
     return EXIT_OK
 
 

@@ -66,17 +66,13 @@ def decompose(x: int) -> OddInteger:
     return OddInteger(x, r, (x - r) // 3)
 
 
-# Memo cache of Z, 1-indexed with a [0] sentinel.  The terms are cheap to
-# recompute, so there is deliberately no persistent cache.
-_Z: list[int] = [0]
-
-
 def z_term(n: int) -> int:
-    """n-th term of Z: (2^(2n) - 1) / 3, equal to 1 + 4 + ... + 4^(n-1)."""
+    """n-th term of Z: (2^(2n) - 1) / 3, equal to 1 + 4 + ... + 4^(n-1).
+
+    Nothing is kept between calls: callers that need a row of terms keep it.
+    """
     _require_index(n)
-    if len(_Z) <= n:
-        _Z.extend(((1 << (2 * k)) - 1) // 3 for k in range(len(_Z), n + 1))
-    return _Z[n]
+    return ((1 << (2 * n)) - 1) // 3
 
 
 def w_term(n: int) -> int:

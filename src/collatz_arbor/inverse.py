@@ -9,20 +9,23 @@ for n >= 1; multiples of 3 have no children at all.  Every branch is a true
 preimage of the forward map, the family is strictly ascending, and consecutive
 children satisfy v_{n+1} = 1 + 4 v_n.  Several alternative expressions for v_n
 exist (via the parent's multiple, via the recurrence, via a partial geometric
-sum); the functions here compute more than one route and insist that the
-routes agree exactly.
+sum); g_branch, branch_forms and initial_vertex compute more than one route
+and insist that the routes agree exactly.
+
+A parent's run of children within a box, the exponents of g cut at a value
+bound or a sibling cap, has one home: _kernel_table and _children, which
+grow every level of arbor.build and every SiblingSet, priced in closed form
+by _charge before any child is grown.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator, Sequence
 
 from ._record import Record
 from .core import _require_index, _require_int, _require_odd_positive, z_term
 from .errors import InconsistencyError, LeafParentError
 
-# iter_siblings is deliberately not in __all__: the supported enumeration
-# surface is SiblingSet, which carries an explicit stop criterion.
 __all__ = ["g_branch", "branch_forms", "initial_vertex", "siblings", "SiblingSet"]
 
 
@@ -126,64 +129,122 @@ def initial_vertex(u: int) -> int:
     return v1
 
 
-def iter_siblings(u: int, first_index: int = 1) -> Iterator[tuple[int, int]]:
-    """Unbounded ascending stream of (n, v_n); callers impose their own stop.
+def _kernel_table(c: int, cap: int | None) -> tuple[tuple[range, ...], ...]:
+    """Exponents of the children of a parent u within the box, c = 3B + 1 (0 for no bound).
 
-    The first point is computed directly (with its internal cross-check) and
-    the rest by the recurrence v_{n+1} = 1 + 4 v_n.
+    Row u % 3, column bit_length(c // u): the exponents s = e of the
+    children (2^s u - 1)/3, from 2 for class 1 (e = 2n) and from 1 for
+    class 2 (e = 2n - 1), so 3 divides each numerator, up to the last with
+    2^s u <= c, and to 2 cap (class 1) or 2 cap - 1 (class 2) under a cap.
+    Leaves get an empty range.  With no bound, c // u is 0: one column.
+    Each entry is a range, so the table grows with the bound's bit length,
+    not its square; equal ranges (columns 2k + 1, 2k + 2) are one object.
     """
-    v = g_branch(u, first_index)
-    n = first_index
-    while True:
-        yield n, v
-        v = 1 + 4 * v
-        n += 1
+    ends = range(c.bit_length() + 2) if c else (2 * cap + 1,)
+    if cap is not None:
+        ends = [min(b, 2 * cap + 1) for b in ends]
+    empty = range(0)
+    shared = {empty: empty}
+    class1, class2 = (tuple(shared.setdefault(r, r) for r in (range(s, b, 2) for b in ends))
+                      for s in (2, 1))
+    return (empty,) * len(ends), class1, class2
+
+
+def _children(parents: Sequence[int], c: int,
+              table: tuple[tuple[range, ...], ...]) -> list[int]:
+    """The children within the box of parents, by parent, then sibling index.
+
+    A child (2^s u - 1)/3 is at most B exactly when 2^s u <= c = 3B + 1,
+    that is when 2^s <= c // u, or s < bit_length(c // u).  Every exponent
+    the table lists has 2^s u = 1 (mod 3), so the child is (2^s u) // 3.
+    The root's run opens with 1, its own first child.
+    """
+    return [(u << s) // 3 for u in parents for s in table[u % 3][(c // u).bit_length()]]
+
+
+def _extra_digits(b: int, m: int) -> int:
+    """30-bit int digits beyond two a value held by a run of m siblings from a b-bit one.
+
+    Sibling j of the run has b + 2j bits.  Summed over the digits i >= 2 it
+    may pass, the siblings holding more than 30i bits are those with
+    j >= 15i - c, c = (b - 1) // 2: all m of them for each i <= c // 15,
+    and m + c - 15i for each i up to (m + c) // 15.
+    """
+    c = (b - 1) // 2
+    full = max(0, c // 15 - 1)  # digits past two that every sibling has
+    first, last = max(2, c // 15 + 1), (m + c) // 15
+    partial = max(0, last - first + 1)
+    return m * full + partial * (m + c) - 15 * (first + last) * partial // 2
+
+
+def _run_charge(b: int, m: int) -> int:
+    """Nodes charged for a run of m siblings from a b-bit one.
+
+    One a node, as for the 40 B of a value below 2^60 and its list slot,
+    plus a tenth of a node (4 B) for each digit past two.
+    """
+    return m + -(-_extra_digits(b, m) // 10)
+
+
+def _charge(parents: Sequence[int], c: int,
+            table: tuple[tuple[range, ...], ...]) -> tuple[int, int]:
+    """(children, nodes charged past them) of the runs of parents, from the table alone.
+
+    Each run is charged _run_charge of its length and first child's bits,
+    so the build can refuse a chunk, and the command line a SiblingSet,
+    before it grows any of it.
+    """
+    count = extra = 0
+    for u in parents:
+        exponents = table[u % 3][(c // u).bit_length()]
+        if exponents:
+            m = len(exponents)
+            count += m
+            extra += _run_charge(((u << exponents[0]) // 3).bit_length(), m) - m
+    return count, extra
 
 
 class SiblingSet(Record):
-    """A parent plus a bounded view of its strictly ascending child stream.
+    """A parent plus a bounded view of its strictly ascending child run.
 
     Exactly one stop criterion is set: `count` keeps children v_1..v_count,
-    `bound` keeps those <= bound (sound, since the stream only ascends).
-    Iteration restarts the stream, so concurrent consumers are independent.
-    `depth` is optional placement metadata: children sit at `depth`, the
-    parent one level above.
+    `bound` keeps those <= bound (sound, since the run only ascends).  Each
+    read grows the whole run afresh through the build's kernel, so
+    concurrent consumers are independent.
     """
 
-    __slots__ = ("parent", "count", "bound", "depth")
-    _defaults = {"count": None, "bound": None, "depth": None}
+    __slots__ = ("parent", "count", "bound")
+    _defaults = {"count": None, "bound": None}
     parent: int
     count: int | None
     bound: int | None
-    depth: int | None
 
     def __post_init__(self) -> None:
         _require_parent(self.parent)
         if (self.count is None) == (self.bound is None):
             raise ValueError("exactly one of count/bound must be given")
-        for what in ("count", "bound", "depth"):
+        for what in ("count", "bound"):
             size = getattr(self, what)
             if size is not None:
                 _require_int(size, what)
                 if size < 1:
                     raise ValueError(f"{what} must be >= 1, got {size}")
 
-    def indexed(self) -> Iterator[tuple[int, int]]:
-        for n, v in iter_siblings(self.parent):
-            if self.count is not None and n > self.count:
-                return
-            if self.bound is not None and v > self.bound:
-                return
-            yield n, v
-
-    def __iter__(self) -> Iterator[int]:
-        return (v for _, v in self.indexed())
+    def _box(self) -> tuple[int, tuple[tuple[range, ...], ...]]:
+        """(c, table) of the kernel for this run: c = 3 bound + 1, or 0 with the count as cap."""
+        c = 0 if self.bound is None else 3 * self.bound + 1
+        return c, _kernel_table(c, self.count)
 
     def values(self) -> list[int]:
-        return list(self)
+        return _children((self.parent,), *self._box())
+
+    def indexed(self) -> Iterator[tuple[int, int]]:
+        return enumerate(self.values(), 1)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.values())
 
 
-def siblings(u: int, *, count: int | None = None, bound: int | None = None,
-             depth: int | None = None) -> SiblingSet:
+def siblings(u: int, *, count: int | None = None, bound: int | None = None) -> SiblingSet:
     """Bounded sibling set of parent u; exactly one stop criterion required."""
-    return SiblingSet(u, count=count, bound=bound, depth=depth)
+    return SiblingSet(u, count=count, bound=bound)

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from export_reference import reference_export
 
-from collatz_arbor import arbor
+from collatz_arbor import arbor, inverse
 from collatz_arbor.arbor import (
     DEFAULT_MAX_NODES,
     TruncationConfig,
@@ -236,9 +236,9 @@ class TestBuild:
         for b in range(1, 130):
             for m in range(0, 100):
                 digits = sum(max(0, -(-(b + 2 * j) // 30) - 2) for j in range(m))
-                assert arbor._extra_digits(b, m) == digits
-                assert arbor._run_charge(b, m) == m + -(-digits // 10)
-        assert arbor._run_charge(3, 29) == 29  # values below 2^61 cost one node each
+                assert inverse._extra_digits(b, m) == digits
+                assert inverse._run_charge(b, m) == m + -(-digits // 10)
+        assert inverse._run_charge(3, 29) == 29  # values below 2^61 cost one node each
 
     def test_store_bytes_per_node(self):
         # the bound list levels met (one int and one list slot a node, ~41 B);
@@ -315,13 +315,13 @@ class TestBuild:
     def test_kernel_table_holds_each_distinct_range_once(self, c, cap):
         # columns 2k + 1 and 2k + 2 of a row list the same exponents, as do
         # the columns a cap clamps, and every row has empty ranges
-        entries = [r for row in arbor._kernel_table(c, cap) for r in row]
+        entries = [r for row in inverse._kernel_table(c, cap) for r in row]
         assert len({id(r) for r in entries}) == len(set(entries))
 
     def test_bounded_run_past_2_60_is_charged_by_its_digits(self):
         # the root's children 5, 21, ..., (4^100 - 1)/3 all lie below 2^200:
         # 99 values of up to 7 digits, charged as a capped run of 99 is
-        charge = 1 + arbor._run_charge(3, 99)
+        charge = 1 + inverse._run_charge(3, 99)
         assert charge > 100
         box = {"max_depth": 1, "value_bound": 2**200}
         assert len(build(TruncationConfig(**box, max_nodes=charge))) == 100

@@ -1,16 +1,23 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatz_arbor import cli, verify
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "collatz_arbor.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -98,6 +105,27 @@ class TestSiblings:
         assert 10 ** (len(values[-1]) - 1) <= last < 10 ** len(values[-1])
         assert int(values[-1][-18:]) == last % 10**18
 
+    @pytest.mark.parametrize("count", ["100000", "100000000"])
+    def test_run_over_the_budget_exits_3(self, count):
+        # the run is charged in closed form (33.4 M nodes for 100,000
+        # siblings) and refused before any child is grown
+        start = time.perf_counter()
+        result = run_cli("siblings", "5", "--count", count, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: node budget ")
+        assert "Traceback" not in result.stderr
+
+    def test_env_var_budget(self):
+        # 200 siblings of 5 are charged 305 nodes
+        env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="305")
+        assert run_cli("siblings", "5", "--count", "200", env=env).returncode == 0
+        env["COLLATZ_ARBOR_MAX_NODES"] = "304"
+        result = run_cli("siblings", "5", "--count", "200", env=env)
+        assert result.returncode == 3
+        assert result.stdout == ""
+
 
 class TestTree:
     def test_jsonl_to_stdout(self):
@@ -143,13 +171,11 @@ class TestTree:
         assert "budget" in result.stderr
 
     def test_env_var_budget(self):
-        import os
         env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="10")
         result = run_cli("tree", "--depth", "6", "--bound", "1000000", env=env)
         assert result.returncode == 3
 
     def test_env_var_budget_needs_ascii_digits(self):
-        import os
         env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="\u0661\u0663")
         result = run_cli("tree", "--depth", "1", "--bound", "25", env=env)
         assert result.returncode == 2
@@ -303,3 +329,81 @@ class TestUsage:
     def test_unknown_subcommand(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
+
+
+# Small argument vectors for every subcommand, run in-process: zero, even,
+# multiple-of-3 and tiny values, malformed ones, counts past any budget, and
+# tiny budgets.  Every box is small or refused, so each run is quick.
+VALID = st.sampled_from(["5", "7", "11", "13"])  # odd, no multiple of 3, and >= 5
+TINY = st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "7", "9", "12", "27"])
+BAD = st.sampled_from(["-3", "1e3", "0x11", ""])
+OVER = st.sampled_from(["100000", "100000000"])
+
+
+def _value(values):
+    """A value from VALID or from values, 50:50."""
+    return st.booleans().flatmap(lambda valid: VALID if valid else values)
+
+
+def _arg(name, values):
+    return values.map(lambda v: [name, v])
+
+
+def _opt(name, values):
+    return st.just([]) | _arg(name, values)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: [a for part in lists for a in part])
+
+
+_OUTPUT = _opt("--output", st.sampled_from(["human", "json", "xml"]))
+_TREE = _argv(_opt("--depth", st.sampled_from(["0", "1", "2", "3"]) | BAD),
+              _opt("--bound", TINY | st.just("1000")), _opt("--sibling-cap", TINY),
+              _opt("--max-nodes", st.sampled_from(["0", "1", "5", "100"])),
+              _opt("--format", st.sampled_from(["jsonl", "csv", "dot"])))
+
+
+@st.composite
+def _verify_argv(draw):
+    # every box is given, so no default box runs; one of its fields is drawn from TINY
+    box = {"--parent-bound": "13", "--count": "5", "--max-d": "5", "--partners": "5",
+           "--depth": "7", "--bound": "200", "--conv-bound": "200", "--max-steps": "50"}
+    box[draw(st.sampled_from(sorted(box)))] = draw(TINY)
+    suite = draw(_opt("--suite", st.sampled_from(("all", "lemma1") + cli.defaults.SUITE_NAMES)))
+    return suite + [a for item in box.items() for a in item] + draw(_OUTPUT)
+
+
+ARGV = {
+    "trajectory": _argv(_value(TINY | BAD).map(lambda x: [x]), _opt("--max-steps", _value(TINY)),
+                        _OUTPUT),
+    # one stop criterion, both (a usage error) or none
+    "siblings": _argv(_value(TINY | BAD).map(lambda u: [u]), st.one_of(
+        _arg("--count", _value(TINY | BAD | OVER)), _arg("--bound", _value(TINY | OVER)),
+        _argv(_arg("--count", TINY), _arg("--bound", TINY)), st.just([])), _OUTPUT),
+    "tree": _TREE,
+    "export": _TREE,
+    "verify": _verify_argv(),
+    "cover": _argv(_arg("--bound", TINY | st.just("1000")), _arg("--depth", _value(TINY)),
+                   _opt("--report-bound", TINY), _opt("--max-nodes", TINY), _OUTPUT),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_small_argument_vectors_exit_cleanly(command, data):
+    argv = [command, *data.draw(ARGV[command])]
+    budget = data.draw(st.sampled_from([None, "1", "3", "100", "0", "x"]))
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", newline="\n", write_through=True)
+    with mock.patch.dict(os.environ), redirect_stdout(out), \
+            redirect_stderr(io.StringIO()) as err:
+        os.environ.pop(cli.MAX_NODES_ENV, None)
+        if budget is not None:
+            os.environ[cli.MAX_NODES_ENV] = budget
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, budget, code)
+    if code in (2, 3):  # a refused run writes nothing to stdout
+        assert raw.getvalue() == b"", (argv, budget, code)
+    assert "Traceback" not in err.getvalue()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,6 +86,16 @@ class TestZ:
     @given(indices)
     def test_closed_form_is_the_geometric_sum(self, n):
         assert z_term(n) == sum(4**i for i in range(n))
+
+    def test_keeps_no_terms(self):
+        # a memo of every term below n would hold about n^2 / 8 B: 18 MB for this 3 kB term
+        tracemalloc.start()
+        try:
+            z_term(12_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
 
 class TestW:

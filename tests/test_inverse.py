@@ -1,6 +1,6 @@
 import pytest
 
-from verify_reference import multiples_sequence
+from verify_reference import iter_siblings, multiples_sequence
 from collatz_arbor import inverse
 from collatz_arbor.errors import InconsistencyError, LeafParentError
 from collatz_arbor.forward import f_step
@@ -9,7 +9,6 @@ from collatz_arbor.inverse import (
     branch_forms,
     g_branch,
     initial_vertex,
-    iter_siblings,
     siblings,
 )
 

@@ -154,7 +154,6 @@ class TestRecords:
         (lambda: siblings(5, count=2.5), TypeError),
         (lambda: siblings(5, count=True), TypeError),
         (lambda: SiblingSet(5, bound=100.0), TypeError),
-        (lambda: SiblingSet(5, count=3, depth=False), TypeError),
     ])
     def test_constructor_checks_stay(self, make, bad):
         with pytest.raises(bad):
@@ -163,7 +162,7 @@ class TestRecords:
     def test_keyword_defaults(self):
         config = TruncationConfig(value_bound=10)
         assert (config.max_depth, config.sibling_cap, config.max_nodes) == (None, None, 10**7)
-        assert SiblingSet(5, bound=100).depth is None
+        assert SiblingSet(5, bound=100).count is None
         first, second = (VerificationReport("x", {}, True, None) for _ in range(2))
         assert first.statistics == {} and first.statistics is not second.statistics
 

@@ -3,6 +3,7 @@
 import io
 import re
 from contextlib import contextmanager
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -31,7 +32,6 @@ from collatz_arbor.inverse import (
     branch_forms,
     g_branch,
     initial_vertex,
-    iter_siblings,
     siblings,
 )
 from collatz_arbor.verify import check_convergence
@@ -144,7 +144,7 @@ def _reference_build(config):
         depth += 1
         level = []
         for u in frontier:
-            for n, v in iter_siblings(u, first_index=2 if u == 1 else 1):
+            for n, v in reference.iter_siblings(u, first_index=2 if u == 1 else 1):
                 if config.sibling_cap is not None and n > config.sibling_cap:
                     break
                 if config.value_bound is not None and v > config.value_bound:
@@ -219,7 +219,7 @@ def test_build_matches_reference_build(config):
         assert path_to(tree, v) == _reference_path(parents, v)
 
 
-# A bound at or above 2^60 charges every run by its digits (arbor._charge):
+# A bound at or above 2^60 charges every run by its digits (inverse._charge):
 # the stored values must not change.
 big_bound_boxes = st.builds(TruncationConfig, max_depth=st.integers(0, 2),
                             value_bound=st.integers(2**60, 2**90),
@@ -251,9 +251,9 @@ def test_kernel_matches_reference_run(u, cap, data):
     bounds = st.sampled_from([max(1, v - 1), v, v + 1]) | big_bounds
     bound = data.draw(bounds if cap is None else bounds | st.none())
     c = 0 if bound is None else 3 * bound + 1
-    run = arbor._children((u,), c, arbor._kernel_table(c, cap))
+    run = inverse._children((u,), c, inverse._kernel_table(c, cap))
     want = []
-    for n, w in iter_siblings(u, first_index=2 if u == 1 else 1):
+    for n, w in reference.iter_siblings(u, first_index=2 if u == 1 else 1):
         if (cap is not None and n > cap) or (bound is not None and w > bound):
             break
         assert w == g_branch(u, n)
@@ -262,6 +262,32 @@ def test_kernel_matches_reference_run(u, cap, data):
         assert run[0] == 1
         del run[0]
     assert run == want
+
+
+# The root, small parents and 256-bit ones; SiblingSet reads its run from the
+# build's kernel, and the stream it once read stays its oracle.
+sibling_parents = st.one_of(
+    st.just(1),
+    st.integers(0, 500).map(lambda k: 2 * k + 1).filter(lambda u: u % 3),
+    st.integers(2**254, 2**255 - 1).map(lambda k: 2 * k + 1).filter(lambda u: u % 3),
+)
+
+
+@given(sibling_parents, st.integers(1, 80), st.data())
+@settings(max_examples=200, deadline=None)
+def test_siblings_match_reference_stream(u, count, data):
+    want = [v for _, v in islice(reference.iter_siblings(u), count)]
+    assert siblings(u, count=count).values() == want
+    assert list(siblings(u, count=count).indexed()) == list(enumerate(want, 1))
+    # bounds at the last child, one either side of it, below the first, past the last
+    bound = max(1, data.draw(st.sampled_from([want[-1] - 1, want[-1], want[-1] + 1, 1,
+                                              4 * want[-1]]) | st.integers(1, 2**300)))
+    kept = []
+    for _, v in reference.iter_siblings(u):
+        if v > bound:
+            break
+        kept.append(v)
+    assert list(siblings(u, bound=bound)) == kept
 
 
 # array('I') levels below 2^32, array('Q') ones below 2^64; list levels for a

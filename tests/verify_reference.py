@@ -7,6 +7,11 @@ and every collision case builds a `CollisionProbe`.  The rewritten sweeps
 and per-object checks in `collatz_arbor.verify` must return the same
 reports, failed ones included.
 
+`iter_siblings`, the sibling stream that once served `inverse.siblings`,
+lives here unchanged: each run starts at `g_branch` and steps by
+v <- 1 + 4v, independently of the table kernel that now grows both every
+tree and every `SiblingSet`, so it is the oracle of both.
+
 `MultiplesSequence`/`multiples_sequence` and `CollisionProbe`/
 `check_collision_parity`, once public helpers of the package, live here as
 the multiples and collision oracles.  They read the base sequences through
@@ -23,12 +28,13 @@ patches together with verify's.
 """
 
 import time
+from collections.abc import Iterator
 from itertools import islice
 
 from collatz_arbor._record import Record
 from collatz_arbor.arbor import TruncatedArborescence
 from collatz_arbor.core import _require_index, w_term, z_term
-from collatz_arbor.inverse import _raw_branch, _require_parent, g_branch, iter_siblings
+from collatz_arbor.inverse import _raw_branch, _require_parent, g_branch
 from collatz_arbor.verify import (
     DEFAULT_MAX_OFFSET,
     DEFAULT_PARENT_BOUND,
@@ -42,6 +48,20 @@ from collatz_arbor.verify import (
     _require_covering_depth,
     _template_residue,
 )
+
+
+def iter_siblings(u: int, first_index: int = 1) -> Iterator[tuple[int, int]]:
+    """Unbounded ascending stream of (n, v_n); callers impose their own stop.
+
+    The first point is computed directly (with its internal cross-check) and
+    the rest by the recurrence v_{n+1} = 1 + 4 v_n.
+    """
+    v = g_branch(u, first_index)
+    n = first_index
+    while True:
+        yield n, v
+        v = 1 + 4 * v
+        n += 1
 
 
 class MultiplesSequence(Record):
