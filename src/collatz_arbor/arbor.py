@@ -24,7 +24,7 @@ from itertools import compress
 from typing import BinaryIO, NamedTuple
 
 from ._record import Record
-from .core import _require_int, _require_odd_positive
+from .core import _require_box, _require_int, _require_odd_positive
 from .defaults import DEFAULT_MAX_NODES, EXPORT_FORMATS
 from .errors import (
     CapacityError,
@@ -303,8 +303,6 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     whose items hold the bound (_TYPECODES: 'I' below 2^32, 'Q' below
     2^64), picked once per box.
     """
-    if config.value_bound is not None and config.value_bound < ROOT:
-        raise ValueError("value_bound excludes the root")
     bound, cap, max_nodes = config.value_bound, config.sibling_cap, config.max_nodes
     dense = bound is not None and bound // 16 <= max_nodes
     members = _OddBitmap(bound) if dense else set()
@@ -414,11 +412,11 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
 def _edge_index(parent: int, child: int) -> int:
     """Sibling index n with child the n-th branch of parent, else NonEdgeError.
 
-    3 child + 1 must be parent times a power of two 2^e, with e even for a
-    class-1 parent (e = 2n) and odd for a class-2 parent (e = 2n - 1).
+    It checks no argument: callers pass odd positive ints.  3 child + 1 must
+    be parent times a power of two 2^e.  Then 2^e parent = 1 (mod 3), so
+    divisibility alone makes e even for a class-1 parent (e = 2n) and odd
+    for a class-2 parent (e = 2n - 1), and n = (e + 1) div 2.
     """
-    _require_odd_positive(parent, "parent")
-    _require_odd_positive(child, "child")
     if parent % 3 == 0:
         raise NonEdgeError(f"{parent} is a leaf and has no outgoing edges")
     q, rem = divmod(3 * child + 1, parent)
@@ -426,10 +424,7 @@ def _edge_index(parent: int, child: int) -> int:
         raise NonEdgeError(f"3*{child} + 1 is not a multiple of {parent}")
     if q < 2 or q & (q - 1):
         raise NonEdgeError(f"3*{child} + 1 = {q} * {parent} with {q} not a power of two")
-    e = q.bit_length() - 1
-    if e & 1 != parent % 3 - 1:
-        raise NonEdgeError(f"class-{parent % 3} parent {parent} cannot spend exponent {e}")
-    return (e + 1) >> 1
+    return q.bit_length() >> 1  # q = 2^e has e + 1 bits, and n = (e + 1) div 2
 
 
 def classify_edge(parent: int, child: int) -> str:
@@ -440,6 +435,8 @@ def classify_edge(parent: int, child: int) -> str:
     asserted here; later children always ascend past the parent regardless
     of class.
     """
+    _require_odd_positive(parent, "parent")
+    _require_odd_positive(child, "child")
     n = _edge_index(parent, child)
     if child > parent:
         kind = "ascending"
@@ -535,9 +532,7 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     made, and before the table when the tree is too small to cover all but
     max_nodes of the window.
     """
-    _require_int(bound, "bound")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    _require_box(bound=bound)
     if tree.config.value_bound is not None and bound > tree.config.value_bound:
         raise ValueError(
             f"report bound {bound} exceeds the tree's value bound {tree.config.value_bound}"

@@ -169,16 +169,16 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
         raise CapacityError(f"node budget {max_nodes} exhausted: {count} siblings "
                             f"are charged {count + extra} nodes")
     values = family.values()
+    # one value's text at a time, never the joined line; JSON as json.dumps(sort_keys=True)
     if args.output == "json":
-        _emit_json({
-            "parent": args.u,
-            "count": args.count,
-            "bound": args.bound,
-            "indices": list(range(1, len(values) + 1)),
-            "values": values,
-        })
+        bound, count = _dumps(args.bound), _dumps(args.count)
+        print(f'{{"bound": {bound}, "count": {count}, "indices": [', end="")
+        print(*range(1, len(values) + 1), sep=", ", end="")
+        print(f'], "parent": {args.u}, "values": [', end="")
+        print(*values, sep=", ", end="")
+        print("]}")
     else:
-        print(*values, sep=", ")  # one value's text at a time, never the joined line
+        print(*values, sep=", ")
     return EXIT_OK
 
 

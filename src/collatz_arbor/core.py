@@ -26,10 +26,12 @@ def _require_odd_positive(x: int, what: str = "x") -> None:
         raise ValueError(f"{what} must be odd, got {x}")
 
 
-def _require_index(n: int, what: str = "n") -> None:
-    _require_int(n, what)
-    if n < 1:
-        raise ValueError(f"{what} must be >= 1, got {n}")
+def _require_box(least: int = 1, **sizes: int) -> None:
+    """Each named size (n, count, parent_bound, ...) must be an int >= least."""
+    for what, size in sizes.items():
+        _require_int(size, what)
+        if size < least:
+            raise ValueError(f"{what} must be >= {least}, got {size}")
 
 
 class OddInteger(Record):
@@ -71,7 +73,7 @@ def z_term(n: int) -> int:
 
     Nothing is kept between calls: callers that need a row of terms keep it.
     """
-    _require_index(n)
+    _require_box(n=n)
     return ((1 << (2 * n)) - 1) // 3
 
 
@@ -90,7 +92,7 @@ class BaseSequences(Record):
 
 def base_sequences(count: int) -> BaseSequences:
     """First `count` terms of both base sequences."""
-    _require_index(count, "count")
+    _require_box(count=count)
     return BaseSequences(
         z={n: z_term(n) for n in range(1, count + 1)},
         w={n: w_term(n) for n in range(1, count + 1)},

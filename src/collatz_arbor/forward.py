@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ._record import Record
-from .core import _require_int, _require_odd_positive
+from .core import _require_box, _require_odd_positive
 from .defaults import DEFAULT_MAX_STEPS
 
 __all__ = [
@@ -26,22 +26,12 @@ __all__ = [
 
 def valuation2(m: int) -> int:
     """Largest a with 2^a dividing m.  Rejects odd or nonpositive input."""
-    _require_int(m, "m")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    _require_box(2, m=m)
     if m % 2:
         raise ValueError(f"m must be even, got {m}")
     # trailing-zero count: the paper's a(x) for m = 3x + 1, which f_step,
     # trajectory and the sweeps compute inline
     return (m & -m).bit_length() - 1
-
-
-def _require_start(x0: int, max_steps: int) -> None:
-    """x0 must be odd and positive, and max_steps an int >= 1."""
-    _require_odd_positive(x0, "x0")
-    _require_int(max_steps, "max_steps")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
 
 def f_step(x: int) -> tuple[int, int]:
@@ -99,7 +89,8 @@ def trajectory(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
     Budget exhaustion is a normal outcome (converged=False), not an error.
     The arguments are checked once; each step is f_step's arithmetic, inlined.
     """
-    _require_start(x0, max_steps)
+    _require_odd_positive(x0, "x0")
+    _require_box(max_steps=max_steps)
     values = [x0]
     exponents: list[int] = []
     x = x0
@@ -116,7 +107,8 @@ def trajectory(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryRecord:
 
 def trajectory_summary(x0: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectorySummary:
     """Like trajectory() but retains only (length, peak); O(1) memory."""
-    _require_start(x0, max_steps)
+    _require_odd_positive(x0, "x0")
+    _require_box(max_steps=max_steps)
     x = x0
     peak = x0
     steps = 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from ._record import Record
-from .core import _require_index, _require_int, _require_odd_positive, z_term
+from .core import _require_box, _require_odd_positive, z_term
 from .errors import InconsistencyError, LeafParentError
 
 __all__ = ["g_branch", "branch_forms", "initial_vertex", "siblings", "SiblingSet"]
@@ -36,13 +36,6 @@ def _require_parent(u: int) -> int:
     if r == 0:
         raise LeafParentError(f"{u} is a multiple of 3 and has no children")
     return r
-
-
-def _branch_exponent(u: int, n: int) -> int:
-    """Power of two consumed by the n-th branch: 2n for class 1, 2n-1 for class 2."""
-    r = _require_parent(u)
-    _require_index(n)
-    return 2 * n if r == 1 else 2 * n - 1
 
 
 def _raw_branch(u: int, e: int, z: int) -> int:
@@ -69,9 +62,12 @@ def g_branch(u: int, n: int) -> int:
     """The n-th child of parent u, cross-checked against the multiple form.
 
     Checks u and n, then computes (2^e u - 1) / 3 with e the class-determined
-    exponent through _raw_branch, which asserts it equals z_n + 2^e (u div 3).
+    exponent (2n for class 1, 2n - 1 for class 2) through _raw_branch, which
+    asserts it equals z_n + 2^e (u div 3).
     """
-    return _raw_branch(u, _branch_exponent(u, n), z_term(n))
+    r = _require_parent(u)
+    _require_box(n=n)
+    return _raw_branch(u, 2 * n if r == 1 else 2 * n - 1, z_term(n))
 
 
 def branch_forms(u: int, n: int) -> dict[str, int]:
@@ -82,7 +78,7 @@ def branch_forms(u: int, n: int) -> dict[str, int]:
     sum added to v_1).
     """
     r = _require_parent(u)
-    _require_index(n)
+    _require_box(n=n)
     e = 2 * n if r == 1 else 2 * n - 1
     transition = ((1 << e) * u - 1) // 3
     multiple = z_term(n) + (1 << e) * (u // 3)
@@ -223,12 +219,8 @@ class SiblingSet(Record):
         _require_parent(self.parent)
         if (self.count is None) == (self.bound is None):
             raise ValueError("exactly one of count/bound must be given")
-        for what in ("count", "bound"):
-            size = getattr(self, what)
-            if size is not None:
-                _require_int(size, what)
-                if size < 1:
-                    raise ValueError(f"{what} must be >= 1, got {size}")
+        what = "count" if self.bound is None else "bound"
+        _require_box(**{what: getattr(self, what)})
 
     def _box(self) -> tuple[int, tuple[tuple[range, ...], ...]]:
         """(c, table) of the kernel for this run: c = 3 bound + 1, or 0 with the count as cap."""

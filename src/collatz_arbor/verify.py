@@ -15,10 +15,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .core import _require_int, w_term, z_term
+from .core import _require_box, w_term, z_term
 from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOUND,
                        DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
                        DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
@@ -113,14 +113,6 @@ def _parents_up_to(bound: int) -> Iterator[int]:
     for u in range(1, bound + 1, 2):
         if u % 3:
             yield u
-
-
-def _require_box(least: int = 1, **sizes: int) -> None:
-    """Each named size of a box (parent_bound, count, max_d, ...) must be an int >= least."""
-    for what, size in sizes.items():
-        _require_int(size, what)
-        if size < least:
-            raise ValueError(f"{what} must be >= {least}, got {size}")
 
 
 def _template_residue(template: tuple[int, int, tuple[int, int, int]], n: int) -> int:
@@ -252,12 +244,8 @@ def _multiples_kernel(count: int) -> Callable[[int], dict | None]:
     def counterexample(u: int) -> dict | None:
         # a term off its closed form first, else the first that does not ascend
         v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
-        r1, mu = v % 3, v // 3
-        prev = (v - r1) // 3
-        if prev != mu:
-            return {"u": u, "n": 1, "direct": prev, "closed_form": mu,
-                    "first_child_residue": r1}
-        m = mu - 1 if r1 == 2 else mu
+        r1, prev = v % 3, v // 3  # m_1, the multiple of v_1, is its closed form
+        m = prev - 1 if r1 == 2 else prev
         descent = None
         for n, w, scale in rows[r1]:
             v = 1 + 4 * v
@@ -283,6 +271,11 @@ def check_multiples(u: int, count: int) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # tree checks
+
+
+def _stored_levels(tree: TruncatedArborescence) -> list[Sequence[int]]:
+    """Every stored level but the root's, in depth order: each value there has a parent."""
+    return [tree.levels[k] for k in sorted(tree.levels) if k]
 
 
 def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
@@ -311,6 +304,7 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     evaluation rather than the recurrence the builder uses, and occurrences
     are counted rather than aborting on first repeat.  The parents are
     stored values, odd and not multiples of 3, so the raw kernel takes them.
+    The derived children must be the values of the stored levels but the root's.
     """
     from .arbor import ROOT
 
@@ -328,42 +322,43 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
             counts[child] += 1
             n += 1
     run.cases = counts.total()  # every child derived
-    duplicates = sorted(v for v, c in counts.items() if c > 1)
-    stored = set(tree.parent) - {ROOT}
-    derived = set(counts)
-    if duplicates:
-        v = duplicates[0]
-        return run.report({"value": v, "occurrences": counts[v]})
-    if derived != stored:
-        off = sorted(derived.symmetric_difference(stored))
+    duplicate = min((v for v, c in counts.items() if c > 1), default=None)
+    if duplicate is not None:
+        return run.report({"value": duplicate, "occurrences": counts[duplicate]})
+    stored = {v for level in _stored_levels(tree) for v in level}
+    if counts.keys() != stored:
+        off = sorted(counts.keys() ^ stored)
         return run.report({"value": off[0],
                            "reason": "derived child set differs from stored nodes"})
     return run.report()
 
 
 def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
-    """Every stored parent link must be an edge whose index reproduces the child.
+    """Every stored value's link must be an edge from a stored parent that reproduces it.
 
-    The sibling index is recovered from the link by the edge test, then the
-    child is re-derived from (parent, index) by direct branch evaluation
-    through the raw kernel, since the edge test has checked the parent.
+    Over the stored levels but the root's, in order: the parent f(value)
+    comes from arbor._link, the sibling index from the edge test (stored
+    values are odd and positive, so it checks no argument), and the child is
+    re-derived from (parent, index) through the raw branch kernel.
     """
-    from .arbor import _edge_index
+    from . import arbor  # read at each run, so a patched _link is the one checked
 
+    link, edge_index, members = arbor._link, arbor._edge_index, tree.members
     run = _Run("parent_pointers", {"nodes": len(tree)})
     zs = [0]
-    for value, parent in tree.parent.items():
-        if parent is None:
-            continue
-        run.cases += 1
-        if parent not in tree:
-            return run.report({"value": value, "parent": parent, "reason": "parent not stored"})
-        try:
-            n = _edge_index(parent, value)
-        except NonEdgeError as exc:
-            return run.report({"value": value, "parent": parent, "reason": str(exc)})
-        if _branch(parent, n, zs) != value:
-            return run.report({"value": value, "parent": parent, "sibling_index": n})
+    for level in _stored_levels(tree):
+        for value in level:
+            run.cases += 1
+            parent = link(value)[0]
+            if parent not in members:
+                return run.report({"value": value, "parent": parent,
+                                   "reason": "parent not stored"})
+            try:
+                n = edge_index(parent, value)
+            except NonEdgeError as exc:
+                return run.report({"value": value, "parent": parent, "reason": str(exc)})
+            if _branch(parent, n, zs) != value:
+                return run.report({"value": value, "parent": parent, "sibling_index": n})
     return run.report()
 
 
@@ -385,31 +380,34 @@ def check_covering(tree: TruncatedArborescence) -> VerificationReport:
     template residues 1, 17, 9, 5, 21, 13 mod 24 all do.  (d), no value in
     both classes, holds as a value's parent is f(value).  Parents of
     template keys absent from the tree are reported as warnings in the
-    statistics, not failures.
+    statistics, not failures.  Each value of the stored levels but the
+    root's takes its parent and sibling index from arbor._link.
     """
+    from . import arbor  # read at each run, so a patched _link is the one checked
+
     _require_covering_depth(tree)
+    link = arbor._link
     cfg = tree.config
     run = _Run("covering_patterns", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound})
     realized: set[int] = set()  # residues mod 12 of the class-2 children
     class2 = 0
     seen_keys: set[tuple[int, int]] = set()
-    for value, info in tree.records():
-        if info.parent is None:
-            continue
-        run.cases += 1
-        parent_class = info.parent % 3
-        key = (parent_class, (info.parent // 3) % 3)
-        seen_keys.add(key)
-        template = INITIAL_RESIDUE_TEMPLATES[key]
-        modulus, expected = template[0], _template_residue(template, info.sibling_index)
-        if value % modulus != expected:
-            return run.report({"value": value, "parent": info.parent,
-                               "sibling_index": info.sibling_index,
-                               "expected_mod": expected, "modulus": modulus,
-                               "observed": value % modulus})
-        if parent_class == 2:
-            class2 += 1
-            realized.add(value % 12)
+    for level in _stored_levels(tree):
+        for value in level:
+            parent, n = link(value)
+            run.cases += 1
+            parent_class = parent % 3
+            key = (parent_class, (parent // 3) % 3)
+            seen_keys.add(key)
+            template = INITIAL_RESIDUE_TEMPLATES[key]
+            modulus, expected = template[0], _template_residue(template, n)
+            if value % modulus != expected:
+                return run.report({"value": value, "parent": parent, "sibling_index": n,
+                                   "expected_mod": expected, "modulus": modulus,
+                                   "observed": value % modulus})
+            if parent_class == 2:
+                class2 += 1
+                realized.add(value % 12)
     if realized != {1, 3, 5, 7, 9, 11}:
         return run.report({"missing_classes_mod_12": sorted({1, 3, 5, 7, 9, 11} - realized)})
     warnings = [f"no parent with template key {key}" for key in
@@ -472,8 +470,8 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     For each forward step x -> y with exponent a, the start x must reappear
     as the child of y at the index the exponent implies (a = 2n for class-1
     y, a = 2n - 1 for class-2), through the raw branch kernel with the
-    checked z_n.  Reports the largest step count and the largest excursion
-    seen.
+    checked z_n; the exponent always fits y's class, as 2^a y = 3x + 1 = 1
+    (mod 3).  Reports the largest step count and the largest excursion seen.
 
     Starts are swept in ascending order, and each orbit is walked and checked
     only until it drops below its start or reaches a value whose step count
@@ -518,11 +516,6 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             t = 3 * x + 1
             a = (t & -t).bit_length() - 1
             y = t >> a
-            ry = y % 3
-            if ry == 0 or a % 2 != (0 if ry == 1 else 1):
-                return run.report({"start": x0, "x": x, "image": y, "exponent": a,
-                                   "reason": "image class incompatible with exponent"},
-                                  max_steps_observed=max_len, max_excursion=max_peak)
             n = (a + 1) >> 1
             if n >= len(zs):
                 zs.extend(z_term(k) for k in range(len(zs), n + 1))
@@ -664,12 +657,15 @@ def run_suite(name: str, *,
               tree_depth: int = DEFAULT_TREE_DEPTH,
               tree_bound: int = DEFAULT_TREE_BOUND,
               convergence_bound: int = DEFAULT_PARENT_BOUND,
-              max_steps: int = DEFAULT_MAX_STEPS,
-              tree: TruncatedArborescence | None = None) -> list[VerificationReport]:
-    """Run one named suite (or "all") and return its reports in order."""
+              max_steps: int = DEFAULT_MAX_STEPS) -> list[VerificationReport]:
+    """Run one named suite (or "all") and return its reports in order.
+
+    The tree checks share one tree, built in the (tree_depth, tree_bound) box.
+    """
     name = SUITE_ALIASES.get(name, name)
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
+    tree = None
 
     def _tree() -> TruncatedArborescence:
         nonlocal tree
@@ -690,11 +686,8 @@ def run_suite(name: str, *,
     if {"uniqueness", "covering"} & set(wanted):
         # a tree of the root alone would pass the tree checks with cases=0;
         # the root's first child is 5
-        if tree is None:
-            _require_box(tree_depth=tree_depth)
-            _require_box(5, tree_bound=tree_bound)
-        elif tree.max_depth < 1:
-            raise ValueError("the tree holds only the root")
+        _require_box(tree_depth=tree_depth)
+        _require_box(5, tree_bound=tree_bound)
     if "covering" in wanted:
         _require_covering_depth(_tree())
     if "partition" in wanted:

@@ -230,6 +230,17 @@ class TestBuild:
             assert len(tree) == cap  # the root and its children 2..cap
         assert peak <= 48 * max_nodes
 
+    def test_set_charge_refuses_a_level(self, monkeypatch):
+        # a cap-only box keeps a set, whose members past the first 4,096 are
+        # charged two nodes more each: that charge, not the values, is what
+        # the budget cannot pay at depth 6
+        config = TruncationConfig(max_depth=8, sibling_cap=6, max_nodes=6237)
+        with pytest.raises(CapacityError, match="^node budget 6237 exhausted at depth 6$"):
+            build(config)
+        monkeypatch.setattr(arbor, "_SET_CHARGE", 0)
+        with pytest.raises(CapacityError, match="^node budget 6237 exhausted at depth 7$"):
+            build(config)
+
     def test_run_charge_closed_form(self):
         # sibling j of a run from a b-bit value has b + 2j bits; each 30-bit
         # digit past two is charged as a tenth of a node

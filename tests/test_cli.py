@@ -93,6 +93,38 @@ class TestSiblings:
         assert payload["values"] == [3, 13, 53]
         assert payload["indices"] == [1, 2, 3]
 
+    @pytest.mark.parametrize("u, stop", [(5, ("--count", "40")), (7, ("--bound", "100000")),
+                                         (5, ("--bound", "2")), (1, ("--count", "1"))])
+    def test_json_is_json_dumps_of_the_payload(self, u, stop):
+        # written value by value, byte for byte as json.dumps(payload, sort_keys=True)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["siblings", str(u), *stop, "--output", "json"]) == 0
+        count = int(stop[1]) if stop[0] == "--count" else None
+        bound = int(stop[1]) if stop[0] == "--bound" else None
+        e1 = 2 if u % 3 == 1 else 1
+        values = []
+        for n in range(1, 100):
+            v = ((u << (e1 + 2 * (n - 1))) - 1) // 3
+            if (count is not None and n > count) or (bound is not None and v > bound):
+                break
+            values.append(v)
+        payload = {"parent": u, "count": count, "bound": bound,
+                   "indices": list(range(1, len(values) + 1)), "values": values}
+        assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_json_run_peak_rss(self):
+        # the 8,000 values hold about 8 MB; the JSON text of the whole
+        # payload, held at once, took the run to 64.5 MB
+        probe = ("import resource, subprocess, sys; subprocess.run([sys.executable, '-m', "
+                 "'collatz_arbor.cli', 'siblings', '5', '--count', '8000', '--output', 'json'], "
+                 "stdout=subprocess.DEVNULL, check=True); "
+                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr[-500:]
+        peak_kib = int(result.stdout) // (1024 if sys.platform == "darwin" else 1)  # bytes there
+        assert peak_kib < 40 * 1024
+
     def test_values_past_4300_digits(self):
         # v_7200 of 5 has 4,335 digits; printing it once exited 2 after the
         # values were all computed

@@ -155,6 +155,37 @@ class TestUniqueness:
         assert report.counterexample["value"] == 13
         assert report.counterexample["parent"] == 21
 
+    @pytest.fixture
+    def stray_tree(self):
+        """The (2, 60) tree with 7 stored at depth 2, whose parent f(7) = 11 is not stored."""
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.levels[2].append(7)
+        tree.members.update((7,))
+        return tree
+
+    def test_parent_pointers_report_a_parent_not_stored(self, stray_tree):
+        report = check_parent_pointers(stray_tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {"value": 7, "parent": 11,
+                                            "reason": "parent not stored"}
+        assert report["statistics"]["cases"] == 6  # 5, 21, 3, 13, 53, then 7
+
+    def test_uniqueness_reports_a_stored_value_no_parent_derives(self, stray_tree):
+        report = check_uniqueness(stray_tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {
+            "value": 7, "reason": "derived child set differs from stored nodes"}
+        assert report["statistics"]["cases"] == 5
+
+    def test_parent_pointers_report_a_level_value_the_store_lacks(self):
+        # 5 stays in level 1 but its bit is cleared: its child 3 is the first
+        # value whose parent is not stored
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.members.bits[5 >> 4] &= ~(1 << (5 >> 1 & 7))
+        tree.members.count -= 1
+        report = check_parent_pointers(tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {"value": 3, "parent": 5,
+                                            "reason": "parent not stored"}
+        assert report["statistics"]["cases"] == 3
+
 
 class TestCovering:
     def test_root_template(self):
@@ -330,13 +361,10 @@ class TestSweepsAndSuites:
         assert len(reports) == 1
         assert reports[0].check_name == "residue_cycle"
 
-    def test_root_only_tree_is_rejected(self):
-        with pytest.raises(ValueError, match="^the tree holds only the root$"):
-            run_suite("uniqueness", tree=build(TruncationConfig(max_depth=0, value_bound=100)))
-
-    def test_all_reports_pass_on_small_boxes(self, tree_k6):
+    def test_all_reports_pass_on_small_boxes(self):
+        # the tree checks run on the default box, the tree_k6 fixture's
         reports = run_suite("all", parent_bound=500, count=12, max_d=12,
-                            partners=50, convergence_bound=500, tree=tree_k6)
+                            partners=50, convergence_bound=500)
         assert len(reports) == 12
         assert all(r.passed for r in reports)
 
@@ -485,12 +513,12 @@ class TestSweepFaults:
         _same_failed_report(check_residue_cycle(11, 27),
                             verify_reference.reference_check_residue_cycle(11, 27))
 
-    def test_collision(self, monkeypatch):
-        # z_3 = 21 adds one to exactly one probe: d = 3, mixed class,
-        # partner 7, where the other summand is 2^5 * 7 = 224
+    @staticmethod
+    def _skew_z3(monkeypatch, summand):
+        """Make z_3 = 21 add one more to the probe whose other summand is `summand`."""
         class Skewed(int):
             def __radd__(self, other):
-                return int(other) + int(self) + (other == 224)
+                return int(other) + int(self) + (other == summand)
 
         real = verify.z_term
 
@@ -499,11 +527,37 @@ class TestSweepFaults:
 
         monkeypatch.setattr(verify, "z_term", skewed)
         monkeypatch.setattr(verify_reference, "z_term", skewed)
+
+    def test_collision(self, monkeypatch):
+        # z_3 = 21 adds one to exactly one probe: d = 3, mixed class,
+        # partner 7, where the other summand is 2^5 * 7 = 224
+        self._skew_z3(monkeypatch, 224)
         report = _same_failed_report(collision_parity_sweep(5, 10),
                                      verify_reference.reference_collision_parity_sweep(5, 10))
         assert report["counterexample"] == {"d": 3, "partner_multiple": 7, "same_class": False,
                                             "required_multiple": 246}
         assert report["statistics"]["cases"] == 2 * 2 * 10 + 2 * 3 + 1
+
+    def test_collision_same_class(self, monkeypatch):
+        # 2^6 * 6 = 384 is no mixed summand at d = 3 (those are 2^5 times an
+        # odd partner), so only the same-class probe with partner 6 fails
+        self._skew_z3(monkeypatch, 384)
+        report = _same_failed_report(collision_parity_sweep(5, 10),
+                                     verify_reference.reference_collision_parity_sweep(5, 10))
+        assert report["counterexample"] == {"d": 3, "partner_multiple": 6, "same_class": True,
+                                            "required_multiple": 406}
+        assert report["statistics"]["cases"] == 2 * 2 * 10 + 2 * 3 + 2
+
+    def test_covering_templates(self, corrupt_branch):
+        # the first child of 7 (template (1, 2): 9 mod 24) two too large;
+        # 1 and 5 pass their eight children first
+        corrupt_branch(7, 2, lambda v: v + 2)
+        report = _same_failed_report(
+            check_covering_templates(100, 8),
+            verify_reference.reference_check_covering_templates(100, 8))
+        assert report["counterexample"] == {"u": 7, "n": 1, "value": 11, "modulus": 24,
+                                            "expected": 9, "observed": 11}
+        assert report["statistics"]["cases"] == 2 * 8 + 1
 
     def test_adjacent_initials(self, corrupt_branch):
         # the first child of 7 (class 1, exponent 2) three too large: the

@@ -33,7 +33,7 @@ from itertools import islice
 
 from collatz_arbor._record import Record
 from collatz_arbor.arbor import TruncatedArborescence
-from collatz_arbor.core import _require_index, w_term, z_term
+from collatz_arbor.core import _require_box, w_term, z_term
 from collatz_arbor.inverse import _raw_branch, _require_parent, g_branch
 from collatz_arbor.verify import (
     DEFAULT_MAX_OFFSET,
@@ -44,7 +44,6 @@ from collatz_arbor.verify import (
     VerificationReport,
     _finish,
     _parents_up_to,
-    _require_box,
     _require_covering_depth,
     _template_residue,
 )
@@ -103,7 +102,7 @@ def multiples_sequence(u: int, count: int) -> MultiplesSequence:
     raised; callers decide what a mismatch means.
     """
     _require_parent(u)
-    _require_index(count, "count")
+    _require_box(count=count)
     children = [v for _, v in islice(iter_siblings(u), count)]
     terms = tuple((v - v % 3) // 3 for v in children)
     r1 = children[0] % 3
