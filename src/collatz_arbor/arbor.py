@@ -137,7 +137,8 @@ class _OddBitmap:
     """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
 
     Bit j of the bytearray stands for the value 2j + 1.  It offers the build
-    what a set would (`in`, `len`, `update`, `issuperset`).
+    what a set would (`in`, `len`, `update`, `issuperset`), and iterates its
+    values in ascending order (only a failed check_uniqueness reads them).
     """
 
     __slots__ = ("bits", "bound", "count")
@@ -154,6 +155,10 @@ class _OddBitmap:
     def __contains__(self, value: object) -> bool:
         return (isinstance(value, int) and 0 < value <= self.bound and value & 1 == 1
                 and self.bits[value >> 4] >> (value >> 1 & 7) & 1 == 1)
+
+    def __iter__(self) -> Iterator[int]:
+        bits = self.bits
+        return (v for v in range(1, 16 * len(bits), 2) if bits[v >> 4] >> (v >> 1 & 7) & 1)
 
     def issuperset(self, values: Iterable[int]) -> bool:
         """Whether every value is marked, as set.issuperset; the bit test is inlined."""
@@ -430,27 +435,16 @@ def _edge_index(parent: int, child: int) -> int:
 def classify_edge(parent: int, child: int) -> str:
     """"ascending", "descending", or "lateral" (the self-loop of 1 only).
 
-    For initial children (n = 1) of non-root parents the direction is forced
-    by the parent's class: class 1 ascends, class 2 descends.  That rule is
-    asserted here; later children always ascend past the parent regardless
-    of class.
+    For initial children (n = 1) of non-root parents the direction follows
+    the parent's class: class 1 ascends, class 2 descends, a rule that
+    initial_vertex checks.  Later children always ascend past the parent.
     """
     _require_odd_positive(parent, "parent")
     _require_odd_positive(child, "child")
-    n = _edge_index(parent, child)
+    _edge_index(parent, child)
     if child > parent:
-        kind = "ascending"
-    elif child < parent:
-        kind = "descending"
-    else:
-        kind = "lateral"
-    if n == 1 and parent > ROOT:
-        expect_ascending = parent % 3 == 1
-        if (kind == "ascending") != expect_ascending:
-            raise InconsistencyError(
-                f"initial edge ({parent}, {child}) violates the class direction rule"
-            )
-    return kind
+        return "ascending"
+    return "descending" if child < parent else "lateral"
 
 
 class _FirstDepth(Mapping):

@@ -7,7 +7,6 @@ Z grow like 4^n / 3, so fixed-width types are out of the question.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import InconsistencyError
 
 __all__ = ["OddInteger", "decompose", "z_term", "w_term", "BaseSequences", "base_sequences"]
 
@@ -53,11 +52,6 @@ class OddInteger(Record):
         if 3 * self.multiple + self.residue != self.value:
             raise ValueError(
                 f"decomposition broken: 3*{self.multiple} + {self.residue} != {self.value}"
-            )
-        want_even = self.residue == 1
-        if (self.multiple % 2 == 0) != want_even:
-            raise InconsistencyError(
-                f"multiple {self.multiple} has impossible parity for residue {self.residue}"
             )
 
 

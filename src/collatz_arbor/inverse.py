@@ -38,21 +38,27 @@ def _require_parent(u: int) -> int:
     return r
 
 
-def _raw_branch(u: int, e: int, z: int) -> int:
-    """(2^e u - 1) / 3, cross-checked against the multiple form z + 2^e (u div 3).
+def _raw_branch(u: int, e: int) -> int:
+    """(2^e u - 1) / 3, the branch of u with exponent e: the one home of g's division.
 
-    The one home of the branch formula.  It checks no argument: callers pass
-    a parent u, the exponent e of its n-th branch and z = z_n.  Raises
-    InconsistencyError when 3 does not divide 2^e u - 1 or when the two
-    forms differ.
+    It checks no argument: callers pass a parent u and the exponent e of
+    one of its branches.  Raises InconsistencyError when 3 does not divide
+    2^e u - 1.
     """
     t = (u << e) - 1
     if t % 3:
         raise InconsistencyError(f"2^{e} * {u} - 1 is not divisible by 3")
-    v = t // 3
+    return t // 3
+
+
+def _multiple_form(u: int, e: int, v: int, z: int) -> int:
+    """v, u's branch of exponent e, once it equals the multiple form z + 2^e (u div 3).
+
+    The one home of that cross-check, with z = z_n; e = 2n or 2n - 1, so
+    n = (e + 1) div 2 in both classes.  Raises InconsistencyError on a mismatch.
+    """
     alt = z + ((u // 3) << e)
     if v != alt:
-        # e = 2n or 2n - 1, so n = (e + 1) div 2 in both classes
         raise InconsistencyError(
             f"child of {u} at index {(e + 1) // 2}: {v} != multiple form {alt}")
     return v
@@ -62,12 +68,13 @@ def g_branch(u: int, n: int) -> int:
     """The n-th child of parent u, cross-checked against the multiple form.
 
     Checks u and n, then computes (2^e u - 1) / 3 with e the class-determined
-    exponent (2n for class 1, 2n - 1 for class 2) through _raw_branch, which
-    asserts it equals z_n + 2^e (u div 3).
+    exponent (2n for class 1, 2n - 1 for class 2) through _raw_branch, and
+    asserts through _multiple_form that it equals z_n + 2^e (u div 3).
     """
     r = _require_parent(u)
     _require_box(n=n)
-    return _raw_branch(u, 2 * n if r == 1 else 2 * n - 1, z_term(n))
+    e = 2 * n if r == 1 else 2 * n - 1
+    return _multiple_form(u, e, _raw_branch(u, e), z_term(n))
 
 
 def branch_forms(u: int, n: int) -> dict[str, int]:

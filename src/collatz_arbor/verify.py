@@ -23,7 +23,7 @@ from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOU
                        DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
                        DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
 from .errors import NonEdgeError
-from .inverse import _raw_branch, _require_parent
+from .inverse import _multiple_form, _raw_branch, _require_parent
 
 # arbor (and forward, on the convergence sweep's failure path) are imported
 # where they are used, so `verify --suite lemma1` does not compile them
@@ -140,17 +140,15 @@ def _over_parents(name: str, params: dict, parents: Iterable[int], count: int,
 
 
 # ---------------------------------------------------------------------------
-# per-object checks.  A kernel(count) reads z_1, or rows from z_term and
-# w_term, once, and returns a function of a checked parent u: the first
-# counterexample among u's first `count` children, or None.  The first child
-# comes from the raw branch kernel, the others from v_{n+1} = 1 + 4 v_n.
+# per-object checks.  A kernel(count) builds its rows (z_n in closed forms,
+# w_n in multiples) once, and returns a function of a checked parent u: the
+# first counterexample among u's first `count` children, or None.  The first
+# child comes from the raw branch kernel, the others from v_{n+1} = 1 + 4 v_n.
 
 
 def _residue_cycle_kernel(count: int) -> Callable[[int], dict | None]:
-    z1 = z_term(1)
-
     def counterexample(u: int) -> dict | None:
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
         first = v % 3
         for n in range(1, count + 1):
             if v % 3 != (first + n - 1) % 3:
@@ -211,11 +209,12 @@ def _closed_forms_kernel(count: int) -> Callable[[int], dict | None]:
             for r in (1, 2)}
 
     def counterexample(u: int) -> dict | None:
-        class_rows = rows[u % 3]
-        _, e1, z1, _ = class_rows[0]
-        v1 = rec = _raw_branch(u, e1, z1)
+        class_rows, m = rows[u % 3], u // 3
+        v1 = rec = _raw_branch(u, class_rows[0][1])
         for n, e, z, acc in class_rows:
-            direct = _raw_branch(u, e, z)
+            direct = _raw_branch(u, e)
+            if direct != z + (m << e):
+                _multiple_form(u, e, direct, z)  # raises the mismatch
             summed = u * acc + v1
             if not direct == rec == summed:
                 return {"u": u, "n": n, "direct": direct, "recurrence": rec,
@@ -239,11 +238,10 @@ def _multiples_kernel(count: int) -> Callable[[int], dict | None]:
     ws = [0] + [w_term(k) for k in range(1, count + 2)]
     rows = {r1: [(n, ws[n - 1 + r1], 1 << (2 * (n - 1))) for n in range(2, count + 1)]
             for r1 in (0, 1, 2)}
-    z1 = z_term(1)
 
     def counterexample(u: int) -> dict | None:
         # a term off its closed form first, else the first that does not ascend
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
         r1, prev = v % 3, v // 3  # m_1, the multiple of v_1, is its closed form
         m = prev - 1 if r1 == 2 else prev
         descent = None
@@ -287,14 +285,9 @@ def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
         yield from (v for v in tree.levels[k] if v % 3)
 
 
-def _branch(u: int, n: int, zs: list[int]) -> int:
-    """v_n of a parent u taken from a tree, through the raw branch kernel.
-
-    zs holds z_k at index k and grows from z_term as the indices need.
-    """
-    if n >= len(zs):
-        zs.extend(z_term(k) for k in range(len(zs), n + 1))
-    return _raw_branch(u, 2 * n if u % 3 == 1 else 2 * n - 1, zs[n])
+def _branch(u: int, n: int) -> int:
+    """v_n of a parent u taken from a tree, through the raw branch kernel."""
+    return _raw_branch(u, 2 * n if u % 3 == 1 else 2 * n - 1)
 
 
 def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
@@ -304,7 +297,8 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     evaluation rather than the recurrence the builder uses, and occurrences
     are counted rather than aborting on first repeat.  The parents are
     stored values, odd and not multiples of 3, so the raw kernel takes them.
-    The derived children must be the values of the stored levels but the root's.
+    The derived children must be the values of the stored levels but the
+    root's, and the membership store must hold those and the root alone.
     """
     from .arbor import ROOT
 
@@ -312,11 +306,10 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     run = _Run("uniqueness", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
                               "sibling_cap": cfg.sibling_cap})
     counts: Counter[int] = Counter()
-    zs = [0]
     for parent in _expansion_parents(tree):
         n = 2 if parent == ROOT else 1
         while cfg.sibling_cap is None or n <= cfg.sibling_cap:
-            child = _branch(parent, n, zs)
+            child = _branch(parent, n)
             if cfg.value_bound is not None and child > cfg.value_bound:
                 break
             counts[child] += 1
@@ -330,6 +323,10 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
         off = sorted(counts.keys() ^ stored)
         return run.report({"value": off[0],
                            "reason": "derived child set differs from stored nodes"})
+    stored.add(ROOT)  # the store must hold the root and the level values, nothing else
+    if len(tree.members) != len(stored) or not tree.members.issuperset(stored):
+        return run.report({"value": min(stored.symmetric_difference(tree.members), default=None),
+                           "reason": "membership store differs from stored levels"})
     return run.report()
 
 
@@ -345,7 +342,6 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
 
     link, edge_index, members = arbor._link, arbor._edge_index, tree.members
     run = _Run("parent_pointers", {"nodes": len(tree)})
-    zs = [0]
     for level in _stored_levels(tree):
         for value in level:
             run.cases += 1
@@ -357,7 +353,7 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
                 n = edge_index(parent, value)
             except NonEdgeError as exc:
                 return run.report({"value": value, "parent": parent, "reason": str(exc)})
-            if _branch(parent, n, zs) != value:
+            if _branch(parent, n) != value:
                 return run.report({"value": value, "parent": parent, "sibling_index": n})
     return run.report()
 
@@ -417,13 +413,12 @@ def check_covering(tree: TruncatedArborescence) -> VerificationReport:
 
 
 def _template_kernel(count: int) -> Callable[[int], dict | None]:
-    z1 = z_term(1)
     residues = {key: (template[0], [_template_residue(template, n) for n in range(1, count + 1)])
                 for key, template in INITIAL_RESIDUE_TEMPLATES.items()}
 
     def counterexample(u: int) -> dict | None:
         modulus, expected = residues[(u % 3, (u // 3) % 3)]
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
         for n, want in enumerate(expected, 1):
             if v % modulus != want:
                 return {"u": u, "n": n, "value": v, "modulus": modulus,
@@ -442,10 +437,8 @@ def check_covering_templates(parent_bound: int = DEFAULT_PARENT_BOUND,
 
 
 def _partition_kernel(count: int) -> Callable[[int], dict | None]:
-    z1 = z_term(1)
-
     def counterexample(u: int) -> dict | None:
-        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1)
         if u % 3 == 1:
             return None if v1 % 8 == 1 else {"u": u, "v1": v1, "observed_mod_8": v1 % 8}
         return None if v1 % 4 == 3 else {"u": u, "v1": v1, "observed_mod_4": v1 % 4}
@@ -469,9 +462,11 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
 
     For each forward step x -> y with exponent a, the start x must reappear
     as the child of y at the index the exponent implies (a = 2n for class-1
-    y, a = 2n - 1 for class-2), through the raw branch kernel with the
-    checked z_n; the exponent always fits y's class, as 2^a y = 3x + 1 = 1
-    (mod 3).  Reports the largest step count and the largest excursion seen.
+    y, a = 2n - 1 for class-2), through the raw branch kernel; the exponent
+    always fits y's class, as 2^a y = 3x + 1 = 1 (mod 3).  Reports the
+    largest step count and the largest excursion seen, which no start
+    exceeds: x0 = 3 (mod 4) steps up to (3 x0 + 1)/2, and for x0 = 1
+    (mod 4), x0 >= 5, the orbit of x0 - 2 steps up to (3 x0 - 5)/2 >= x0.
 
     Starts are swept in ascending order, and each orbit is walked and checked
     only until it drops below its start or reaches a value whose step count
@@ -500,7 +495,6 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     table = array("H" if max_steps < 1 << 16 else "L", [0])
     reach = min((bound - 1) >> 1, _STEP_TABLE_BYTES // table.itemsize - 1)
     size = 1  # len(table), kept as it grows
-    zs = [0]  # z_n at index n, grown from z_term as the exponents need
     run.cases = 1  # start 1, which takes no step
     max_len = 0
     max_peak = 1
@@ -516,12 +510,9 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             t = 3 * x + 1
             a = (t & -t).bit_length() - 1
             y = t >> a
-            n = (a + 1) >> 1
-            if n >= len(zs):
-                zs.extend(z_term(k) for k in range(len(zs), n + 1))
-            if _raw_branch(y, a, zs[n]) != x:
+            if _raw_branch(y, a) != x:
                 return run.report({"start": x0, "x": x, "image": y, "exponent": a,
-                                   "branch_index": n,
+                                   "branch_index": (a + 1) >> 1,
                                    "reason": "reverse branch does not recover x"},
                                   max_steps_observed=max_len, max_excursion=max_peak)
             x = y
@@ -548,8 +539,6 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
                                "reached": trajectory(x0, max_steps).values[-1]},
                               max_steps_observed=max_len, max_excursion=max_peak)
         steps += rest
-        if x0 > max_peak:
-            max_peak = x0
         if steps > max_len:
             max_len = steps
         # fill in the start and each value walked above it, as far as the
@@ -595,13 +584,11 @@ def closed_forms_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
 
 
 def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
-    z1 = z_term(1)
-
     def counterexample(u: int) -> dict | None:
         v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
         successor = 1 + 4 * u
-        if (v1 != _raw_branch(u, 2, z1) or v1 != successor // 3
-                or v1_next != _raw_branch(successor, 1, z1) or v1_next != 1 + 2 * v1):
+        if (v1 != _raw_branch(u, 2) or v1 != successor // 3
+                or v1_next != _raw_branch(successor, 1) or v1_next != 1 + 2 * v1):
             return {"u": u, "v1": v1, "v1_next": v1_next}
         return None
     return counterexample
@@ -624,10 +611,9 @@ def _gaps_kernel(count: int) -> Callable[[int], dict | None]:
     # 2^e_n for n = 1..count, per parent class
     powers = {r: [1 << (2 * n if r == 1 else 2 * n - 1) for n in range(1, count + 1)]
               for r in (1, 2)}
-    z1 = z_term(1)
 
     def counterexample(u: int) -> dict | None:
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
         for n, p in enumerate(powers[u % 3], 1):
             nxt = 1 + 4 * v
             if nxt - v != p * u:
@@ -665,16 +651,6 @@ def run_suite(name: str, *,
     name = SUITE_ALIASES.get(name, name)
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    tree = None
-
-    def _tree() -> TruncatedArborescence:
-        nonlocal tree
-        if tree is None:
-            from .arbor import TruncationConfig, build
-
-            tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
-        return tree
-
     wanted = SUITE_NAMES if name == "all" else (name,)
     # every box is checked before any suite runs, so a bad one wastes no sweep
     if {"residue-cycle", "multiples", "closed-forms", "gaps", "covering"} & set(wanted):
@@ -688,8 +664,11 @@ def run_suite(name: str, *,
         # the root's first child is 5
         _require_box(tree_depth=tree_depth)
         _require_box(5, tree_bound=tree_bound)
+        from .arbor import TruncationConfig, build
+
+        tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
     if "covering" in wanted:
-        _require_covering_depth(_tree())
+        _require_covering_depth(tree)
     if "partition" in wanted:
         _require_box(7, parent_bound=parent_bound)
     if "convergence" in wanted:
@@ -702,9 +681,9 @@ def run_suite(name: str, *,
         "adjacent-initials": lambda: [adjacent_initials_sweep(parent_bound)],
         "gaps": lambda: [gaps_sweep(parent_bound, count)],
         "collision": lambda: [collision_parity_sweep(max_d, partners)],
-        "uniqueness": lambda: [check_uniqueness(_tree()), check_parent_pointers(_tree())],
+        "uniqueness": lambda: [check_uniqueness(tree), check_parent_pointers(tree)],
         "covering": lambda: [check_covering_templates(parent_bound, min(count, 8)),
-                             check_covering(_tree())],
+                             check_covering(tree)],
         "partition": lambda: [check_initial_vertex_partition(parent_bound)],
         "convergence": lambda: [check_convergence(convergence_bound, max_steps)],
     }

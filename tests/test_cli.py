@@ -327,6 +327,34 @@ class TestVerifyBoxes:
         assert err == f"error: {message}\n"
 
 
+class TestCheckFailed:
+    """A consistency error inside a command exits 1 and names its counterexample."""
+
+    def _main(self, capsys, *args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_tree_with_a_repeated_vertex(self, monkeypatch, capsys):
+        from collatz_arbor import arbor
+
+        real = arbor._children
+
+        def children(parents, c, table):  # 5's run starts at 21, the root's v_3
+            return [21 if v == 3 else v for v in real(parents, c, table)]
+
+        monkeypatch.setattr(arbor, "_children", children)
+        assert self._main(capsys, "tree", "--depth", "2", "--bound", "60") == (
+            1, "", "counterexample: vertex 21 produced twice: by parent 1 and again by parent 5\n")
+
+    def test_closed_forms_with_a_wrong_z_term(self, monkeypatch, capsys):
+        real = verify.z_term
+        monkeypatch.setattr(verify, "z_term", lambda n: real(n) + (n == 3))
+        assert self._main(capsys, "verify", "--suite", "closed-forms", "--parent-bound", "10",
+                          "--count", "4") == (
+            1, "", "counterexample: child of 1 at index 3: 21 != multiple form 22\n")
+
+
 class TestCover:
     def test_summary_with_missing_list(self):
         result = run_cli("cover", "--bound", "60", "--depth", "2",

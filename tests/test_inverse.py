@@ -53,21 +53,23 @@ class TestBranch:
 
 
 class TestRawBranch:
-    """The raw kernel checks no argument, but keeps both cross-checks."""
+    """The raw kernel checks no argument, but keeps its divisibility check."""
 
     def test_matches_g_branch(self):
-        # class 2, n = 3: exponent 5, z_3 = 21
-        assert inverse._raw_branch(5, 5, 21) == g_branch(5, 3) == 53
+        # class 2, n = 3: exponent 5
+        assert inverse._raw_branch(5, 5) == g_branch(5, 3) == 53
 
-    def test_wrong_multiple_form_raises(self):
+    def test_wrong_multiple_form_raises(self, monkeypatch):
+        # g_branch checks its child against z_3 + 2^5 * (5 div 3), here 22 + 32
+        monkeypatch.setattr(inverse, "z_term", lambda n: 22)
         with pytest.raises(InconsistencyError,
                            match="^child of 5 at index 3: 53 != multiple form 54$"):
-            inverse._raw_branch(5, 5, 22)
+            g_branch(5, 3)
 
     def test_indivisible_raises(self):
         # 2^2 * 5 - 1 = 19: an exponent of the wrong parity for class 2
         with pytest.raises(InconsistencyError, match="not divisible by 3"):
-            inverse._raw_branch(5, 2, 5)
+            inverse._raw_branch(5, 2)
 
 
 class TestBranchForms:

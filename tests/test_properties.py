@@ -429,16 +429,24 @@ def test_per_parent_checks_match_reference(u, count):
 
 @contextmanager
 def _corrupt_branch(u0, e0, corrupt):
-    """The raw branch kernel gives corrupt(v) at (u0, e0), in verify and its oracles alike."""
-    real = inverse._raw_branch
+    """The raw branch kernel gives corrupt(v) at (u0, e0), in verify and its oracles alike.
 
-    def faulty(u, e, z):
-        v = real(u, e, z)
+    The multiple-form check lets that child through, so the check under test sees it.
+    """
+    real, real_form = inverse._raw_branch, inverse._multiple_form
+
+    def faulty(u, e):
+        v = real(u, e)
         return corrupt(v) if (u, e) == (u0, e0) else v
+
+    def form(u, e, v, z):
+        return v if (u, e) == (u0, e0) else real_form(u, e, v, z)
 
     with mock.patch.object(verify, "_raw_branch", faulty), \
             mock.patch.object(inverse, "_raw_branch", faulty), \
-            mock.patch.object(reference, "_raw_branch", faulty):
+            mock.patch.object(reference, "_raw_branch", faulty), \
+            mock.patch.object(verify, "_multiple_form", form), \
+            mock.patch.object(inverse, "_multiple_form", form):
         yield
 
 

@@ -186,6 +186,24 @@ class TestUniqueness:
                                             "reason": "parent not stored"}
         assert report["statistics"]["cases"] == 3
 
+    def test_uniqueness_reports_a_level_value_the_store_lacks(self):
+        # 53 is a leaf of the deepest level: no parent test reads its bit
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.members.bits[53 >> 4] &= ~(1 << (53 >> 1 & 7))
+        tree.members.count -= 1
+        report = check_uniqueness(tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {
+            "value": 53, "reason": "membership store differs from stored levels"}
+        assert report["statistics"]["cases"] == 5
+
+    def test_uniqueness_reports_a_stored_value_no_level_holds(self):
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.members.update((7,))
+        report = check_uniqueness(tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {
+            "value": 7, "reason": "membership store differs from stored levels"}
+        assert report["statistics"]["cases"] == 5
+
 
 class TestCovering:
     def test_root_template(self):
@@ -271,13 +289,17 @@ class TestConvergenceSweep:
         """Make the raw kernel miss the start x of the step x -> f(x)."""
         def install(x):
             bad = f_step(x)  # the raw kernel's exponent is the step's a
-            real = inverse._raw_branch
+            real, real_form = inverse._raw_branch, inverse._multiple_form
 
-            def faulty(u, e, z):
-                return real(u, e, z) + 2 if (u, e) == bad else real(u, e, z)
+            def faulty(u, e):
+                return real(u, e) + 2 if (u, e) == bad else real(u, e)
+
+            def form(u, e, v, z):  # the reference's g_branch lets the wrong child through
+                return v if (u, e) == bad else real_form(u, e, v, z)
 
             monkeypatch.setattr(verify, "_raw_branch", faulty)
             monkeypatch.setattr(inverse, "_raw_branch", faulty)  # the reference's g_branch
+            monkeypatch.setattr(inverse, "_multiple_form", form)
         return install
 
     @pytest.mark.parametrize("x", [5, 1367, 3077])
@@ -413,17 +435,25 @@ class TestSweepFaults:
 
     @pytest.fixture
     def corrupt_branch(self, monkeypatch):
-        """Corrupt the raw branch kernel at one (u, e) in verify, its oracles and inverse."""
-        def install(u0, e0, corrupt):
-            real = inverse._raw_branch
+        """Corrupt the raw branch kernel at one (u, e) in verify, its oracles and inverse.
 
-            def faulty(u, e, z):
-                v = real(u, e, z)
+        The multiple-form check lets that child through, so the sweep under test sees it.
+        """
+        def install(u0, e0, corrupt):
+            real, real_form = inverse._raw_branch, inverse._multiple_form
+
+            def faulty(u, e):
+                v = real(u, e)
                 return corrupt(v) if (u, e) == (u0, e0) else v
+
+            def form(u, e, v, z):
+                return v if (u, e) == (u0, e0) else real_form(u, e, v, z)
 
             monkeypatch.setattr(verify, "_raw_branch", faulty)
             monkeypatch.setattr(inverse, "_raw_branch", faulty)
             monkeypatch.setattr(verify_reference, "_raw_branch", faulty)
+            monkeypatch.setattr(verify, "_multiple_form", form)
+            monkeypatch.setattr(inverse, "_multiple_form", form)
         return install
 
     def test_closed_forms(self, corrupt_branch):

@@ -24,7 +24,8 @@ and case count, and covering and partition with their post-passes over the
 sets of children (class-1 children on {1, 5, 9} mod 12, no value in both
 classes), which the driven checks drop as implied.  They call the raw
 branch kernel through this module's `_raw_branch`, which a fault test
-patches together with verify's.
+patches together with verify's, and pass it no z_1 now that it is the
+division alone.
 """
 
 import time
@@ -414,10 +415,9 @@ def reference_check_initial_vertex_partition(parent_bound: int) -> VerificationR
     params = {"parent_bound": parent_bound}
     from_class1: set[int] = set()
     from_class2: set[int] = set()
-    z1 = z_term(1)
     cases = 0
     for u in _parents_up_to(parent_bound):
-        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1, z1)
+        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1)
         cases += 1
         if u % 3 == 1:
             if v1 % 8 != 1:
@@ -449,14 +449,13 @@ def reference_adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) 
     _require_box(parent_bound=parent_bound)
     t0 = time.perf_counter()
     params = {"parent_bound": parent_bound}
-    z1 = z_term(1)
     cases = 0
     for u in range(1, parent_bound + 1, 6):  # the class-1 parents
         cases += 1
         v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
         successor = 1 + 4 * u
-        if (v1 != _raw_branch(u, 2, z1) or v1 != successor // 3
-                or v1_next != _raw_branch(successor, 1, z1) or v1_next != 1 + 2 * v1):
+        if (v1 != _raw_branch(u, 2) or v1 != successor // 3
+                or v1_next != _raw_branch(successor, 1) or v1_next != 1 + 2 * v1):
             return _finish("adjacent_initials", params, False,
                            {"u": u, "v1": v1, "v1_next": v1_next},
                            cases, t0)
