@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {
-    **dict.fromkeys(("CoverageReport", "NodeInfo", "TruncatedArborescence", "TruncationConfig",
-                     "build", "classify_edge", "coverage", "export", "path_to"), "arbor"),
+    **dict.fromkeys(("CoverageReport", "TruncatedArborescence", "TruncationConfig", "build",
+                     "classify_edge", "coverage", "export", "path_to"), "arbor"),
     **dict.fromkeys(("BaseSequences", "OddInteger", "base_sequences", "decompose", "w_term",
                      "z_term"), "core"),
     **dict.fromkeys(("CapacityError", "CollatzArborError", "DuplicateVertexError",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, ItemsView, Iterator, Mapping, Sequence
 from itertools import compress
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 from ._record import Record
 from .core import _require_box, _require_int, _require_odd_positive
@@ -37,7 +37,6 @@ from .inverse import _charge, _children, _kernel_table
 
 __all__ = [
     "TruncationConfig",
-    "NodeInfo",
     "TruncatedArborescence",
     "CoverageReport",
     "build",
@@ -125,14 +124,6 @@ class TruncationConfig(Record):
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
-class NodeInfo(NamedTuple):
-    depth: int
-    parent: int | None
-    sibling_index: int | None
-    residue: int
-    is_leaf: bool
-
-
 class _OddBitmap:
     """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
 
@@ -183,7 +174,7 @@ class _OddBitmap:
 
 
 def _link(value: int) -> tuple[int, int] | tuple[None, None]:
-    """(parent, sibling index) of a stored value; (None, None) for the root.
+    """(parent, sibling index) of a stored value, the one home of its edge; (None, None) for 1.
 
     The tree is grown by g, which inverts the forward map f, so the parent
     of v is f(v) = (3v + 1) / 2^e, and v is its branch of exponent e, index
@@ -196,26 +187,6 @@ def _link(value: int) -> tuple[int, int] | tuple[None, None]:
     return t >> e, (e + 1) >> 1
 
 
-class _Parents(Mapping):
-    """Read-only value -> parent view of a tree, derived through _link."""
-
-    def __init__(self, tree: TruncatedArborescence) -> None:
-        self._tree = tree
-
-    def __getitem__(self, value: int) -> int | None:
-        if value not in self._tree:
-            raise KeyError(value)
-        return _link(value)[0]
-
-    def __iter__(self) -> Iterator[int]:
-        levels = self._tree.levels
-        for k in sorted(levels):
-            yield from levels[k]
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-
 class TruncatedArborescence:
     """Per-depth levels in build order, plus one membership object.
 
@@ -224,10 +195,9 @@ class TruncatedArborescence:
     exact ints otherwise (the bounds follow the items' sizes, _TYPECODES).
     members is an _OddBitmap when the box has a value bound whose bitmap is
     no larger than the node budget in bytes (value_bound // 16 <=
-    max_nodes), and a set otherwise.  Nothing else is stored: parent and
-    sibling_index come from the value through _link, depth from the level
-    holding the value (or the links to the root), residue and is_leaf from
-    the value mod 3.
+    max_nodes), and a set otherwise.  Nothing else is stored or exposed: a
+    value's parent and sibling index are f(v) and its exponent (_link), its
+    depth is its level's, and its residue and leaf flag are v mod 3.
 
     Every level is the parent-ordered concatenation of complete sibling
     runs v_1, 4 v_1 + 1, ... (v_2 = 5, ... under the root): each entry of
@@ -253,28 +223,8 @@ class TruncatedArborescence:
         return len(self.members)
 
     @property
-    def parent(self) -> Mapping[int, int | None]:
-        """Read-only value -> parent mapping: None for the root, f(v) otherwise."""
-        return _Parents(self)
-
-    @property
     def max_depth(self) -> int:
         return max(self.levels)
-
-    def node(self, value: int) -> NodeInfo:
-        """Derived record of one stored value; its depth is its number of links to the root."""
-        if value not in self.members:
-            raise MissingVertexError(f"{value} is not stored in this truncation")
-        r = value % 3
-        return NodeInfo(len(path_to(self, value)) - 1, *_link(value), r, r == 0)
-
-    def records(self) -> Iterator[tuple[int, NodeInfo]]:
-        """Node records in deterministic (depth, level-position) order."""
-        yield ROOT, NodeInfo(0, None, None, 1, False)
-        for k, chunk in _chunks(self):
-            for v in chunk:
-                r = v % 3
-                yield v, NodeInfo(k, *_link(v), r, r == 0)
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
@@ -292,9 +242,10 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     room over the most children a parent has, so, checked after each chunk,
     memory overshoots the budget by at most one parent's run.  The kernel
     does not re-check 3v = 2^e u - 1 on each node:
-    verify.check_parent_pointers re-derives every stored child through the
-    raw branch kernel, and the property tests compare whole levels with a
-    reference build and the kernel with the sibling stream.
+    verify.check_parent_pointers re-derives every stored value from its
+    link (_link) through the raw branch kernel, and the property tests
+    compare whole levels with a reference build and the kernel with the
+    sibling stream.
 
     Where values can pass 2^60 (a cap with no bound, or a bound at or
     above 2^60), each run is also charged a tenth of a node a 30-bit digit
@@ -414,14 +365,17 @@ def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     return path
 
 
-def _edge_index(parent: int, child: int) -> int:
-    """Sibling index n with child the n-th branch of parent, else NonEdgeError.
+def classify_edge(parent: int, child: int) -> str:
+    """"ascending", "descending", or "lateral" (the self-loop of 1 only).
 
-    It checks no argument: callers pass odd positive ints.  3 child + 1 must
-    be parent times a power of two 2^e.  Then 2^e parent = 1 (mod 3), so
-    divisibility alone makes e even for a class-1 parent (e = 2n) and odd
-    for a class-2 parent (e = 2n - 1), and n = (e + 1) div 2.
+    An edge needs a non-leaf parent and 3 child + 1 = 2^e parent; otherwise
+    NonEdgeError says which fails.  For initial children (n = 1) of non-root
+    parents the direction follows the parent's class: class 1 ascends,
+    class 2 descends, a rule that initial_vertex checks.  Later children
+    always ascend past the parent.
     """
+    _require_odd_positive(parent, "parent")
+    _require_odd_positive(child, "child")
     if parent % 3 == 0:
         raise NonEdgeError(f"{parent} is a leaf and has no outgoing edges")
     q, rem = divmod(3 * child + 1, parent)
@@ -429,19 +383,6 @@ def _edge_index(parent: int, child: int) -> int:
         raise NonEdgeError(f"3*{child} + 1 is not a multiple of {parent}")
     if q < 2 or q & (q - 1):
         raise NonEdgeError(f"3*{child} + 1 = {q} * {parent} with {q} not a power of two")
-    return q.bit_length() >> 1  # q = 2^e has e + 1 bits, and n = (e + 1) div 2
-
-
-def classify_edge(parent: int, child: int) -> str:
-    """"ascending", "descending", or "lateral" (the self-loop of 1 only).
-
-    For initial children (n = 1) of non-root parents the direction follows
-    the parent's class: class 1 ascends, class 2 descends, a rule that
-    initial_vertex checks.  Later children always ascend past the parent.
-    """
-    _require_odd_positive(parent, "parent")
-    _require_odd_positive(child, "child")
-    _edge_index(parent, child)
     if child > parent:
         return "ascending"
     return "descending" if child < parent else "lateral"
@@ -603,7 +544,7 @@ _DOT_NODE_ENDS = (" [shape=box];\n", ";\n", ";\n")
 
 
 def _jsonl_chunks(tree: TruncatedArborescence) -> Iterator[str]:
-    # byte-identical to json.dumps of the record dict, key order = _FIELDS
+    # byte-identical to json.dumps of the row dict, key order = _FIELDS
     yield '{"value": 1, "depth": 0, "parent": null, "sibling_index": null, "residue": 1, ' \
           '"is_leaf": false}\n'
     index = _IndexText(', "sibling_index": ')

@@ -22,7 +22,6 @@ from .core import _require_box, w_term, z_term
 from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOUND,
                        DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
                        DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
-from .errors import NonEdgeError
 from .inverse import _multiple_form, _raw_branch, _require_parent
 
 # arbor (and forward, on the convergence sweep's failure path) are imported
@@ -333,26 +332,25 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
 def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     """Every stored value's link must be an edge from a stored parent that reproduces it.
 
-    Over the stored levels but the root's, in order: the parent f(value)
-    comes from arbor._link, the sibling index from the edge test (stored
-    values are odd and positive, so it checks no argument), and the child is
-    re-derived from (parent, index) through the raw branch kernel.
+    Over the stored levels but the root's, in order: one arbor._link call
+    gives the parent and the sibling index n, the parent must be stored and
+    not a leaf, and its branch of index n, through the raw branch kernel,
+    must be the value.
     """
     from . import arbor  # read at each run, so a patched _link is the one checked
 
-    link, edge_index, members = arbor._link, arbor._edge_index, tree.members
+    link, members = arbor._link, tree.members
     run = _Run("parent_pointers", {"nodes": len(tree)})
     for level in _stored_levels(tree):
         for value in level:
             run.cases += 1
-            parent = link(value)[0]
+            parent, n = link(value)
             if parent not in members:
                 return run.report({"value": value, "parent": parent,
                                    "reason": "parent not stored"})
-            try:
-                n = edge_index(parent, value)
-            except NonEdgeError as exc:
-                return run.report({"value": value, "parent": parent, "reason": str(exc)})
+            if parent % 3 == 0:
+                return run.report({"value": value, "parent": parent,
+                                   "reason": f"{parent} is a leaf and has no outgoing edges"})
             if _branch(parent, n) != value:
                 return run.report({"value": value, "parent": parent, "sibling_index": n})
     return run.report()

@@ -1,38 +1,53 @@
 """A plain writer for each export format: the oracle for arbor.export.
 
-Every row comes from `tree.records()`, and each format is written with the
-standard tool for it: `json.dumps` of the record dict, `csv.writer`, and a
-DOT loop over the same records.  `arbor.export` formats the rows itself, a
-level chunk at a time, and must write the same bytes.
+Every row comes from `tree.levels`, in depth order: a value's depth is its
+level's, its parent and exponent a are `f_step(v)`, its sibling index is
+(a + 1) div 2, and its residue and leaf flag are v mod 3.  The root's row
+has no parent and no index.  Each format is written with the standard tool
+for it: `json.dumps` of the row dict, `csv.writer`, and a DOT loop over the
+same rows.  `arbor.export` formats the rows itself, a level chunk at a time,
+carrying the parent and index along each sibling run, and must write the
+same bytes.
 """
 
 import csv
 import io
 import json
 
-from collatz_arbor.arbor import NodeInfo
+from collatz_arbor.forward import f_step
 
-FIELDS = ("value",) + NodeInfo._fields
+FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
+
+
+def reference_rows(tree) -> list[tuple]:
+    """(value, depth, parent, sibling_index, residue, is_leaf) of every stored value."""
+    rows = []
+    for k in sorted(tree.levels):
+        for v in tree.levels[k]:
+            parent, a = f_step(v) if k else (None, None)
+            n = None if a is None else (a + 1) // 2
+            rows.append((v, k, parent, n, v % 3, v % 3 == 0))
+    return rows
 
 
 def reference_export(tree, fmt: str) -> bytes:
-    records = list(tree.records())
+    rows = reference_rows(tree)
     out = io.StringIO()
     if fmt == "jsonl":
-        for value, info in records:
-            out.write(json.dumps(dict(zip(FIELDS, (value, *info)))) + "\n")
+        for row in rows:
+            out.write(json.dumps(dict(zip(FIELDS, row))) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(FIELDS)
-        for value, info in records:
-            writer.writerow([value, *info[:-1], "true" if info.is_leaf else "false"])
+        for row in rows:
+            writer.writerow([*row[:-1], "true" if row[-1] else "false"])
     elif fmt == "dot":
         out.write("digraph collatz_arbor {\n")
-        for value, info in records:
-            out.write(f"    {value} [shape=box];\n" if info.is_leaf else f"    {value};\n")
-        for value, info in records:
-            if info.parent is not None:
-                out.write(f"    {info.parent} -> {value};\n")
+        for v, *_, is_leaf in rows:
+            out.write(f"    {v} [shape=box];\n" if is_leaf else f"    {v};\n")
+        for v, _, parent, *_ in rows:
+            if parent is not None:
+                out.write(f"    {parent} -> {v};\n")
         out.write("}\n")
     else:
         raise ValueError(fmt)

@@ -136,9 +136,10 @@ def test_c06_covering_patterns():
     assert patterns.passed, patterns.counterexample
     assert patterns.statistics["warnings"] == []
     # class-1 children may only land on {1, 5, 9} mod 12
-    for value, info in tree.records():
-        if info.parent is not None and info.parent % 3 == 1:
-            assert value % 12 in (1, 5, 9)
+    for k, level in tree.levels.items():
+        for value in level if k else ():
+            if f_step(value)[0] % 3 == 1:
+                assert value % 12 in (1, 5, 9)
     _passed(6, f"{templates.statistics['cases']} template cases, "
                f"depth-6 tree with {len(tree)} nodes, zero violations")
 

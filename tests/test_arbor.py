@@ -25,10 +25,15 @@ from collatz_arbor.errors import (
     MissingVertexError,
     NonEdgeError,
 )
-from collatz_arbor.forward import trajectory
+from collatz_arbor.forward import f_step, trajectory
 from collatz_arbor.inverse import g_branch
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _stored(tree):
+    """Every stored value but the root, in (depth, level-position) order."""
+    return [v for k in sorted(tree.levels) if k for v in tree.levels[k]]
 
 
 def _start_run_at(monkeypatch, parent, first, count=None):
@@ -104,8 +109,8 @@ class TestBuild:
         assert list(tree.levels[1]) == [5, 21, 85, 341]
 
     def test_trivial_cycle_excluded(self, deep_tree):
-        assert deep_tree.node(1).parent is None
-        assert all(info.parent != 1 or value != 1 for value, info in deep_tree.records())
+        assert arbor._link(1) == (None, None)
+        assert 1 not in _stored(deep_tree)
 
     def test_bound_filtered_second_level(self, small_tree):
         # 85 and 341 exceed the bound, so only 5 contributes at depth 2
@@ -116,7 +121,7 @@ class TestBuild:
     def test_contains_worked_path(self, deep_tree):
         for v in (5, 13, 17, 11, 7, 9):
             assert v in deep_tree
-        assert deep_tree.node(9).depth == 6
+        assert 9 in deep_tree.levels[6]
 
     def test_root_only(self):
         tree = build(TruncationConfig(max_depth=0, value_bound=100))
@@ -124,17 +129,16 @@ class TestBuild:
         assert {k: list(level) for k, level in tree.levels.items()} == {0: [1]}
 
     def test_node_metadata(self, small_tree):
-        info = small_tree.node(13)
-        assert info.depth == 2
-        assert info.parent == 5
-        assert info.sibling_index == 2
-        assert info.residue == 1
-        assert not info.is_leaf
-        assert small_tree.node(21).is_leaf
+        # derived, as the README's recipe does: depth from path_to, parent and
+        # index from f_step, and the tree's own link agrees
+        assert len(path_to(small_tree, 13)) - 1 == 2
+        parent, a = f_step(13)
+        assert (parent, (a + 1) // 2) == (5, 2) == arbor._link(13)
+        assert 13 in small_tree.levels[2] and 21 in small_tree.levels[1]
 
     def test_leaves_have_no_children(self, deep_tree):
-        leaves = {v for v, info in deep_tree.records() if info.is_leaf}
-        children_of = {info.parent for _, info in deep_tree.records() if info.parent}
+        leaves = {v for v in _stored(deep_tree) if v % 3 == 0}
+        children_of = {arbor._link(v)[0] for v in _stored(deep_tree)}
         assert not leaves & children_of
 
     def test_sibling_cap(self):
@@ -370,45 +374,33 @@ class TestBuild:
             tracemalloc.stop()
         assert peak <= per_node * config.max_nodes
 
-    def test_parent_mapping_is_derived_and_read_only(self, small_tree):
-        assert dict(small_tree.parent) == {1: None, 5: 1, 21: 1, 3: 5, 13: 5, 53: 5}
-        assert 13 in small_tree.parent and 7 not in small_tree.parent
-        with pytest.raises(KeyError):
-            small_tree.parent[7]
-        with pytest.raises(TypeError):
-            small_tree.parent[13] = 21
-
     def test_depth_bookkeeping_of_late_initial_vertices(self, deep_tree):
         # with the root at depth 0: 29 enters at depth 5 and its first child
         # 19 at depth 6
-        assert deep_tree.node(29).depth == 5
-        assert deep_tree.node(19).depth == 6
-        assert deep_tree.node(19).parent == 29
-        assert deep_tree.node(19).sibling_index == 1
+        assert 29 in deep_tree.levels[5]
+        assert 19 in deep_tree.levels[6]
+        assert arbor._link(19) == (29, 1)
 
     def test_parent_links_rederive(self, deep_tree):
-        for value, info in deep_tree.records():
-            if info.parent is not None:
-                assert g_branch(info.parent, info.sibling_index) == value
+        for value in _stored(deep_tree):
+            assert g_branch(*arbor._link(value)) == value
 
     def test_indegree_contract(self, deep_tree):
         # node store keys are unique by construction; every non-root has
         # exactly one stored parent, the root none
-        for value, info in deep_tree.records():
-            if value == 1:
-                assert info.parent is None
-            else:
-                assert info.parent in deep_tree
+        assert arbor._link(1) == (None, None)
+        for value in _stored(deep_tree):
+            assert arbor._link(value)[0] in deep_tree
 
     def test_at_most_one_leaf_per_path_and_only_terminal(self, deep_tree):
-        for value, info in deep_tree.records():
-            if info.is_leaf:
+        for value in _stored(deep_tree):
+            if value % 3 == 0:
                 continue
             # a non-leaf interior vertex never sits below a leaf
-            parent = info.parent
+            parent = arbor._link(value)[0]
             while parent is not None:
-                assert not deep_tree.node(parent).is_leaf
-                parent = deep_tree.node(parent).parent
+                assert parent in deep_tree and parent % 3
+                parent = arbor._link(parent)[0]
 
 
 class TestPath:
@@ -426,7 +418,7 @@ class TestPath:
             path_to(small_tree, 9)
 
     def test_every_stored_path_reverses_its_orbit(self, small_tree):
-        for value in small_tree.parent:
+        for value in [1, *_stored(small_tree)]:
             path = path_to(small_tree, value)
             assert path == list(reversed(trajectory(value).values))
 
@@ -503,12 +495,13 @@ class TestClassifyEdge:
             classify_edge(8, 5)
 
     def test_direction_rule_over_tree(self, deep_tree):
-        for value, info in deep_tree.records():
-            if info.parent is None or info.parent == 1:
+        for value in _stored(deep_tree):
+            parent, n = arbor._link(value)
+            if parent == 1:
                 continue
-            kind = classify_edge(info.parent, value)
-            if info.sibling_index == 1:
-                expected = "ascending" if info.parent % 3 == 1 else "descending"
+            kind = classify_edge(parent, value)
+            if n == 1:
+                expected = "ascending" if parent % 3 == 1 else "descending"
                 assert kind == expected
             else:
                 assert kind == "ascending"

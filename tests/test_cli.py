@@ -201,11 +201,13 @@ class TestTree:
                          "--max-nodes", "10")
         assert result.returncode == 3
         assert "budget" in result.stderr
+        assert result.stdout == ""  # the whole tree is built before a byte is written
 
     def test_env_var_budget(self):
         env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="10")
         result = run_cli("tree", "--depth", "6", "--bound", "1000000", env=env)
         assert result.returncode == 3
+        assert result.stdout == ""
 
     def test_env_var_budget_needs_ascii_digits(self):
         env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="\u0661\u0663")

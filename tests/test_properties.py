@@ -18,7 +18,6 @@ from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import (
     DEFAULT_MAX_NODES,
     EXPORT_FORMATS,
-    NodeInfo,
     TruncationConfig,
     build,
     coverage,
@@ -135,8 +134,11 @@ def test_collision_probe_always_forces_odd(d, base, same_class):
 
 
 def _reference_build(config):
-    """The build rule through the validated sibling stream: the oracle for build."""
-    records = {1: NodeInfo(0, None, None, 1, False)}
+    """The build rule through the validated sibling stream: the oracle for build.
+
+    Returns the levels and each stored value's (parent, sibling index), (None, None) for 1.
+    """
+    links = {1: (None, None)}
     levels = {0: [1]}
     frontier = [1]
     depth = 0
@@ -149,13 +151,13 @@ def _reference_build(config):
                     break
                 if config.value_bound is not None and v > config.value_bound:
                     break
-                assert v == g_branch(u, n) and v not in records
-                records[v] = NodeInfo(depth, u, n, v % 3, v % 3 == 0)
+                assert v == g_branch(u, n) and v not in links
+                links[v] = (u, n)
                 level.append(v)
         if level:
             levels[depth] = level
         frontier = [v for v in level if v % 3]
-    return levels, list(records.items())
+    return levels, links
 
 
 # Bounds across 2^32, where the levels widen from array('I') to array('Q').
@@ -193,29 +195,24 @@ def _reference_path(parents, v):
 @given(small_boxes)
 @settings(max_examples=100, deadline=None)
 def test_build_matches_reference_build(config):
-    levels, records = _reference_build(config)
-    if len(records) > config.max_nodes:
+    levels, links = _reference_build(config)
+    if len(links) > config.max_nodes:
         with pytest.raises(CapacityError):
             build(config)
         return
     tree = build(config)
     assert {k: list(level) for k, level in tree.levels.items()} == levels
-    assert list(tree.records()) == records
-    parents = {v: info.parent for v, info in records}
-    assert list(tree.parent.items()) == list(parents.items())
-    assert len(tree) == len(tree.parent) == len(records)
+    assert len(tree) == len(links)
+    parents = {v: u for v, (u, _) in links.items()}
     # every odd value up to 2001, and the stored values' neighbours, odd and even
     probes = set(range(-1, 2002, 2)) | {v + d for v in parents for d in (-2, 1, 2)}
     for x in probes:
         assert (x in tree) == (x in parents)
-        assert (x in tree.parent) == (x in parents)
-        if x > 0 and x not in parents:
+        if x > 0 and x & 1 and x not in parents:
             with pytest.raises(MissingVertexError):
-                tree.node(x)
-            with pytest.raises(KeyError):
-                tree.parent[x]
-    for v, info in records:
-        assert tree.node(v) == info
+                path_to(tree, x)
+    for v, link in links.items():
+        assert arbor._link(v) == link
         assert path_to(tree, v) == _reference_path(parents, v)
 
 
@@ -229,10 +226,10 @@ big_bound_boxes = st.builds(TruncationConfig, max_depth=st.integers(0, 2),
 @given(big_bound_boxes)
 @settings(max_examples=50, deadline=None)
 def test_big_bound_build_matches_reference_build(config):
-    levels, records = _reference_build(config)
+    levels, links = _reference_build(config)
     tree = build(config)
     assert {k: list(level) for k, level in tree.levels.items()} == levels
-    assert list(tree.records()) == records
+    assert all(arbor._link(v) == link for v, link in links.items())
 
 
 # The root, whose run the build stores from index 2, and non-leaf parents up to 2^100.
@@ -496,7 +493,7 @@ def test_covering_matches_reference_under_a_wrong_sibling_index(tree, shift, dat
     # one stored value's derived link names a sibling index `shift` too high
     if tree.max_depth < 1:
         return
-    v0 = data.draw(st.sampled_from([v for v, info in tree.records() if info.parent]))
+    v0 = data.draw(st.sampled_from([v for k, level in tree.levels.items() if k for v in level]))
     real = arbor._link
 
     def faulty(v):

@@ -146,14 +146,30 @@ class TestUniqueness:
 
     def test_parent_pointers_report_a_link_that_is_no_edge(self, monkeypatch):
         tree = build(TruncationConfig(max_depth=2, value_bound=60))
-        # the store derives each parent; make it derive 21 for 13, and
-        # 3*13 + 1 = 40 is no multiple of 21
+        # the tree derives each link; make it name 21, a stored leaf, as the
+        # parent of 13
         real = arbor._link
         monkeypatch.setattr(arbor, "_link", lambda v: (21, 1) if v == 13 else real(v))
-        report = check_parent_pointers(tree)
-        assert not report.passed
-        assert report.counterexample["value"] == 13
-        assert report.counterexample["parent"] == 21
+        report = check_parent_pointers(tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {
+            "value": 13, "parent": 21, "reason": "21 is a leaf and has no outgoing edges"}
+        assert report["statistics"]["cases"] == 4  # 5, 21, 3, then 13
+
+    @pytest.mark.parametrize("value, link, cases", [
+        (13, (5, 3), 4),  # v_3 of 5 is 53, not 13
+        (53, (13, 1), 5),  # v_1 of 13 is 17, not 53
+    ], ids=["13-as-v3-of-5", "53-as-v1-of-13"])
+    def test_parent_pointers_report_a_wrong_sibling_index(self, monkeypatch, value, link,
+                                                          cases):
+        # levels [5, 21], [3, 13, 53]: the stored parent is a non-leaf, but the
+        # link's index does not give the value back
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        real = arbor._link
+        monkeypatch.setattr(arbor, "_link", lambda v: link if v == value else real(v))
+        report = check_parent_pointers(tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {"value": value, "parent": link[0],
+                                            "sibling_index": link[1]}
+        assert report["statistics"]["cases"] == cases
 
     @pytest.fixture
     def stray_tree(self):
@@ -225,9 +241,10 @@ class TestCovering:
         assert report.statistics["class2_sample"] > 0
 
     def test_class1_values_avoid_three_seven_eleven(self, tree_k6):
-        for value, info in tree_k6.records():
-            if info.parent is not None and info.parent % 3 == 1:
-                assert value % 12 not in (3, 7, 11)
+        for k, level in tree_k6.levels.items():
+            for value in level if k else ():
+                if f_step(value)[0] % 3 == 1:
+                    assert value % 12 not in (3, 7, 11)
 
     def test_shallow_tree_rejected(self):
         tree = build(TruncationConfig(max_depth=2, value_bound=60))

@@ -22,16 +22,19 @@ The covering, partition and adjacent-initials checks are kept as they stood
 before every check ran through one report driver: each with its own clock
 and case count, and covering and partition with their post-passes over the
 sets of children (class-1 children on {1, 5, 9} mod 12, no value in both
-classes), which the driven checks drop as implied.  They call the raw
-branch kernel through this module's `_raw_branch`, which a fault test
-patches together with verify's, and pass it no z_1 now that it is the
-division alone.
+classes), which the driven checks drop as implied.  The partition and
+adjacent-initials checks call the raw branch kernel through this module's
+`_raw_branch`, which a fault test patches together with verify's, and pass
+it no z_1 now that it is the division alone.  Covering walks the stored levels and reads each value's
+parent and sibling index through `arbor._link`, looked up at each call, so
+a fault test that patches the link reaches both covering checks.
 """
 
 import time
 from collections.abc import Iterator
 from itertools import islice
 
+from collatz_arbor import arbor
 from collatz_arbor._record import Record
 from collatz_arbor.arbor import TruncatedArborescence
 from collatz_arbor.core import _require_box, w_term, z_term
@@ -365,19 +368,19 @@ def reference_check_covering(tree: TruncatedArborescence) -> VerificationReport:
     class2: set[int] = set()
     seen_keys: set[tuple[int, int]] = set()
     cases = 0
-    for value, info in tree.records():
-        if info.parent is None:
-            continue
+    link = arbor._link  # read at each call, so a patched _link reaches the oracle too
+    for value in (v for k in sorted(tree.levels) if k for v in tree.levels[k]):
+        parent, n = link(value)
         cases += 1
-        parent_class = info.parent % 3
-        key = (parent_class, (info.parent // 3) % 3)
+        parent_class = parent % 3
+        key = (parent_class, (parent // 3) % 3)
         seen_keys.add(key)
         template = INITIAL_RESIDUE_TEMPLATES[key]
-        modulus, expected = template[0], _template_residue(template, info.sibling_index)
+        modulus, expected = template[0], _template_residue(template, n)
         if value % modulus != expected:
             return _finish("covering_patterns", params, False,
-                           {"value": value, "parent": info.parent,
-                            "sibling_index": info.sibling_index,
+                           {"value": value, "parent": parent,
+                            "sibling_index": n,
                             "expected_mod": expected, "modulus": modulus,
                             "observed": value % modulus},
                            cases, t0)
