@@ -281,9 +281,19 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     # exact integers at any size: lift the 4,300-digit limit on int <-> str
-    # conversion (Python 3.11+; 3.10 has none)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # conversion for this call, and give an in-process caller its own limit
+    # back (Python 3.11+; 3.10 has none)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -64,6 +64,18 @@ class TestTrajectory:
         assert lines[0].split(" -> ")[0] == start
         assert lines[2] == "length = 3 (not converged)"
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python 3.10 has no int/str digit limit")
+    def test_main_gives_the_digit_limit_back(self):
+        # main lifts the limit for its own call only, so an in-process
+        # caller keeps the limit it had
+        start = "1" + "0" * 4399 + "1"
+        limit = sys.get_int_max_str_digits()
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["trajectory", start, "--max-steps", "3"]) == 0
+        assert out.getvalue().startswith(start)
+        assert sys.get_int_max_str_digits() == limit
+
 
 class TestSiblings:
     def test_count_stop(self):
