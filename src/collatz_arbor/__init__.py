@@ -18,13 +18,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(("CoverageReport", "TruncatedArborescence", "TruncationConfig", "build",
                      "classify_edge", "coverage", "export", "path_to"), "arbor"),
-    **dict.fromkeys(("BaseSequences", "OddInteger", "base_sequences", "decompose", "w_term",
-                     "z_term"), "core"),
+    **dict.fromkeys(("BaseSequences", "base_sequences", "w_term", "z_term"), "core"),
     **dict.fromkeys(("CapacityError", "CollatzArborError", "DuplicateVertexError",
                      "InconsistencyError", "LeafParentError", "MissingVertexError",
                      "NonEdgeError"), "errors"),
     **dict.fromkeys(("TrajectoryRecord", "TrajectorySummary", "f_step", "trajectory",
-                     "trajectory_summary", "valuation2"), "forward"),
+                     "trajectory_summary"), "forward"),
     **dict.fromkeys(("SiblingSet", "branch_forms", "g_branch", "initial_vertex", "siblings"),
                     "inverse"),
     **dict.fromkeys(("VerificationReport", "run_suite"), "verify"),

@@ -67,7 +67,6 @@ _PCHUNK = 4096  # parents per kernel call in a bounded box, at most
 # Typecodes of a coverage table, narrowest first, with the bound each holds;
 # an entry is 1 + a depth, so a tree of max_depth d takes the first with d + 1 < bound.
 _DEPTH_TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
-_BIT_DIGITS = b"0" + b"1" * 255  # a covered flag byte -> its bitmap digit
 _ABSENT = b"\x01" + bytes(255)  # a covered flag byte -> a missing flag
 
 
@@ -188,11 +187,13 @@ def _link(value: int) -> tuple[int, int] | tuple[None, None]:
 
 
 class TruncatedArborescence:
-    """Per-depth levels in build order, plus one membership object.
+    """A list of levels by depth, each in build order, plus one membership object.
 
-    Each level is an array('I') when the box's value bound is below 2^32
-    (4 B a value), an array('Q') when it is below 2^64 (8 B), and a list of
-    exact ints otherwise (the bounds follow the items' sizes, _TYPECODES).
+    levels[k] holds the values at depth k, and no level is empty, so
+    max_depth is len(levels) - 1.  Each level is an array('I') when the
+    box's value bound is below 2^32 (4 B a value), an array('Q') when it is
+    below 2^64 (8 B), and a list of exact ints otherwise (the bounds follow
+    the items' sizes, _TYPECODES).
     members is an _OddBitmap when the box has a value bound whose bitmap is
     no larger than the node budget in bytes (value_bound // 16 <=
     max_nodes), and a set otherwise.  Nothing else is stored or exposed: a
@@ -210,7 +211,7 @@ class TruncatedArborescence:
 
     __slots__ = ("config", "levels", "members")
 
-    def __init__(self, config: TruncationConfig, levels: dict[int, Sequence[int]],
+    def __init__(self, config: TruncationConfig, levels: list[Sequence[int]],
                  members: _OddBitmap | set[int]) -> None:
         self.config = config
         self.levels = levels
@@ -224,7 +225,7 @@ class TruncatedArborescence:
 
     @property
     def max_depth(self) -> int:
-        return max(self.levels)
+        return len(self.levels) - 1
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
@@ -269,7 +270,7 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     table = _kernel_table(c, cap)
     width = max(map(len, table[1] + table[2]))  # the most children one parent has
     level = [ROOT]
-    levels: dict[int, Sequence[int]] = {0: _typed(level, typecode)}
+    levels = [_typed(level, typecode)]
     depth = 0
     room = max_nodes  # nodes the budget still admits; level 1 is grown with the root at its head
     while level and (config.max_depth is None or depth < config.max_depth):
@@ -302,7 +303,7 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
             raise _duplicate(levels, parents, c, table)
         room -= len(level)
         if level:
-            levels[depth] = _typed(level, typecode)
+            levels.append(_typed(level, typecode))
     return TruncatedArborescence(config, levels, members)
 
 
@@ -318,7 +319,7 @@ def _typed(level: list[int], typecode: str | None) -> Sequence[int]:
     return packed
 
 
-def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], c: int,
+def _duplicate(levels: list[Sequence[int]], parents: list[int], c: int,
                table: tuple[tuple[range, ...], ...]) -> DuplicateVertexError:
     """The slow path of a level that repeats a value: replay it, parent by parent, against a set.
 
@@ -326,7 +327,7 @@ def _duplicate(levels: dict[int, Sequence[int]], parents: list[int], c: int,
     repeats, with the parent f(v) it is stored under and the parent that
     produced it again.
     """
-    seen = {v for level in levels.values() for v in level}
+    seen = {v for level in levels for v in level}
     for u in parents:
         for v in _children((u,), c, table)[u == ROOT:]:  # the root's run opens with the root
             if v in seen:
@@ -430,25 +431,20 @@ class _FirstDepthItems(ItemsView):
 class CoverageReport(Record):
     """Which odd values up to a bound the truncated tree reaches.
 
-    bitmap has bit i set iff value 2i + 1 is present; first_depth maps each
-    covered value to the depth where it appears (coverage returns a read-only
-    mapping that iterates by ascending value); level_sizes counts covered
-    values per depth.  covered_count + len(missing) always equals the number
-    of odd values within the bound.
+    first_depth maps each covered value to the depth where it appears
+    (coverage returns a read-only mapping that iterates by ascending value,
+    so `v in first_depth` tells whether v is covered); level_sizes counts
+    covered values per depth.  covered_count + len(missing) always equals
+    the number of odd values within the bound.
     """
 
-    __slots__ = ("bound", "covered_count", "bitmap", "missing", "first_depth", "level_sizes")
+    __slots__ = ("bound", "covered_count", "missing", "first_depth", "level_sizes")
     _hidden = ("first_depth",)
     bound: int
     covered_count: int
-    bitmap: int
     missing: tuple[int, ...]
     first_depth: Mapping[int, int]
     level_sizes: dict[int, int]
-
-    def covers(self, value: object) -> bool:
-        """Whether value is a covered odd value of the window; False for a non-int."""
-        return isinstance(value, int) and value in self.first_depth
 
 
 def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
@@ -459,10 +455,9 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     array code that holds 1 + tree.max_depth (_DEPTH_TYPECODES), and counts
     each level's values in the window.  Everything else is derived from the
     table: a byte per odd value, nonzero where it is covered, translates to
-    the bitmap's binary digits and to the missing flags that drive
-    itertools.compress over range(1, bound + 1, 2), and first_depth is a
-    read-only view of the table (_FirstDepth).  Both membership stores take
-    this one route.  The missing count is charged to the tree's node budget:
+    the missing flags that drive itertools.compress over range(1, bound + 1,
+    2), and first_depth is a read-only view of the table (_FirstDepth).
+    Both membership stores take this one route.  The missing count is charged to the tree's node budget:
     more than max_nodes of them raise CapacityError before the list is
     made, and before the table when the tree is too small to cover all but
     max_nodes of the window.
@@ -480,8 +475,8 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     code = next(code for top, code in _DEPTH_TYPECODES if tree.max_depth + 1 < top)
     table = array(code, (0,)) * odd
     level_sizes: dict[int, int] = {}
-    for k in sorted(tree.levels):
-        hits = [v for v in tree.levels[k] if v <= bound]
+    for k, level in enumerate(tree.levels):
+        hits = [v for v in level if v <= bound]
         if hits:
             level_sizes[k] = len(hits)
             d = k + 1
@@ -494,7 +489,6 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     return CoverageReport(
         bound=bound,
         covered_count=covered_count,
-        bitmap=int(flags.translate(_BIT_DIGITS)[::-1], 2),
         missing=tuple(compress(range(1, bound + 1, 2), flags.translate(_ABSENT))),
         first_depth=_FirstDepth(table, covered_count),
         level_sizes=level_sizes,
@@ -507,9 +501,8 @@ _CHUNK = 4096  # rows per sink write: bounded memory, few write calls
 def _chunks(tree: TruncatedArborescence,
             root: bool = False) -> Iterator[tuple[int, Sequence[int]]]:
     """(depth, up to _CHUNK values) of each level in order, the root's level if root."""
-    for k in sorted(tree.levels):
+    for k, level in enumerate(tree.levels):
         if k or root:
-            level = tree.levels[k]
             for i in range(0, len(level), _CHUNK):
                 yield k, level[i:i + _CHUNK]
 

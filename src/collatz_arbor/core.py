@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: residue decomposition and the base sequences Z, W.
+"""Exact integer arithmetic: the base sequences Z, W, and the package's argument checks.
 
 Everything here is plain ``int`` arithmetic (arbitrary precision); the terms of
 Z grow like 4^n / 3, so fixed-width types are out of the question.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from ._record import Record
 
-__all__ = ["OddInteger", "decompose", "z_term", "w_term", "BaseSequences", "base_sequences"]
+__all__ = ["z_term", "w_term", "BaseSequences", "base_sequences"]
 
 
 def _require_int(x: object, what: str) -> None:
@@ -31,35 +31,6 @@ def _require_box(least: int = 1, **sizes: int) -> None:
         _require_int(size, what)
         if size < least:
             raise ValueError(f"{what} must be >= {least}, got {size}")
-
-
-class OddInteger(Record):
-    """An odd positive integer x split as x = 3*multiple + residue.
-
-    The parity of the multiple is forced by oddness: residue 1 gives an even
-    multiple, residues 0 and 2 give odd multiples (0, for x = 1, counts even).
-    """
-
-    __slots__ = ("value", "residue", "multiple")
-    value: int
-    residue: int
-    multiple: int
-
-    def __post_init__(self) -> None:
-        _require_odd_positive(self.value, "value")
-        if self.residue != self.value % 3:
-            raise ValueError(f"residue {self.residue} is not {self.value} mod 3")
-        if 3 * self.multiple + self.residue != self.value:
-            raise ValueError(
-                f"decomposition broken: 3*{self.multiple} + {self.residue} != {self.value}"
-            )
-
-
-def decompose(x: int) -> OddInteger:
-    """Split an odd positive integer into (value, residue mod 3, multiple)."""
-    _require_odd_positive(x)
-    r = x % 3
-    return OddInteger(x, r, (x - r) // 3)
 
 
 def z_term(n: int) -> int:

@@ -7,14 +7,11 @@ which the inverse construction is validated.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ._record import Record
 from .core import _require_box, _require_odd_positive
 from .defaults import DEFAULT_MAX_STEPS
 
 __all__ = [
-    "valuation2",
     "f_step",
     "trajectory",
     "trajectory_summary",
@@ -24,18 +21,12 @@ __all__ = [
 ]
 
 
-def valuation2(m: int) -> int:
-    """Largest a with 2^a dividing m.  Rejects odd or nonpositive input."""
-    _require_box(2, m=m)
-    if m % 2:
-        raise ValueError(f"m must be even, got {m}")
-    # trailing-zero count: the paper's a(x) for m = 3x + 1, which f_step,
-    # trajectory and the sweeps compute inline
-    return (m & -m).bit_length() - 1
-
-
 def f_step(x: int) -> tuple[int, int]:
-    """One application: returns ((3x + 1) / 2^a, a) with the quotient odd."""
+    """One application: returns ((3x + 1) / 2^a, a) with the quotient odd.
+
+    a is the paper's a(x), the trailing-zero count of 3x + 1, which
+    trajectory and the sweeps compute inline.
+    """
     _require_odd_positive(x)
     t = 3 * x + 1
     a = (t & -t).bit_length() - 1
@@ -67,10 +58,6 @@ class TrajectoryRecord(Record):
     @property
     def length(self) -> int:
         return len(self.exponents)
-
-    def steps(self) -> Iterator[tuple[int, int]]:
-        """Pairs (value, exponent applied to it), one per step."""
-        return zip(self.values, self.exponents)
 
 
 class TrajectorySummary(Record):

@@ -9,8 +9,9 @@ for n >= 1; multiples of 3 have no children at all.  Every branch is a true
 preimage of the forward map, the family is strictly ascending, and consecutive
 children satisfy v_{n+1} = 1 + 4 v_n.  Several alternative expressions for v_n
 exist (via the parent's multiple, via the recurrence, via a partial geometric
-sum); g_branch, branch_forms and initial_vertex compute more than one route
-and insist that the routes agree exactly.
+sum).  g_branch and initial_vertex compute more than one route and insist
+that the routes agree exactly; branch_forms returns the four routes and
+checks nothing, and the closed-forms suite checks that they agree.
 
 A parent's run of children within a box, the exponents of g cut at a value
 bound or a sibling cap, has one home: _kernel_table and _children, which
@@ -236,9 +237,6 @@ class SiblingSet(Record):
 
     def values(self) -> list[int]:
         return _children((self.parent,), *self._box())
-
-    def indexed(self) -> Iterator[tuple[int, int]]:
-        return enumerate(self.values(), 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values())

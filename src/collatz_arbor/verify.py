@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ._record import Record
 from .core import _require_box, w_term, z_term
@@ -270,18 +270,16 @@ def check_multiples(u: int, count: int) -> VerificationReport:
 # tree checks
 
 
-def _stored_levels(tree: TruncatedArborescence) -> list[Sequence[int]]:
-    """Every stored level but the root's, in depth order: each value there has a parent."""
-    return [tree.levels[k] for k in sorted(tree.levels) if k]
+def _require_depth(tree: TruncatedArborescence, least: int) -> None:
+    """A tree check needs a tree that holds at least `least` levels below the root."""
+    if tree.max_depth < least:
+        raise ValueError(f"tree depth {tree.max_depth} is too shallow; need >= {least}")
 
 
 def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
-    """Stored vertices the build rule expands, in deterministic order."""
-    k_limit = tree.config.max_depth
-    for k in sorted(tree.levels):
-        if k_limit is not None and k >= k_limit:
-            return
-        yield from (v for v in tree.levels[k] if v % 3)
+    """The stored non-leaves above the depth limit, which the build expands, in build order."""
+    for level in tree.levels[:tree.config.max_depth]:
+        yield from (v for v in level if v % 3)
 
 
 def _branch(u: int, n: int) -> int:
@@ -298,9 +296,11 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     stored values, odd and not multiples of 3, so the raw kernel takes them.
     The derived children must be the values of the stored levels but the
     root's, and the membership store must hold those and the root alone.
+    A tree of the root alone is refused: it would pass with no case.
     """
     from .arbor import ROOT
 
+    _require_depth(tree, 1)
     cfg = tree.config
     run = _Run("uniqueness", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
                               "sibling_cap": cfg.sibling_cap})
@@ -317,7 +317,7 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     duplicate = min((v for v, c in counts.items() if c > 1), default=None)
     if duplicate is not None:
         return run.report({"value": duplicate, "occurrences": counts[duplicate]})
-    stored = {v for level in _stored_levels(tree) for v in level}
+    stored = {v for level in tree.levels[1:] for v in level}
     if counts.keys() != stored:
         off = sorted(counts.keys() ^ stored)
         return run.report({"value": off[0],
@@ -335,13 +335,15 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     Over the stored levels but the root's, in order: one arbor._link call
     gives the parent and the sibling index n, the parent must be stored and
     not a leaf, and its branch of index n, through the raw branch kernel,
-    must be the value.
+    must be the value.  A tree of the root alone is refused: it would pass
+    with no case.
     """
     from . import arbor  # read at each run, so a patched _link is the one checked
 
+    _require_depth(tree, 1)
     link, members = arbor._link, tree.members
     run = _Run("parent_pointers", {"nodes": len(tree)})
-    for level in _stored_levels(tree):
+    for level in tree.levels[1:]:
         for value in level:
             run.cases += 1
             parent, n = link(value)
@@ -354,11 +356,6 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
             if _branch(parent, n) != value:
                 return run.report({"value": value, "parent": parent, "sibling_index": n})
     return run.report()
-
-
-def _require_covering_depth(tree: TruncatedArborescence) -> None:
-    if tree.max_depth < 3:
-        raise ValueError(f"tree depth {tree.max_depth} is too shallow; need >= 3")
 
 
 def check_covering(tree: TruncatedArborescence) -> VerificationReport:
@@ -379,14 +376,14 @@ def check_covering(tree: TruncatedArborescence) -> VerificationReport:
     """
     from . import arbor  # read at each run, so a patched _link is the one checked
 
-    _require_covering_depth(tree)
+    _require_depth(tree, 3)
     link = arbor._link
     cfg = tree.config
     run = _Run("covering_patterns", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound})
     realized: set[int] = set()  # residues mod 12 of the class-2 children
     class2 = 0
     seen_keys: set[tuple[int, int]] = set()
-    for level in _stored_levels(tree):
+    for level in tree.levels[1:]:
         for value in level:
             parent, n = link(value)
             run.cases += 1
@@ -666,7 +663,7 @@ def run_suite(name: str, *,
 
         tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
     if "covering" in wanted:
-        _require_covering_depth(tree)
+        _require_depth(tree, 3)
     if "partition" in wanted:
         _require_box(7, parent_bound=parent_bound)
     if "convergence" in wanted:

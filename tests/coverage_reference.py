@@ -1,6 +1,6 @@
 """The scan-every-level coverage loop: the oracle for arbor.coverage.
 
-It sets each covered value's bit and depth one value at a time, and lists
+It sets each covered value's depth one value at a time, and lists
 the missing values with one dict lookup each; `arbor.coverage` must return
 an equal report, `first_depth` included.
 """
@@ -20,25 +20,20 @@ def reference_coverage(tree, bound: int) -> CoverageReport:
     refused = f"the report up to {bound} lists more than {budget} missing values (the node budget)"
     if (bound + 1) // 2 - len(tree) > budget:  # at most len(tree) values are covered
         raise CapacityError(refused)
-    bits = bytearray((bound + 15) // 16)
     first_depth: dict[int, int] = {}
     level_sizes: dict[int, int] = {}
-    for k in sorted(tree.levels):
-        hits = [v for v in tree.levels[k] if v <= bound]
+    for k, level in enumerate(tree.levels):
+        hits = [v for v in level if v <= bound]
         for value in hits:
-            i = value >> 1
-            bits[i >> 3] |= 1 << (i & 7)
             first_depth[value] = k
         if hits:
             level_sizes[k] = len(hits)
     if (bound + 1) // 2 - len(first_depth) > budget:
         raise CapacityError(refused)
-    bitmap = int.from_bytes(bits, "little")
     missing = tuple(x for x in range(1, bound + 1, 2) if x not in first_depth)
     return CoverageReport(
         bound=bound,
         covered_count=len(first_depth),
-        bitmap=bitmap,
         missing=missing,
         first_depth=first_depth,
         level_sizes=level_sizes,

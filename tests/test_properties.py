@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import verify_reference as reference
 from convergence_reference import reference_check_convergence
+from core_reference import decompose, valuation2
 from coverage_reference import reference_coverage
 from export_reference import reference_export
 from collatz_arbor import arbor, inverse, verify
@@ -24,9 +25,9 @@ from collatz_arbor.arbor import (
     export,
     path_to,
 )
-from collatz_arbor.core import decompose, w_term, z_term
+from collatz_arbor.core import w_term, z_term
 from collatz_arbor.errors import CapacityError, MissingVertexError
-from collatz_arbor.forward import f_step, valuation2
+from collatz_arbor.forward import f_step
 from collatz_arbor.inverse import (
     branch_forms,
     g_branch,
@@ -61,6 +62,7 @@ def test_forward_step_reduces_to_odd(x):
     assert y % 2 == 1
     assert a >= 1
     assert 3 * x + 1 == y << a
+    assert a == valuation2(3 * x + 1)
 
 
 @given(parents, small_index)
@@ -139,7 +141,7 @@ def _reference_build(config):
     Returns the levels and each stored value's (parent, sibling index), (None, None) for 1.
     """
     links = {1: (None, None)}
-    levels = {0: [1]}
+    levels = [[1]]
     frontier = [1]
     depth = 0
     while frontier and (config.max_depth is None or depth < config.max_depth):
@@ -155,7 +157,7 @@ def _reference_build(config):
                 links[v] = (u, n)
                 level.append(v)
         if level:
-            levels[depth] = level
+            levels.append(level)
         frontier = [v for v in level if v % 3]
     return levels, links
 
@@ -201,7 +203,9 @@ def test_build_matches_reference_build(config):
             build(config)
         return
     tree = build(config)
-    assert {k: list(level) for k, level in tree.levels.items()} == levels
+    assert [list(level) for level in tree.levels] == levels
+    # levels[k] is depth k: no level is empty, so _expansion_parents may slice by position
+    assert len(tree.levels) == tree.max_depth + 1 and all(tree.levels)
     assert len(tree) == len(links)
     parents = {v: u for v, (u, _) in links.items()}
     # every odd value up to 2001, and the stored values' neighbours, odd and even
@@ -228,7 +232,7 @@ big_bound_boxes = st.builds(TruncationConfig, max_depth=st.integers(0, 2),
 def test_big_bound_build_matches_reference_build(config):
     levels, links = _reference_build(config)
     tree = build(config)
-    assert {k: list(level) for k, level in tree.levels.items()} == levels
+    assert [list(level) for level in tree.levels] == levels
     assert all(arbor._link(v) == link for v, link in links.items())
 
 
@@ -275,7 +279,6 @@ sibling_parents = st.one_of(
 def test_siblings_match_reference_stream(u, count, data):
     want = [v for _, v in islice(reference.iter_siblings(u), count)]
     assert siblings(u, count=count).values() == want
-    assert list(siblings(u, count=count).indexed()) == list(enumerate(want, 1))
     # bounds at the last child, one either side of it, below the first, past the last
     bound = max(1, data.draw(st.sampled_from([want[-1] - 1, want[-1], want[-1] + 1, 1,
                                               4 * want[-1]]) | st.integers(1, 2**300)))
@@ -321,7 +324,7 @@ def test_levels_are_complete_sibling_runs(config):
     # the exporters' carry: a value 5 mod 8 follows its elder sibling (v - 1) / 4 in the
     # same level, or is 5 at the head of level 1; every other value is a first child
     tree = build(config)
-    for k, level in tree.levels.items():
+    for k, level in enumerate(tree.levels):
         for i, v in enumerate(level if k else ()):
             if v & 7 == 5:
                 assert (i > 0 and level[i - 1] == (v - 1) // 4) or (k, i, v) == (1, 0, 5)
@@ -493,7 +496,7 @@ def test_covering_matches_reference_under_a_wrong_sibling_index(tree, shift, dat
     # one stored value's derived link names a sibling index `shift` too high
     if tree.max_depth < 1:
         return
-    v0 = data.draw(st.sampled_from([v for k, level in tree.levels.items() if k for v in level]))
+    v0 = data.draw(st.sampled_from([v for level in tree.levels[1:] for v in level]))
     real = arbor._link
 
     def faulty(v):

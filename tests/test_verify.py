@@ -138,6 +138,16 @@ class TestUniqueness:
         tree = build(TruncationConfig(max_depth=1, value_bound=400))
         assert check_uniqueness(tree).passed
 
+    @pytest.mark.parametrize("check", [check_uniqueness, check_parent_pointers])
+    @pytest.mark.parametrize("config", [
+        TruncationConfig(max_depth=0, value_bound=10),
+        TruncationConfig(max_depth=4, value_bound=3),  # the root's first child, 5, is cut
+    ], ids=["depth-0", "bound-3"])
+    def test_root_only_tree_rejected(self, check, config):
+        # a tree of the root alone holds no edge, so a pass would rest on no case
+        with pytest.raises(ValueError, match=r"^tree depth 0 is too shallow; need >= 1$"):
+            check(build(config))
+
     def test_deeper_tree(self, tree_k6):
         assert check_uniqueness(tree_k6).passed
 
@@ -241,14 +251,14 @@ class TestCovering:
         assert report.statistics["class2_sample"] > 0
 
     def test_class1_values_avoid_three_seven_eleven(self, tree_k6):
-        for k, level in tree_k6.levels.items():
-            for value in level if k else ():
+        for level in tree_k6.levels[1:]:
+            for value in level:
                 if f_step(value)[0] % 3 == 1:
                     assert value % 12 not in (3, 7, 11)
 
     def test_shallow_tree_rejected(self):
         tree = build(TruncationConfig(max_depth=2, value_bound=60))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tree depth 2 is too shallow; need >= 3$"):
             check_covering(tree)
 
 

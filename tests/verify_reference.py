@@ -48,7 +48,7 @@ from collatz_arbor.verify import (
     VerificationReport,
     _finish,
     _parents_up_to,
-    _require_covering_depth,
+    _require_depth,
     _template_residue,
 )
 
@@ -360,7 +360,7 @@ def reference_check_covering(tree: TruncatedArborescence) -> VerificationReport:
     Parents of template keys absent from the tree are reported as warnings
     in the statistics, not failures.
     """
-    _require_covering_depth(tree)
+    _require_depth(tree, 3)
     t0 = time.perf_counter()
     cfg = tree.config
     params = {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound}
@@ -369,7 +369,7 @@ def reference_check_covering(tree: TruncatedArborescence) -> VerificationReport:
     seen_keys: set[tuple[int, int]] = set()
     cases = 0
     link = arbor._link  # read at each call, so a patched _link reaches the oracle too
-    for value in (v for k in sorted(tree.levels) if k for v in tree.levels[k]):
+    for value in (v for level in tree.levels[1:] for v in level):
         parent, n = link(value)
         cases += 1
         parent_class = parent % 3
