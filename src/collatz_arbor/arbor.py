@@ -402,6 +402,11 @@ class _FirstDepth(Mapping):
         self._table = table
         self._count = count
 
+    def __contains__(self, value: object) -> bool:
+        table = self._table
+        return (isinstance(value, int) and 0 < value and value & 1 == 1
+                and value >> 1 < len(table) and table[value >> 1] > 0)
+
     def __getitem__(self, value: int) -> int:
         table = self._table
         if isinstance(value, int) and 0 < value and value & 1 and value >> 1 < len(table):

@@ -4,10 +4,11 @@ Every check runs inside an explicit finite box (a parent bound, a sibling
 count, an index offset range, a truncation config) and produces a
 VerificationReport that embeds that box, so a "pass" can never be read as
 more than evidence on the stated range.  A failed check always carries a
-counterexample with enough data to replay it.  Each check validates its box
-once, at its boundary; its inner loops then do plain integer arithmetic.
-Every check runs through one driver, _Run, which owns its clock, its case
-count and its report.
+counterexample with enough data to replay it.  Each box is validated once,
+at the public boundary (a check, or run_suite for the suites it runs from
+its own table); the inner loops then do plain integer arithmetic.  Every
+check runs through one driver, _Run, which owns its clock, its case count
+and its report.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ __all__ = [
     "VerificationReport",
     "check_residue_cycle", "check_closed_forms", "check_multiples",
     "check_uniqueness", "check_parent_pointers", "check_covering", "check_covering_templates",
-    "check_initial_vertex_partition", "check_convergence",
-    "residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep", "adjacent_initials_sweep",
-    "gaps_sweep", "collision_parity_sweep",
-    "run_suite", "SUITE_NAMES", "SUITE_ALIASES", "INITIAL_RESIDUE_TEMPLATES",
+    "check_convergence", "run_suite", "SUITE_NAMES", "SUITE_ALIASES", "INITIAL_RESIDUE_TEMPLATES",
     "DEFAULT_PARENT_BOUND", "DEFAULT_SIBLING_COUNT", "DEFAULT_MAX_OFFSET", "DEFAULT_PARTNERS",
     "DEFAULT_TREE_DEPTH", "DEFAULT_TREE_BOUND",
 ]
@@ -85,15 +83,8 @@ class VerificationReport(Record):
         }
 
 
-def _finish(name: str, params: dict, passed: bool, counterexample: dict | None,
-            cases: int, t0: float, **extra) -> VerificationReport:
-    stats = {"cases": cases, "elapsed_s": round(time.perf_counter() - t0, 6)}
-    stats.update(extra)
-    return VerificationReport(name, params, passed, counterexample, stats)
-
-
 class _Run:
-    """A check's box, clock and case count; report() is the only caller of _finish."""
+    """A check's box, clock and case count; report() closes it into its report."""
 
     __slots__ = ("name", "params", "t0", "cases")
 
@@ -103,8 +94,9 @@ class _Run:
 
     def report(self, counterexample: dict | None = None, **extra) -> VerificationReport:
         """Close the run, failed exactly when it is given a counterexample."""
-        return _finish(self.name, self.params, counterexample is None, counterexample,
-                       self.cases, self.t0, **extra)
+        stats = {"cases": self.cases, "elapsed_s": round(time.perf_counter() - self.t0, 6)}
+        return VerificationReport(self.name, self.params, counterexample is None,
+                                  counterexample, {**stats, **extra})
 
 
 def _parents_up_to(bound: int) -> Iterator[int]:
@@ -139,10 +131,12 @@ def _over_parents(name: str, params: dict, parents: Iterable[int], count: int,
 
 
 # ---------------------------------------------------------------------------
-# per-object checks.  A kernel(count) builds its rows (z_n in closed forms,
+# per-parent kernels.  A kernel(count) builds its rows (z_n in closed forms,
 # w_n in multiples) once, and returns a function of a checked parent u: the
 # first counterexample among u's first `count` children, or None.  The first
 # child comes from the raw branch kernel, the others from v_{n+1} = 1 + 4 v_n.
+# A per-object check runs its kernel on one parent, and run_suite on every
+# parent up to its bound.
 
 
 def _residue_cycle_kernel(count: int) -> Callable[[int], dict | None]:
@@ -164,39 +158,6 @@ def check_residue_cycle(u: int, count: int) -> VerificationReport:
     _require_box(count=count)
     return _over_parents("residue_cycle", {"u": u, "count": count}, (u,), count,
                          _residue_cycle_kernel)
-
-
-def collision_parity_sweep(max_d: int = DEFAULT_MAX_OFFSET,
-                           partners_per_class: int = DEFAULT_PARTNERS) -> VerificationReport:
-    """Every probe over the box must force an odd (hence impossible) multiple.
-
-    A collision of equal children at index offset d requires the class-1
-    multiple 2^(2d-1) * p + z_d with an odd partner multiple p (mixed
-    classes), or 2^(2d) * p + z_d with an even one (same class).  A genuine
-    class-1 multiple is even, so an odd one witnesses that the collision
-    cannot happen.  For each d (z_d read once) and each odd p up to
-    2 * partners_per_class, the mixed case with partner p comes first, then
-    the same-class case with partner p - 1.
-    """
-    _require_box(max_d=max_d, partners_per_class=partners_per_class)
-    run = _Run("collision_parity", {"max_d": max_d, "partners_per_class": partners_per_class})
-    for d in range(1, max_d + 1):
-        z = z_term(d)
-        mixed, same = 1 << (2 * d - 1), 1 << (2 * d)
-        # the probes with partners p and p - 1 are this d's p-th and (p + 1)-th cases
-        for p in range(1, 2 * partners_per_class, 2):
-            required = mixed * p + z
-            if required % 2 == 0:
-                run.cases += p
-                return run.report({"d": d, "partner_multiple": p,
-                                   "same_class": False, "required_multiple": required})
-            required = same * (p - 1) + z
-            if required % 2 == 0:
-                run.cases += p + 1
-                return run.report({"d": d, "partner_multiple": p - 1,
-                                   "same_class": True, "required_multiple": required})
-        run.cases += 2 * partners_per_class
-    return run.report()
 
 
 def _closed_forms_kernel(count: int) -> Callable[[int], dict | None]:
@@ -264,6 +225,83 @@ def check_multiples(u: int, count: int) -> VerificationReport:
     _require_box(count=count)
     return _over_parents("multiples", {"u": u, "count": count}, (u,), count,
                          _multiples_kernel, whole_parent=True)
+
+
+# ---------------------------------------------------------------------------
+# what only run_suite runs: three per-parent kernels and the collision loop
+
+
+def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
+    """Chained initial-vertex identities of a class-1 parent.
+
+    For u with multiple mu and its class-2 successor sibling 1 + 4u, the
+    closed forms v_1(u) = 1 + 4 mu and v_1(1 + 4u) = 3 + 8 mu must equal the
+    raw branches, the successor's multiple and 1 + 2 v_1(u).
+    """
+    def counterexample(u: int) -> dict | None:
+        v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
+        successor = 1 + 4 * u
+        if (v1 != _raw_branch(u, 2) or v1 != successor // 3
+                or v1_next != _raw_branch(successor, 1) or v1_next != 1 + 2 * v1):
+            return {"u": u, "v1": v1, "v1_next": v1_next}
+        return None
+    return counterexample
+
+
+def _gaps_kernel(count: int) -> Callable[[int], dict | None]:
+    """Consecutive-sibling gaps must equal 2^(2n) u (class 1) / 2^(2n-1) u (class 2)."""
+    def counterexample(u: int) -> dict | None:
+        e = 2 if u % 3 == 1 else 1
+        v, gap = _raw_branch(u, e), u << e  # the gap after v_n is 2^e_n u, e_{n+1} = e_n + 2
+        for n in range(1, count + 1):
+            nxt = 1 + 4 * v
+            if nxt - v != gap:
+                return {"u": u, "n": n, "expected_gap": gap, "observed_gap": nxt - v}
+            v = nxt
+            gap <<= 2
+        return None
+    return counterexample
+
+
+def _partition_kernel(count: int) -> Callable[[int], dict | None]:
+    """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
+    def counterexample(u: int) -> dict | None:
+        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1)
+        if u % 3 == 1:
+            return None if v1 % 8 == 1 else {"u": u, "v1": v1, "observed_mod_8": v1 % 8}
+        return None if v1 % 4 == 3 else {"u": u, "v1": v1, "observed_mod_4": v1 % 4}
+    return counterexample
+
+
+def _collision_parity(max_d: int, partners_per_class: int) -> VerificationReport:
+    """Every probe over the box must force an odd (hence impossible) multiple.
+
+    A collision of equal children at index offset d requires the class-1
+    multiple 2^(2d-1) * p + z_d with an odd partner multiple p (mixed
+    classes), or 2^(2d) * p + z_d with an even one (same class).  A genuine
+    class-1 multiple is even, so an odd one witnesses that the collision
+    cannot happen.  For each d (z_d read once) and each odd p up to
+    2 * partners_per_class, the mixed case with partner p comes first, then
+    the same-class case with partner p - 1.
+    """
+    run = _Run("collision_parity", {"max_d": max_d, "partners_per_class": partners_per_class})
+    for d in range(1, max_d + 1):
+        z = z_term(d)
+        mixed, same = 1 << (2 * d - 1), 1 << (2 * d)
+        # the probes with partners p and p - 1 are this d's p-th and (p + 1)-th cases
+        for p in range(1, 2 * partners_per_class, 2):
+            required = mixed * p + z
+            if required % 2 == 0:
+                run.cases += p
+                return run.report({"d": d, "partner_multiple": p,
+                                   "same_class": False, "required_multiple": required})
+            required = same * (p - 1) + z
+            if required % 2 == 0:
+                run.cases += p + 1
+                return run.report({"d": d, "partner_multiple": p - 1,
+                                   "same_class": True, "required_multiple": required})
+        run.cases += 2 * partners_per_class
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +469,6 @@ def check_covering_templates(parent_bound: int = DEFAULT_PARENT_BOUND,
                          _parents_up_to(parent_bound), count, _template_kernel)
 
 
-def _partition_kernel(count: int) -> Callable[[int], dict | None]:
-    def counterexample(u: int) -> dict | None:
-        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1)
-        if u % 3 == 1:
-            return None if v1 % 8 == 1 else {"u": u, "v1": v1, "observed_mod_8": v1 % 8}
-        return None if v1 % 4 == 3 else {"u": u, "v1": v1, "observed_mod_4": v1 % 4}
-    return counterexample
-
-
-def check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
-    """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
-    _require_box(7, parent_bound=parent_bound)
-    return _over_parents("initial_vertex_partition", {"parent_bound": parent_bound},
-                         _parents_up_to(parent_bound), 1, _partition_kernel, whole_parent=True)
-
-
 # The convergence sweep's step table stops growing at this many bytes,
 # whatever the bound: 2^24 odd starts at 2 B each.
 _STEP_TABLE_BYTES = 32 << 20
@@ -464,17 +486,18 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
     (mod 4), x0 >= 5, the orbit of x0 - 2 steps up to (3 x0 - 5)/2 >= x0.
 
     Starts are swept in ascending order, and each orbit is walked and checked
-    only until it drops below its start or reaches a value whose step count
-    is known: an earlier walk has taken the rest of it, so its steps were all
-    checked, its values all counted in the excursion, and its step count
-    sits in a table (2 B per odd start up to the bound, and at most 32 MB
-    whatever the bound).  Each walk then fills in the count of its start and
-    of every value it passed above the start, up to the bound, and the sweep
-    counts such a start without walking it.  An orbit that drops below a
-    start past the table steps on, unchecked, until it lands inside it.  The
-    first start whose orbit takes a step is the one that walks it, so a
-    failed report names the same start and step, with the same statistics,
-    as walking every orbit to 1 would.
+    in one loop until it reaches 1 or a value whose step count is known: an
+    earlier walk has taken the rest of it, so its steps were all checked,
+    its values all counted in the excursion, and its step count sits in a
+    table (2 B per odd start up to the bound, and at most 32 MB whatever the
+    bound).  Each walk then fills in the count of its start and of every
+    value it passed, up to the bound and as far as the table reaches, and
+    the sweep counts such a start without walking it.  Below the cap every
+    start under x0 is in the table, so a walk stops as soon as it drops
+    below its start; past the cap it walks on, checking again steps an
+    earlier start has checked.  The first start whose orbit takes a step is
+    the one that first walks it, so a failed report names the same start
+    and step, with the same statistics, as walking every orbit to 1 would.
     """
     # imported here, not at the top: only this sweep needs the array
     # extension (0.4 ms to load)
@@ -515,17 +538,10 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
             if x > max_peak:
                 max_peak = x
             i = x >> 1
-            if x < x0 or i < size and table[i]:
+            if x == 1 or i < size and table[i]:
                 break
             walked.append(i)
-        # below x0 or at a known count, an earlier walk took the rest of the
-        # orbit: checked, its values counted.  Step it unchecked until it
-        # lands in the table.  Unless the budget ran out above x0 (the count
-        # of x unknown), whatever lands there is a start swept already.
-        while x >> 1 >= size and steps < max_steps:
-            t = 3 * x + 1
-            x = t >> ((t & -t).bit_length() - 1)
-            steps += 1
+        # at 1 or at a known count, unless the budget ran out first
         rest = table[x >> 1] if x >> 1 < size else 0
         if (rest == 0 and x != 1) or steps + rest > max_steps:
             from .forward import trajectory
@@ -546,84 +562,6 @@ def check_convergence(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> Verific
                 table[i] = steps
             steps -= 1
     return run.report(max_steps_observed=max_len, max_excursion=max_peak)
-
-
-# ---------------------------------------------------------------------------
-# sweeps over parent ranges
-
-
-def residue_cycle_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
-                        count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
-    """Residue cycling for every valid parent up to the bound."""
-    _require_box(parent_bound=parent_bound, count=count)
-    return _over_parents("residue_cycle", {"parent_bound": parent_bound, "count": count},
-                         _parents_up_to(parent_bound), count, _residue_cycle_kernel)
-
-
-def multiples_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
-                    count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
-    """Multiples ascent and closed-form agreement for every parent up to the bound."""
-    _require_box(parent_bound=parent_bound, count=count)
-    return _over_parents("multiples", {"parent_bound": parent_bound, "count": count},
-                         _parents_up_to(parent_bound), count, _multiples_kernel,
-                         whole_parent=True)
-
-
-def closed_forms_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
-                       count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
-    """Route agreement (direct / recurrence / summation) for every parent."""
-    _require_box(parent_bound=parent_bound, count=count)
-    return _over_parents("closed_forms", {"parent_bound": parent_bound, "count": count},
-                         _parents_up_to(parent_bound), count, _closed_forms_kernel,
-                         whole_parent=True)
-
-
-def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
-    def counterexample(u: int) -> dict | None:
-        v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
-        successor = 1 + 4 * u
-        if (v1 != _raw_branch(u, 2) or v1 != successor // 3
-                or v1_next != _raw_branch(successor, 1) or v1_next != 1 + 2 * v1):
-            return {"u": u, "v1": v1, "v1_next": v1_next}
-        return None
-    return counterexample
-
-
-def adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) -> VerificationReport:
-    """Chained initial-vertex identities for every class-1 parent up to the bound.
-
-    For u with multiple mu and its class-2 successor sibling 1 + 4u, the
-    closed forms v_1(u) = 1 + 4 mu and v_1(1 + 4u) = 3 + 8 mu must equal the
-    raw branches, the successor's multiple and 1 + 2 v_1(u).
-    """
-    _require_box(parent_bound=parent_bound)
-    return _over_parents("adjacent_initials", {"parent_bound": parent_bound},
-                         range(1, parent_bound + 1, 6),  # the class-1 parents
-                         1, _adjacent_initials_kernel, whole_parent=True)
-
-
-def _gaps_kernel(count: int) -> Callable[[int], dict | None]:
-    # 2^e_n for n = 1..count, per parent class
-    powers = {r: [1 << (2 * n if r == 1 else 2 * n - 1) for n in range(1, count + 1)]
-              for r in (1, 2)}
-
-    def counterexample(u: int) -> dict | None:
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
-        for n, p in enumerate(powers[u % 3], 1):
-            nxt = 1 + 4 * v
-            if nxt - v != p * u:
-                return {"u": u, "n": n, "expected_gap": p * u, "observed_gap": nxt - v}
-            v = nxt
-        return None
-    return counterexample
-
-
-def gaps_sweep(parent_bound: int = DEFAULT_PARENT_BOUND,
-               count: int = DEFAULT_SIBLING_COUNT) -> VerificationReport:
-    """Consecutive-sibling gaps must equal 2^(2n) u (class 1) / 2^(2n-1) u (class 2)."""
-    _require_box(parent_bound=parent_bound, count=count)
-    return _over_parents("sibling_gaps", {"parent_bound": parent_bound, "count": count},
-                         _parents_up_to(parent_bound), count, _gaps_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +607,30 @@ def run_suite(name: str, *,
     if "convergence" in wanted:
         _require_box(bound=convergence_bound, max_steps=max_steps)
 
+    def box(**extra) -> dict:  # a fresh parameters dict for each report
+        return {"parent_bound": parent_bound, **extra}
+
+    def valid() -> Iterator[int]:  # a fresh stream of the valid parents for each suite
+        return _parents_up_to(parent_bound)
+
     runs = {
-        "residue-cycle": lambda: [residue_cycle_sweep(parent_bound, count)],
-        "multiples": lambda: [multiples_sweep(parent_bound, count)],
-        "closed-forms": lambda: [closed_forms_sweep(parent_bound, count)],
-        "adjacent-initials": lambda: [adjacent_initials_sweep(parent_bound)],
-        "gaps": lambda: [gaps_sweep(parent_bound, count)],
-        "collision": lambda: [collision_parity_sweep(max_d, partners)],
+        "residue-cycle": lambda: [_over_parents("residue_cycle", box(count=count), valid(),
+                                                count, _residue_cycle_kernel)],
+        "multiples": lambda: [_over_parents("multiples", box(count=count), valid(), count,
+                                            _multiples_kernel, True)],
+        "closed-forms": lambda: [_over_parents("closed_forms", box(count=count), valid(), count,
+                                               _closed_forms_kernel, True)],
+        "adjacent-initials": lambda: [_over_parents(  # over the class-1 parents
+            "adjacent_initials", box(), range(1, parent_bound + 1, 6), 1,
+            _adjacent_initials_kernel, True)],
+        "gaps": lambda: [_over_parents("sibling_gaps", box(count=count), valid(), count,
+                                       _gaps_kernel)],
+        "collision": lambda: [_collision_parity(max_d, partners)],
         "uniqueness": lambda: [check_uniqueness(tree), check_parent_pointers(tree)],
         "covering": lambda: [check_covering_templates(parent_bound, min(count, 8)),
                              check_covering(tree)],
-        "partition": lambda: [check_initial_vertex_partition(parent_bound)],
+        "partition": lambda: [_over_parents("initial_vertex_partition", box(), valid(), 1,
+                                            _partition_kernel, True)],
         "convergence": lambda: [check_convergence(convergence_bound, max_steps)],
     }
     return [report for suite in wanted for report in runs[suite]()]

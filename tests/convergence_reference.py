@@ -6,9 +6,10 @@ table; `verify.check_convergence` must return the same reports.
 
 import time
 
+from verify_reference import _finish
 from collatz_arbor.forward import DEFAULT_MAX_STEPS, f_step
 from collatz_arbor.inverse import g_branch
-from collatz_arbor.verify import VerificationReport, _finish
+from collatz_arbor.verify import VerificationReport
 
 
 def reference_check_convergence(bound: int,

@@ -22,9 +22,8 @@ from collatz_arbor.verify import (
     check_convergence,
     check_covering,
     check_covering_templates,
-    check_initial_vertex_partition,
     check_uniqueness,
-    collision_parity_sweep,
+    run_suite,
 )
 
 # Oracle-derived constants for criterion 10, frozen from a forward sweep over
@@ -145,14 +144,14 @@ def test_c06_covering_patterns():
 
 
 def test_c07_initial_vertex_partition():
-    report = check_initial_vertex_partition(10**5)
+    report = run_suite("partition", parent_bound=10**5)[0]
     assert report.passed, report.counterexample
     _passed(7, f"{report.statistics['cases']} parents, forms disjoint")
 
 
 def test_c08_collision_parity_witness():
     t0 = time.perf_counter()
-    report = collision_parity_sweep(max_d=64, partners_per_class=1000)
+    report = run_suite("collision", max_d=64, partners=1000)[0]
     elapsed = time.perf_counter() - t0
     assert report.passed, report.counterexample
     assert report.statistics["cases"] == 64 * 1000 * 2

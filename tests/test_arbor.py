@@ -539,6 +539,12 @@ class TestCoverage:
         # even values, 0, negative values, values past the window and non-ints
         for x in (*range(-61, 1), *range(2, 62, 2), 61, 63, 9.0, 5.0, "5", None):
             assert x not in report.first_depth
+        # `in` agrees with the plain dict on covered, missing, even, 0,
+        # negative, past-window and non-int keys (a float equal to a covered
+        # value is the one key a dict would take and the table does not)
+        plain = dict(report.first_depth)
+        keys = (*range(-61, 64), 10**30 + 1, "5", None, (5,))
+        assert [k in report.first_depth for k in keys] == [k in plain for k in keys]
 
     @pytest.mark.parametrize("bound", [True, 10.5, "21", None])
     def test_bound_must_be_an_int(self, small_tree, bound):

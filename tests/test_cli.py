@@ -295,11 +295,10 @@ class TestVerify:
         assert result.returncode == 2
 
 
-# every check run_suite can start; none may start when a box is bad
-SWEEPS = ("residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep",
-          "adjacent_initials_sweep", "gaps_sweep", "collision_parity_sweep",
-          "check_uniqueness", "check_parent_pointers", "check_covering_templates",
-          "check_covering", "check_initial_vertex_partition", "check_convergence")
+# every check run_suite can start, the per-parent driver and the collision
+# loop included; none may start when a box is bad
+SWEEPS = ("_over_parents", "_collision_parity", "check_uniqueness", "check_parent_pointers",
+          "check_covering_templates", "check_covering", "check_convergence")
 
 
 def _must_not_run(name):

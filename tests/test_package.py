@@ -115,6 +115,34 @@ class TestModuleNames:
         # the package's computed __all__ is checked by resolving each name, below
         assert set(_listed(tree) or ()) - defined == set()
 
+    def test_every_private_name_is_referenced(self):
+        # a module-level _name that no module reads, calls or imports is a
+        # leftover; tests reach the package's private names, so they do not count
+        trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+        private = set()
+        for module, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = {node.name}
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                else:
+                    continue
+                private |= {(module, name) for name in names
+                            if name.startswith("_") and not name.startswith("__")}
+        referenced = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    referenced |= {alias.name for alias in node.names}
+        assert len(private) >= 60  # the walk found the module-level names
+        assert {(module, name) for module, name in private if name not in referenced} == set()
+
 
 class TestLazyAttributes:
     def test_every_public_name_resolves(self):

@@ -407,16 +407,18 @@ def _same(got, want):
 @given(st.integers(1, 400), st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_parent_sweeps_match_reference(parent_bound, count):
-    for name in ("residue_cycle_sweep", "multiples_sweep", "closed_forms_sweep", "gaps_sweep",
-                 "check_covering_templates"):
-        _same(getattr(verify, name)(parent_bound, count),
+    for suite, name in (("residue-cycle", "residue_cycle_sweep"), ("multiples", "multiples_sweep"),
+                        ("closed-forms", "closed_forms_sweep"), ("gaps", "gaps_sweep")):
+        _same(verify.run_suite(suite, parent_bound=parent_bound, count=count)[0],
               getattr(reference, f"reference_{name}")(parent_bound, count))
+    _same(verify.check_covering_templates(parent_bound, count),
+          reference.reference_check_covering_templates(parent_bound, count))
 
 
 @given(st.integers(1, 20), st.integers(1, 50))
 @settings(max_examples=60, deadline=None)
 def test_collision_sweep_matches_reference(max_d, partners):
-    _same(verify.collision_parity_sweep(max_d, partners),
+    _same(verify.run_suite("collision", max_d=max_d, partners=partners)[0],
           reference.reference_collision_parity_sweep(max_d, partners))
 
 
@@ -450,15 +452,15 @@ def _corrupt_branch(u0, e0, corrupt):
         yield
 
 
-def _same_outcome(name, *args):
-    """verify's check and its oracle give the same report, or the same box error."""
+def _same_outcome(name, check, *args):
+    """check(*args) and its oracle reference_<name> give the same report, or the same box error."""
     try:
         want = getattr(reference, f"reference_{name}")(*args)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            getattr(verify, name)(*args)
+            check(*args)
         return
-    _same(getattr(verify, name)(*args), want)
+    _same(check(*args), want)
 
 
 @given(st.integers(3, 3000), st.integers(20, 150) | st.just(10_000), st.data())
@@ -487,7 +489,7 @@ covering_trees = st.builds(TruncationConfig, max_depth=st.integers(3, 8),
 @given(covering_trees)
 @settings(max_examples=60, deadline=None)
 def test_covering_matches_reference(tree):
-    _same_outcome("check_covering", tree)
+    _same_outcome("check_covering", verify.check_covering, tree)
 
 
 @given(covering_trees, st.integers(1, 5), st.data())
@@ -504,14 +506,24 @@ def test_covering_matches_reference_under_a_wrong_sibling_index(tree, shift, dat
         return (parent, n + shift) if v == v0 else (parent, n)
 
     with mock.patch.object(arbor, "_link", faulty):
-        _same_outcome("check_covering", tree)
+        _same_outcome("check_covering", verify.check_covering, tree)
+
+
+# the suites that check a parent's first child alone, by the name of their oracle
+FIRST_CHILD_SUITES = {"check_initial_vertex_partition": "partition",
+                      "adjacent_initials_sweep": "adjacent-initials"}
+
+
+def _first_child_outcomes(parent_bound):
+    for name, suite in FIRST_CHILD_SUITES.items():
+        _same_outcome(name, lambda bound: verify.run_suite(suite, parent_bound=bound)[0],
+                      parent_bound)
 
 
 @given(st.integers(1, 3000))
 @settings(max_examples=60, deadline=None)
 def test_first_child_sweeps_match_reference(parent_bound):
-    for name in ("check_initial_vertex_partition", "adjacent_initials_sweep"):
-        _same_outcome(name, parent_bound)
+    _first_child_outcomes(parent_bound)
 
 
 @given(st.integers(7, 3000), st.data(), st.integers(-12, 12))
@@ -521,5 +533,4 @@ def test_first_child_sweeps_match_reference_under_a_wrong_first_child(parent_bou
     # one parent's first child (exponent 2 for class 1, 1 for class 2) off by delta
     u = data.draw(st.sampled_from(list(verify._parents_up_to(parent_bound))))
     with _corrupt_branch(u, 2 if u % 3 == 1 else 1, lambda v: v + delta):
-        for name in ("check_initial_vertex_partition", "adjacent_initials_sweep"):
-            _same_outcome(name, parent_bound)
+        _first_child_outcomes(parent_bound)

@@ -13,20 +13,14 @@ from collatz_arbor.forward import f_step
 from collatz_arbor.verify import (
     INITIAL_RESIDUE_TEMPLATES,
     VerificationReport,
-    adjacent_initials_sweep,
     check_closed_forms,
     check_convergence,
     check_covering,
     check_covering_templates,
-    check_initial_vertex_partition,
     check_multiples,
     check_parent_pointers,
     check_residue_cycle,
     check_uniqueness,
-    collision_parity_sweep,
-    gaps_sweep,
-    multiples_sweep,
-    residue_cycle_sweep,
     run_suite,
 )
 
@@ -69,7 +63,7 @@ class TestResidueCycle:
             check_residue_cycle(9, 3)
 
     def test_sweep(self):
-        report = residue_cycle_sweep(500, 16)
+        report = run_suite("residue-cycle", parent_bound=500, count=16)[0]
         assert report.passed
         assert report.statistics["cases"] == 16 * len(
             [u for u in range(1, 501, 2) if u % 3]
@@ -97,7 +91,7 @@ class TestCollisionParity:
             CollisionProbe(0, 1, same_class=False)
 
     def test_sweep(self):
-        report = collision_parity_sweep(16, 50)
+        report = run_suite("collision", max_d=16, partners=50)[0]
         assert report.passed
         assert report.statistics["cases"] == 16 * 50 * 2
 
@@ -124,7 +118,7 @@ class TestMultiplesCheck:
             assert report.passed
 
     def test_sweep(self):
-        assert multiples_sweep(500, 12).passed
+        assert run_suite("multiples", parent_bound=500, count=12)[0].passed
 
 
 class TestUniqueness:
@@ -264,7 +258,7 @@ class TestCovering:
 
 class TestInitialVertexPartition:
     def test_passes(self):
-        report = check_initial_vertex_partition(1000)
+        report = run_suite("partition", parent_bound=1000)[0]
         assert report.passed
 
     @pytest.mark.parametrize("u,mod,expected", [(7, 8, 1), (13, 8, 1), (5, 4, 3), (11, 4, 3)])
@@ -274,7 +268,7 @@ class TestInitialVertexPartition:
 
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
-            check_initial_vertex_partition(5)
+            run_suite("partition", parent_bound=5)
 
 
 class TestConvergence:
@@ -351,8 +345,9 @@ class TestConvergenceSweep:
     @pytest.mark.parametrize("x, start", [(1367, 27), (4997, 2463)])
     def test_wrong_step_under_a_capped_table(self, monkeypatch, wrong_step, x, start):
         # 8 entries reach start 15, so no walk above it fills anything in,
-        # and each orbit that drops below its start past 15 steps on
-        # unchecked until it lands in the table; x is first walked by start
+        # and each orbit that drops below its start past 15 walks on,
+        # checking each step again, until it reaches 1 or lands in the
+        # table; x is first walked by start
         monkeypatch.setattr(verify, "_STEP_TABLE_BYTES", 16)
         wrong_step(x)
         report = _same_reports(5000)
@@ -396,10 +391,10 @@ class TestConvergenceSweep:
 
 class TestSweepsAndSuites:
     def test_gaps_sweep(self):
-        assert gaps_sweep(500, 12).passed
+        assert run_suite("gaps", parent_bound=500, count=12)[0].passed
 
     def test_adjacent_initials_sweep(self):
-        assert adjacent_initials_sweep(500).passed
+        assert run_suite("adjacent-initials", parent_bound=500)[0].passed
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -419,29 +414,36 @@ class TestSweepsAndSuites:
 
 
 class TestEmptyBoxes:
-    """A box with no cases is rejected at each check's boundary, not passed."""
+    """A box with no cases is rejected at the boundary, run_suite or a check, not passed.
+
+    A suite's row gives run_suite's keyword arguments, a check's row the
+    check's positional ones.
+    """
 
     @pytest.mark.parametrize("check, args, message", [
-        ("residue_cycle_sweep", (0, 5), "parent_bound must be >= 1, got 0"),
-        ("residue_cycle_sweep", (10, 0), "count must be >= 1, got 0"),
-        ("multiples_sweep", (10, 0), "count must be >= 1, got 0"),
-        ("closed_forms_sweep", (10, 0), "count must be >= 1, got 0"),
-        ("gaps_sweep", (10, 0), "count must be >= 1, got 0"),
+        ("residue-cycle", {"parent_bound": 0, "count": 5}, "parent_bound must be >= 1, got 0"),
+        ("residue-cycle", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
+        ("multiples", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
+        ("closed-forms", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
+        ("gaps", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
         ("check_covering_templates", (10, 0), "count must be >= 1, got 0"),
-        ("adjacent_initials_sweep", (0,), "parent_bound must be >= 1, got 0"),
-        ("collision_parity_sweep", (0, 5), "max_d must be >= 1, got 0"),
-        ("collision_parity_sweep", (5, 0), "partners_per_class must be >= 1, got 0"),
+        ("adjacent-initials", {"parent_bound": 0}, "parent_bound must be >= 1, got 0"),
+        ("collision", {"max_d": 0, "partners": 5}, "max_d must be >= 1, got 0"),
+        ("collision", {"max_d": 5, "partners": 0}, "partners must be >= 1, got 0"),
         ("check_residue_cycle", (5, 0), "count must be >= 1, got 0"),
         ("check_closed_forms", (5, 0), "count must be >= 1, got 0"),
         ("check_multiples", (5, 0), "count must be >= 1, got 0"),
     ])
     def test_empty_box_is_rejected(self, check, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            getattr(verify, check)(*args)
+            if isinstance(args, dict):
+                run_suite(check, **args)
+            else:
+                getattr(verify, check)(*args)
 
     def test_partition_box_keeps_its_floor(self):
         with pytest.raises(ValueError, match="^parent_bound must be >= 7, got 6$"):
-            check_initial_vertex_partition(6)
+            run_suite("partition", parent_bound=6)
 
 
 def _same_failed_report(got, want):
@@ -487,7 +489,7 @@ class TestSweepFaults:
         # parent 25 (class 1) at n = 7, exponent 14; the ninth parent
         corrupt_branch(25, 14, lambda v: v + 2)
         v7 = _branch(25, 7)
-        report = _same_failed_report(verify.closed_forms_sweep(100, 12),
+        report = _same_failed_report(run_suite("closed-forms", parent_bound=100, count=12)[0],
                                      verify_reference.reference_closed_forms_sweep(100, 12))
         assert report["check_name"] == "closed_forms"
         assert report["counterexample"] == {"u": 25, "n": 7, "direct": v7 + 2,
@@ -508,7 +510,7 @@ class TestSweepFaults:
         monkeypatch.setattr(verify, "w_term", faulty)
         monkeypatch.setattr(verify_reference, "w_term", faulty)
         m6 = _branch(1, 6) // 3
-        report = _same_failed_report(multiples_sweep(100, 12),
+        report = _same_failed_report(run_suite("multiples", parent_bound=100, count=12)[0],
                                      verify_reference.reference_multiples_sweep(100, 12))
         assert report["check_name"] == "multiples"
         assert report["counterexample"] == {"u": 1, "n": 6, "direct": m6, "closed_form": m6 + 1,
@@ -521,7 +523,7 @@ class TestSweepFaults:
         # parent 13's first child (exponent 2) comes out as -1: every term
         # still matches its closed form, but m_2 = m_1 = -1 does not ascend
         corrupt_branch(13, 2, lambda v: -1)
-        report = _same_failed_report(multiples_sweep(100, 12),
+        report = _same_failed_report(run_suite("multiples", parent_bound=100, count=12)[0],
                                      verify_reference.reference_multiples_sweep(100, 12))
         assert report["counterexample"] == {"u": 13, "n": 2, "previous": -1, "term": -1,
                                             "reason": "not ascending"}
@@ -550,7 +552,7 @@ class TestSweepFaults:
         # parent 23 (class 2, the eighth parent): its first child 3 too large
         # makes the first gap 9 too large
         corrupt_branch(23, 1, lambda v: v + 3)
-        report = _same_failed_report(gaps_sweep(100, 12),
+        report = _same_failed_report(run_suite("gaps", parent_bound=100, count=12)[0],
                                      verify_reference.reference_gaps_sweep(100, 12))
         assert report["check_name"] == "sibling_gaps"
         assert report["counterexample"] == {"u": 23, "n": 1, "expected_gap": 46,
@@ -562,7 +564,7 @@ class TestSweepFaults:
         # v_26 ~ 8.3e15, then rounds to 4v, so v_27, the last child in the
         # box, repeats v_26's residue
         corrupt_branch(11, 1, float)
-        report = _same_failed_report(residue_cycle_sweep(100, 27),
+        report = _same_failed_report(run_suite("residue-cycle", parent_bound=100, count=27)[0],
                                      verify_reference.reference_residue_cycle_sweep(100, 27))
         assert report["check_name"] == "residue_cycle"
         assert (report["counterexample"]["u"], report["counterexample"]["n"]) == (11, 27)
@@ -589,7 +591,7 @@ class TestSweepFaults:
         # z_3 = 21 adds one to exactly one probe: d = 3, mixed class,
         # partner 7, where the other summand is 2^5 * 7 = 224
         self._skew_z3(monkeypatch, 224)
-        report = _same_failed_report(collision_parity_sweep(5, 10),
+        report = _same_failed_report(run_suite("collision", max_d=5, partners=10)[0],
                                      verify_reference.reference_collision_parity_sweep(5, 10))
         assert report["counterexample"] == {"d": 3, "partner_multiple": 7, "same_class": False,
                                             "required_multiple": 246}
@@ -599,7 +601,7 @@ class TestSweepFaults:
         # 2^6 * 6 = 384 is no mixed summand at d = 3 (those are 2^5 times an
         # odd partner), so only the same-class probe with partner 6 fails
         self._skew_z3(monkeypatch, 384)
-        report = _same_failed_report(collision_parity_sweep(5, 10),
+        report = _same_failed_report(run_suite("collision", max_d=5, partners=10)[0],
                                      verify_reference.reference_collision_parity_sweep(5, 10))
         assert report["counterexample"] == {"d": 3, "partner_multiple": 6, "same_class": True,
                                             "required_multiple": 406}
@@ -620,7 +622,7 @@ class TestSweepFaults:
         # the first child of 7 (class 1, exponent 2) three too large: the
         # sweep's own comparison reports it, with the closed forms
         corrupt_branch(7, 2, lambda v: v + 3)
-        report = _same_failed_report(adjacent_initials_sweep(100),
+        report = _same_failed_report(run_suite("adjacent-initials", parent_bound=100)[0],
                                      verify_reference.reference_adjacent_initials_sweep(100))
         assert report["counterexample"] == {"u": 7, "v1": 9, "v1_next": 19}
         assert report["statistics"]["cases"] == 2
@@ -639,7 +641,7 @@ class TestSweepFaults:
         # the first child of 7 as 12, which is 4 mod 8
         corrupt_branch(7, 2, lambda v: 12)
         report = _same_failed_report(
-            check_initial_vertex_partition(100),
+            run_suite("partition", parent_bound=100)[0],
             verify_reference.reference_check_initial_vertex_partition(100))
         assert report["counterexample"] == {"u": 7, "v1": 12, "observed_mod_8": 4}
         assert report["statistics"]["cases"] == 3

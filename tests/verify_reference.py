@@ -5,7 +5,9 @@ after, unchanged apart from the name: every child comes from
 `iter_siblings` or `g_branch`, which check their arguments on every call,
 and every collision case builds a `CollisionProbe`.  The rewritten sweeps
 and per-object checks in `collatz_arbor.verify` must return the same
-reports, failed ones included.
+reports, failed ones included.  The sweeps over parent ranges are now
+`run_suite`'s suites (`reference_gaps_sweep` is the oracle of
+`run_suite("gaps", ...)[0]`, and so on), with no public function each.
 
 `iter_siblings`, the sibling stream that once served `inverse.siblings`,
 lives here unchanged: each run starts at `g_branch` and steps by
@@ -28,6 +30,9 @@ adjacent-initials checks call the raw branch kernel through this module's
 it no z_1 now that it is the division alone.  Covering walks the stored levels and reads each value's
 parent and sibling index through `arbor._link`, looked up at each call, so
 a fault test that patches the link reaches both covering checks.
+
+`_finish`, once verify's report maker and now folded into its report
+driver, makes every oracle's report here and in `convergence_reference`.
 """
 
 import time
@@ -46,11 +51,18 @@ from collatz_arbor.verify import (
     DEFAULT_SIBLING_COUNT,
     INITIAL_RESIDUE_TEMPLATES,
     VerificationReport,
-    _finish,
     _parents_up_to,
     _require_depth,
     _template_residue,
 )
+
+
+def _finish(name: str, params: dict, passed: bool, counterexample: dict | None,
+            cases: int, t0: float, **extra) -> VerificationReport:
+    """The report of an oracle run: its cases, its time since t0 and its extra statistics."""
+    stats = {"cases": cases, "elapsed_s": round(time.perf_counter() - t0, 6)}
+    stats.update(extra)
+    return VerificationReport(name, params, passed, counterexample, stats)
 
 
 def iter_siblings(u: int, first_index: int = 1) -> Iterator[tuple[int, int]]:
