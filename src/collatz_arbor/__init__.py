@@ -24,8 +24,7 @@ _EXPORTS = {
                      "NonEdgeError"), "errors"),
     **dict.fromkeys(("TrajectoryRecord", "TrajectorySummary", "f_step", "trajectory",
                      "trajectory_summary"), "forward"),
-    **dict.fromkeys(("SiblingSet", "branch_forms", "g_branch", "initial_vertex", "siblings"),
-                    "inverse"),
+    **dict.fromkeys(("SiblingSet", "branch_forms", "g_branch", "siblings"), "inverse"),
     **dict.fromkeys(("VerificationReport", "run_suite"), "verify"),
 }
 _MODULES = ("arbor", "cli", "core", "defaults", "errors", "forward", "inverse", "verify")

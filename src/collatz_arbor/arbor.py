@@ -372,8 +372,8 @@ def classify_edge(parent: int, child: int) -> str:
     An edge needs a non-leaf parent and 3 child + 1 = 2^e parent; otherwise
     NonEdgeError says which fails.  For initial children (n = 1) of non-root
     parents the direction follows the parent's class: class 1 ascends,
-    class 2 descends, a rule that initial_vertex checks.  Later children
-    always ascend past the parent.
+    class 2 descends, as the closed forms of g_branch(u, 1) give.  Later
+    children always ascend past the parent.
     """
     _require_odd_positive(parent, "parent")
     _require_odd_positive(child, "child")

@@ -5,13 +5,16 @@ A parent u with u mod 3 != 0 has the infinite child family
     v_n = (2^(2n) * u - 1) / 3      if u == 1 (mod 3)
     v_n = (2^(2n-1) * u - 1) / 3    if u == 2 (mod 3)
 
-for n >= 1; multiples of 3 have no children at all.  Every branch is a true
-preimage of the forward map, the family is strictly ascending, and consecutive
-children satisfy v_{n+1} = 1 + 4 v_n.  Several alternative expressions for v_n
-exist (via the parent's multiple, via the recurrence, via a partial geometric
-sum).  g_branch and initial_vertex compute more than one route and insist
-that the routes agree exactly; branch_forms returns the four routes and
-checks nothing, and the closed-forms suite checks that they agree.
+for n >= 1, the exponent rule that _exponent holds; multiples of 3 have no
+children at all.  Every branch is a true preimage of the forward map, the
+family is strictly ascending, and consecutive children satisfy
+v_{n+1} = 1 + 4 v_n.  Several alternative expressions for v_n exist (via the
+parent's multiple, via the recurrence, via a partial geometric sum).
+g_branch insists that two routes agree exactly; branch_forms returns the four
+routes and checks nothing, and the closed-forms suite checks that they agree.
+The least child g_branch(u, 1), the initial vertex, is u + mu (class 1) or
+u - (mu + 1) (class 2), mu = u div 3, as the adjacent-initials and partition
+suites check.
 
 A parent's run of children within a box, the exponents of g cut at a value
 bound or a sibling cap, has one home: _kernel_table and _children, which
@@ -27,7 +30,7 @@ from ._record import Record
 from .core import _require_box, _require_odd_positive, z_term
 from .errors import InconsistencyError, LeafParentError
 
-__all__ = ["g_branch", "branch_forms", "initial_vertex", "siblings", "SiblingSet"]
+__all__ = ["g_branch", "branch_forms", "siblings", "SiblingSet"]
 
 
 def _require_parent(u: int) -> int:
@@ -52,6 +55,16 @@ def _raw_branch(u: int, e: int) -> int:
     return t // 3
 
 
+def _exponent(u: int, n: int) -> int:
+    """e_n, the exponent of a parent u's n-th child: 2n for class 1, 2n - 1 for class 2."""
+    return 2 * n if u % 3 == 1 else 2 * n - 1
+
+
+def _branch(u: int, n: int) -> int:
+    """v_n of a parent u through the raw branch kernel; it checks no argument."""
+    return _raw_branch(u, _exponent(u, n))
+
+
 def _multiple_form(u: int, e: int, v: int, z: int) -> int:
     """v, u's branch of exponent e, once it equals the multiple form z + 2^e (u div 3).
 
@@ -68,13 +81,13 @@ def _multiple_form(u: int, e: int, v: int, z: int) -> int:
 def g_branch(u: int, n: int) -> int:
     """The n-th child of parent u, cross-checked against the multiple form.
 
-    Checks u and n, then computes (2^e u - 1) / 3 with e the class-determined
-    exponent (2n for class 1, 2n - 1 for class 2) through _raw_branch, and
-    asserts through _multiple_form that it equals z_n + 2^e (u div 3).
+    Checks u and n, then computes (2^e u - 1) / 3 with e = _exponent(u, n)
+    through _raw_branch, and asserts through _multiple_form that it equals
+    z_n + 2^e (u div 3).
     """
-    r = _require_parent(u)
+    _require_parent(u)
     _require_box(n=n)
-    e = 2 * n if r == 1 else 2 * n - 1
+    e = _exponent(u, n)
     return _multiple_form(u, e, _raw_branch(u, e), z_term(n))
 
 
@@ -107,30 +120,6 @@ def branch_forms(u: int, n: int) -> dict[str, int]:
         "recurrence": rec,
         "summation": summation,
     }
-
-
-def initial_vertex(u: int) -> int:
-    """The least child v_1 of u; above u for class-1 parents, below for class-2.
-
-    Cross-checks the positional rule and the closed forms v_1 = u + mu (class 1)
-    and v_1 = u - (mu + 1) = (u + mu) / 2 (class 2), mu being u's multiple.
-    """
-    r = _require_parent(u)
-    v1 = g_branch(u, 1)
-    mu = u // 3
-    if r == 1:
-        if v1 != u + mu:
-            raise InconsistencyError(f"v1({u}) = {v1} != u + mu = {u + mu}")
-        if u > 1 and not v1 > u:
-            raise InconsistencyError(f"v1({u}) = {v1} should exceed its class-1 parent")
-        if u == 1 and v1 != 1:
-            raise InconsistencyError("the root's first child must close the trivial cycle")
-    else:
-        if v1 != u - (mu + 1) or 2 * v1 != u + mu:
-            raise InconsistencyError(f"v1({u}) = {v1} disagrees with the class-2 closed forms")
-        if not v1 < u:
-            raise InconsistencyError(f"v1({u}) = {v1} should be below its class-2 parent")
-    return v1
 
 
 def _kernel_table(c: int, cap: int | None) -> tuple[tuple[range, ...], ...]:

@@ -23,7 +23,7 @@ from .core import _require_box, w_term, z_term
 from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOUND,
                        DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
                        DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
-from .inverse import _multiple_form, _raw_branch, _require_parent
+from .inverse import _branch, _exponent, _multiple_form, _raw_branch, _require_parent
 
 # arbor (and forward, on the convergence sweep's failure path) are imported
 # where they are used, so `verify --suite lemma1` does not compile them
@@ -134,14 +134,14 @@ def _over_parents(name: str, params: dict, parents: Iterable[int], count: int,
 # per-parent kernels.  A kernel(count) builds its rows (z_n in closed forms,
 # w_n in multiples) once, and returns a function of a checked parent u: the
 # first counterexample among u's first `count` children, or None.  The first
-# child comes from the raw branch kernel, the others from v_{n+1} = 1 + 4 v_n.
+# child comes from inverse._branch, the others from v_{n+1} = 1 + 4 v_n.
 # A per-object check runs its kernel on one parent, and run_suite on every
 # parent up to its bound.
 
 
 def _residue_cycle_kernel(count: int) -> Callable[[int], dict | None]:
     def counterexample(u: int) -> dict | None:
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
+        v = _branch(u, 1)
         first = v % 3
         for n in range(1, count + 1):
             if v % 3 != (first + n - 1) % 3:
@@ -164,13 +164,13 @@ def _closed_forms_kernel(count: int) -> Callable[[int], dict | None]:
     # per parent class: (n, e_n, z_n, sum of 2^e_i for i < n), n = 1..count
     ns = range(1, count + 1)
     zs = [z_term(n) for n in ns]
-    es = {r: [2 * n if r == 1 else 2 * n - 1 for n in ns] for r in (1, 2)}
+    es = {r: [_exponent(r, n) for n in ns] for r in (1, 2)}
     rows = {r: list(zip(ns, es[r], zs, accumulate((1 << e for e in es[r]), initial=0)))
             for r in (1, 2)}
 
     def counterexample(u: int) -> dict | None:
         class_rows, m = rows[u % 3], u // 3
-        v1 = rec = _raw_branch(u, class_rows[0][1])
+        v1 = rec = _branch(u, 1)
         for n, e, z, acc in class_rows:
             direct = _raw_branch(u, e)
             if direct != z + (m << e):
@@ -201,7 +201,7 @@ def _multiples_kernel(count: int) -> Callable[[int], dict | None]:
 
     def counterexample(u: int) -> dict | None:
         # a term off its closed form first, else the first that does not ascend
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
+        v = _branch(u, 1)
         r1, prev = v % 3, v // 3  # m_1, the multiple of v_1, is its closed form
         m = prev - 1 if r1 == 2 else prev
         descent = None
@@ -241,8 +241,8 @@ def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
     def counterexample(u: int) -> dict | None:
         v1, v1_next = 1 + 4 * (u // 3), 3 + 8 * (u // 3)
         successor = 1 + 4 * u
-        if (v1 != _raw_branch(u, 2) or v1 != successor // 3
-                or v1_next != _raw_branch(successor, 1) or v1_next != 1 + 2 * v1):
+        if (v1 != _branch(u, 1) or v1 != successor // 3
+                or v1_next != _branch(successor, 1) or v1_next != 1 + 2 * v1):
             return {"u": u, "v1": v1, "v1_next": v1_next}
         return None
     return counterexample
@@ -251,8 +251,7 @@ def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
 def _gaps_kernel(count: int) -> Callable[[int], dict | None]:
     """Consecutive-sibling gaps must equal 2^(2n) u (class 1) / 2^(2n-1) u (class 2)."""
     def counterexample(u: int) -> dict | None:
-        e = 2 if u % 3 == 1 else 1
-        v, gap = _raw_branch(u, e), u << e  # the gap after v_n is 2^e_n u, e_{n+1} = e_n + 2
+        v, gap = _branch(u, 1), u << _exponent(u, 1)  # the gap after v_n is 2^e_n u; e_n += 2
         for n in range(1, count + 1):
             nxt = 1 + 4 * v
             if nxt - v != gap:
@@ -264,12 +263,15 @@ def _gaps_kernel(count: int) -> Callable[[int], dict | None]:
 
 
 def _partition_kernel(count: int) -> Callable[[int], dict | None]:
-    """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
+    """v_1 is 1 mod 8 for class-1 parents, and 3 mod 4, then u - (u div 3 + 1), for class 2."""
     def counterexample(u: int) -> dict | None:
-        v1 = _raw_branch(u, 2 if u % 3 == 1 else 1)
+        v1 = _branch(u, 1)
         if u % 3 == 1:
             return None if v1 % 8 == 1 else {"u": u, "v1": v1, "observed_mod_8": v1 % 8}
-        return None if v1 % 4 == 3 else {"u": u, "v1": v1, "observed_mod_4": v1 % 4}
+        if v1 % 4 != 3:
+            return {"u": u, "v1": v1, "observed_mod_4": v1 % 4}
+        closed = u - (u // 3 + 1)
+        return None if v1 == closed else {"u": u, "v1": v1, "closed_form": closed}
     return counterexample
 
 
@@ -318,11 +320,6 @@ def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
     """The stored non-leaves above the depth limit, which the build expands, in build order."""
     for level in tree.levels[:tree.config.max_depth]:
         yield from (v for v in level if v % 3)
-
-
-def _branch(u: int, n: int) -> int:
-    """v_n of a parent u taken from a tree, through the raw branch kernel."""
-    return _raw_branch(u, 2 * n if u % 3 == 1 else 2 * n - 1)
 
 
 def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
@@ -451,7 +448,7 @@ def _template_kernel(count: int) -> Callable[[int], dict | None]:
 
     def counterexample(u: int) -> dict | None:
         modulus, expected = residues[(u % 3, (u // 3) % 3)]
-        v = _raw_branch(u, 2 if u % 3 == 1 else 1)
+        v = _branch(u, 1)
         for n, want in enumerate(expected, 1):
             if v % modulus != want:
                 return {"u": u, "n": n, "value": v, "modulus": modulus,
@@ -585,27 +582,29 @@ def run_suite(name: str, *,
     if name != "all" and name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
     wanted = SUITE_NAMES if name == "all" else (name,)
-    # every box is checked before any suite runs, so a bad one wastes no sweep
+    # every box is checked before the tree is built or a suite runs: a bad one wastes neither
     if {"residue-cycle", "multiples", "closed-forms", "gaps", "covering"} & set(wanted):
         _require_box(parent_bound=parent_bound, count=count)
     if "adjacent-initials" in wanted:
         _require_box(parent_bound=parent_bound)
     if "collision" in wanted:
         _require_box(max_d=max_d, partners=partners)
-    if {"uniqueness", "covering"} & set(wanted):
+    tree_suites = {"uniqueness", "covering"} & set(wanted)
+    if tree_suites:
         # a tree of the root alone would pass the tree checks with cases=0;
         # the root's first child is 5
         _require_box(tree_depth=tree_depth)
         _require_box(5, tree_bound=tree_bound)
-        from .arbor import TruncationConfig, build
-
-        tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
-    if "covering" in wanted:
-        _require_depth(tree, 3)
     if "partition" in wanted:
         _require_box(7, parent_bound=parent_bound)
     if "convergence" in wanted:
         _require_box(bound=convergence_bound, max_steps=max_steps)
+    if tree_suites:
+        from .arbor import TruncationConfig, build
+
+        tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
+        if "covering" in wanted:
+            _require_depth(tree, 3)
 
     def box(**extra) -> dict:  # a fresh parameters dict for each report
         return {"parent_bound": parent_bound, **extra}

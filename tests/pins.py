@@ -41,6 +41,9 @@ PINS = (
     # convergence to 10^6, passed, and failed at start 230631 with 150 steps
     Pin("verify --suite convergence --conv-bound 1000001 --output json", 0, "d4b6ba9645f7ae3b56613a70c4bdced6e920dff27a8f084c61edd330c2db73ec"),
     Pin("verify --suite convergence --conv-bound 1000001 --max-steps 150 --output json", 1, "cc663a4e6b7a1fca2533bc2460d6959bf24100258acff3c864920a7472f4ba4c"),
+    # a sibling run whose last value has 4,335 digits, and one refused at its price (33.4 M nodes)
+    Pin("siblings 5 --count 7200 --output json", 0, "4ee23b827a72416bcd8bb1aabc00a4a6baa1985cc1f4f3166684d88ea8b158b2"),
+    Pin("siblings 5 --count 100000", 3, EMPTY),
 )
 
 

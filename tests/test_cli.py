@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatz_arbor import cli, verify
+from collatz_arbor import arbor, cli, verify
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -338,6 +338,16 @@ class TestVerifyBoxes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("--suite", "all", "--parent-bound", "3"), "parent_bound must be >= 7, got 3"),
+        (("--suite", "all", "--conv-bound", "0"), "bound must be >= 1, got 0"),
+    ])
+    def test_bad_box_stops_before_the_build(self, monkeypatch, capsys, args, message):
+        # the partition and convergence boxes are checked before the tree checks' tree is built
+        monkeypatch.setattr(arbor, "build", _must_not_run("build"))
+        assert cli.main(["verify", *args]) == 2
+        assert tuple(capsys.readouterr()) == ("", f"error: {message}\n")
 
 
 class TestCheckFailed:

@@ -8,7 +8,6 @@ from collatz_arbor.inverse import (
     SiblingSet,
     branch_forms,
     g_branch,
-    initial_vertex,
     siblings,
 )
 
@@ -92,28 +91,32 @@ class TestBranchForms:
 
 
 class TestInitialVertex:
+    """The least child g_branch(u, 1), the paper's initial vertex."""
+
     def test_descending_for_class_two(self):
-        assert initial_vertex(5) == 3
+        assert g_branch(5, 1) == 3
 
     def test_ascending_for_class_one(self):
-        assert initial_vertex(7) == 9
+        assert g_branch(7, 1) == 9
 
     def test_root_closes_on_itself(self):
-        assert initial_vertex(1) == 1
+        assert g_branch(1, 1) == 1
 
     def test_position_rule(self):
+        # the closed forms with mu = u div 3 put v_1 above a class-1 parent
+        # and below a class-2 one
         for u in range(5, 3000, 2):
             if u % 3 == 0:
                 continue
-            v1 = initial_vertex(u)
+            v1, mu = g_branch(u, 1), u // 3
             if u % 3 == 1:
-                assert v1 > u
+                assert v1 == u + mu and v1 > u
             else:
-                assert v1 < u
+                assert v1 == u - (mu + 1) and 2 * v1 == u + mu and v1 < u
 
     def test_leaf_parent_rejected(self):
         with pytest.raises(LeafParentError):
-            initial_vertex(15)
+            g_branch(15, 1)
 
 
 class TestSiblings:

@@ -143,6 +143,13 @@ class TestModuleNames:
         assert len(private) >= 60  # the walk found the module-level names
         assert {(module, name) for module, name in private if name not in referenced} == set()
 
+    @pytest.mark.parametrize("name", ["verify.py", "arbor.py"])
+    def test_exponent_rule_has_one_home(self, name):
+        # e_n = 2n (class 1) or 2n - 1 (class 2) lives in inverse._exponent alone
+        text = (Path(collatz_arbor.__file__).parent / name).read_text()
+        assert "2 * n - 1" not in text
+        assert "2 if u % 3 == 1 else 1" not in text
+
 
 class TestLazyAttributes:
     def test_every_public_name_resolves(self):

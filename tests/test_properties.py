@@ -31,7 +31,6 @@ from collatz_arbor.forward import f_step
 from collatz_arbor.inverse import (
     branch_forms,
     g_branch,
-    initial_vertex,
     siblings,
 )
 from collatz_arbor.verify import check_convergence
@@ -100,13 +99,21 @@ def test_sibling_residues_cycle(u):
     assert [v % 3 for v in vals] == [(first + i) % 3 for i in range(9)]
 
 
+@given(parents, small_index)
+def test_unchecked_branch_matches_g_branch(u, n):
+    # the tree checks and the kernels take v_n through _branch, which checks nothing
+    assert inverse._branch(u, n) == g_branch(u, n)
+    assert f_step(inverse._branch(u, n)) == (u, inverse._exponent(u, n))
+
+
 @given(parents)
 def test_initial_vertex_residue_forms(u):
-    v1 = initial_vertex(u)
+    v1 = g_branch(u, 1)
     if u % 3 == 1:
         assert v1 % 8 == 1
     else:
         assert v1 % 4 == 3
+        assert v1 == u - (u // 3 + 1)  # the closed form the partition suite checks
 
 
 @given(parents)

@@ -263,8 +263,7 @@ class TestInitialVertexPartition:
 
     @pytest.mark.parametrize("u,mod,expected", [(7, 8, 1), (13, 8, 1), (5, 4, 3), (11, 4, 3)])
     def test_spot_values(self, u, mod, expected):
-        from collatz_arbor.inverse import initial_vertex
-        assert initial_vertex(u) % mod == expected
+        assert inverse.g_branch(u, 1) % mod == expected
 
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
@@ -645,6 +644,16 @@ class TestSweepFaults:
             verify_reference.reference_check_initial_vertex_partition(100))
         assert report["counterexample"] == {"u": 7, "v1": 12, "observed_mod_8": 4}
         assert report["statistics"]["cases"] == 3
+
+    def test_initial_vertex_partition_closed_form(self, corrupt_branch):
+        # the first child of 11 (class 2) as 11: still 3 mod 4, but off its
+        # closed form 11 - (3 + 1) = 7; 1, 5 and 7 pass first
+        corrupt_branch(11, 1, lambda v: 11)
+        report = _same_failed_report(
+            run_suite("partition", parent_bound=100)[0],
+            verify_reference.reference_check_initial_vertex_partition(100))
+        assert report["counterexample"] == {"u": 11, "v1": 11, "closed_form": 7}
+        assert report["statistics"]["cases"] == 4
 
     def test_covering(self, monkeypatch, tree_k6):
         # 13, the second child of 5 (template (2, 1): 3, then 1, 5, 9 mod 12),

@@ -424,7 +424,10 @@ def reference_check_covering(tree: TruncatedArborescence) -> VerificationReport:
 
 
 def reference_check_initial_vertex_partition(parent_bound: int) -> VerificationReport:
-    """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2."""
+    """First children split cleanly: 1 mod 8 from class-1 parents, 3 mod 4 from class-2.
+
+    A class-2 first child that is 3 mod 4 must also be u - (u div 3 + 1).
+    """
     _require_box(7, parent_bound=parent_bound)
     t0 = time.perf_counter()
     params = {"parent_bound": parent_bound}
@@ -444,6 +447,10 @@ def reference_check_initial_vertex_partition(parent_bound: int) -> VerificationR
             if v1 % 4 != 3:
                 return _finish("initial_vertex_partition", params, False,
                                {"u": u, "v1": v1, "observed_mod_4": v1 % 4},
+                               cases, t0)
+            if v1 != u - (u // 3 + 1):
+                return _finish("initial_vertex_partition", params, False,
+                               {"u": u, "v1": v1, "closed_form": u - (u // 3 + 1)},
                                cases, t0)
             from_class2.add(v1)
     overlap = from_class1 & from_class2
