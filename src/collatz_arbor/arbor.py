@@ -206,7 +206,8 @@ class TruncatedArborescence:
     child's, and an overrun raises instead of storing part of a run.
     A first child v_1 is 1 mod 8 (class-1 parent) or 3 mod 4 (class 2), and
     each later sibling 5 mod 8, so a value's residue mod 8 tells whether it
-    opens a run; the exporters rely on this.
+    opens a run; the exporters rely on this, and check_parent_pointers
+    checks it.
     """
 
     __slots__ = ("config", "levels", "members")
@@ -250,8 +251,8 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
 
     Where values can pass 2^60 (a cap with no bound, or a bound at or
     above 2^60), each run is also charged a tenth of a node a 30-bit digit
-    past two (_run_charge), in closed form for the whole chunk before it is
-    grown (_charge), so a chunk that overruns the budget raises before it
+    past two (_extra_digits), in closed form for the whole chunk before it
+    is grown (_charge), so a chunk that overruns the budget raises before it
     holds any memory.  Overrunning max_nodes raises CapacityError.  Each finished
     level is charged for the set store's members (_SET_FREE), then marked
     in the membership object; a repeated value shows as a count that falls

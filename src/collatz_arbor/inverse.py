@@ -170,22 +170,15 @@ def _extra_digits(b: int, m: int) -> int:
     return m * full + partial * (m + c) - 15 * (first + last) * partial // 2
 
 
-def _run_charge(b: int, m: int) -> int:
-    """Nodes charged for a run of m siblings from a b-bit one.
-
-    One a node, as for the 40 B of a value below 2^60 and its list slot,
-    plus a tenth of a node (4 B) for each digit past two.
-    """
-    return m + -(-_extra_digits(b, m) // 10)
-
-
 def _charge(parents: Sequence[int], c: int,
             table: tuple[tuple[range, ...], ...]) -> tuple[int, int]:
     """(children, nodes charged past them) of the runs of parents, from the table alone.
 
-    Each run is charged _run_charge of its length and first child's bits,
-    so the build can refuse a chunk, and the command line a SiblingSet,
-    before it grows any of it.
+    Each child is one node, as for the 40 B of a value below 2^60 and its
+    list slot, and each run is charged past that a tenth of a node (4 B),
+    rounded up, for each digit past two (_extra_digits of its length and
+    first child's bits), so the build can refuse a chunk, and the command
+    line a SiblingSet, before it grows any of it.
     """
     count = extra = 0
     for u in parents:
@@ -193,7 +186,7 @@ def _charge(parents: Sequence[int], c: int,
         if exponents:
             m = len(exponents)
             count += m
-            extra += _run_charge(((u << exponents[0]) // 3).bit_length(), m) - m
+            extra += -(-_extra_digits(((u << exponents[0]) // 3).bit_length(), m) // 10)
     return count, extra
 
 

@@ -33,8 +33,8 @@ if TYPE_CHECKING:
 __all__ = [
     "VerificationReport",
     "check_residue_cycle", "check_closed_forms", "check_multiples",
-    "check_uniqueness", "check_parent_pointers", "check_covering", "check_covering_templates",
-    "check_convergence", "run_suite", "SUITE_NAMES", "SUITE_ALIASES", "INITIAL_RESIDUE_TEMPLATES",
+    "check_uniqueness", "check_parent_pointers", "check_covering", "check_convergence",
+    "run_suite", "SUITE_NAMES", "SUITE_ALIASES", "INITIAL_RESIDUE_TEMPLATES",
     "DEFAULT_PARENT_BOUND", "DEFAULT_SIBLING_COUNT", "DEFAULT_MAX_OFFSET", "DEFAULT_PARTNERS",
     "DEFAULT_TREE_DEPTH", "DEFAULT_TREE_BOUND",
 ]
@@ -228,7 +228,7 @@ def check_multiples(u: int, count: int) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# what only run_suite runs: three per-parent kernels and the collision loop
+# what only run_suite runs: four per-parent kernels and the collision loop
 
 
 def _adjacent_initials_kernel(count: int) -> Callable[[int], dict | None]:
@@ -275,6 +275,23 @@ def _partition_kernel(count: int) -> Callable[[int], dict | None]:
     return counterexample
 
 
+def _template_kernel(count: int) -> Callable[[int], dict | None]:
+    """Each child v_n must sit on its parent's template residue for n (mod 24 or 12)."""
+    residues = {key: (template[0], [_template_residue(template, n) for n in range(1, count + 1)])
+                for key, template in INITIAL_RESIDUE_TEMPLATES.items()}
+
+    def counterexample(u: int) -> dict | None:
+        modulus, expected = residues[(u % 3, (u // 3) % 3)]
+        v = _branch(u, 1)
+        for n, want in enumerate(expected, 1):
+            if v % modulus != want:
+                return {"u": u, "n": n, "value": v, "modulus": modulus,
+                        "expected": want, "observed": v % modulus}
+            v = 1 + 4 * v
+        return None
+    return counterexample
+
+
 def _collision_parity(max_d: int, partners_per_class: int) -> VerificationReport:
     """Every probe over the box must force an odd (hence impossible) multiple.
 
@@ -316,12 +333,6 @@ def _require_depth(tree: TruncatedArborescence, least: int) -> None:
         raise ValueError(f"tree depth {tree.max_depth} is too shallow; need >= {least}")
 
 
-def _expansion_parents(tree: TruncatedArborescence) -> Iterator[int]:
-    """The stored non-leaves above the depth limit, which the build expands, in build order."""
-    for level in tree.levels[:tree.config.max_depth]:
-        yield from (v for v in level if v % 3)
-
-
 def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     """Re-derive every child of every stored parent and demand distinct values.
 
@@ -340,7 +351,8 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     run = _Run("uniqueness", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
                               "sibling_cap": cfg.sibling_cap})
     counts: Counter[int] = Counter()
-    for parent in _expansion_parents(tree):
+    # the stored non-leaves above the depth limit, which the build expands
+    for parent in (v for level in tree.levels[:cfg.max_depth] for v in level if v % 3):
         n = 2 if parent == ROOT else 1
         while cfg.sibling_cap is None or n <= cfg.sibling_cap:
             child = _branch(parent, n)
@@ -370,15 +382,20 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     Over the stored levels but the root's, in order: one arbor._link call
     gives the parent and the sibling index n, the parent must be stored and
     not a leaf, and its branch of index n, through the raw branch kernel,
-    must be the value.  A tree of the root alone is refused: it would pass
-    with no case.
+    must be the value.  Then the value must be the next index of its
+    parent's run: each level is its parents' runs n = 1, 2, ... (2, 3, ...
+    under the root), in the order of those parents in the level above, as
+    the exporters read it.  A tree of the root alone is refused: it would
+    pass with no case.
     """
     from . import arbor  # read at each run, so a patched _link is the one checked
 
     _require_depth(tree, 1)
     link, members = arbor._link, tree.members
     run = _Run("parent_pointers", {"nodes": len(tree)})
-    for level in tree.levels[1:]:
+    # `parent in above` walks the level above, so each run's parent must follow the last run's
+    for above, level in zip(map(iter, tree.levels), tree.levels[1:]):
+        run_parent, last = None, 0
         for value in level:
             run.cases += 1
             parent, n = link(value)
@@ -390,6 +407,11 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
                                    "reason": f"{parent} is a leaf and has no outgoing edges"})
             if _branch(parent, n) != value:
                 return run.report({"value": value, "parent": parent, "sibling_index": n})
+            if not (parent == run_parent and n == last + 1
+                    or n == (2 if parent == arbor.ROOT else 1) and parent in above):
+                return run.report({"value": value, "parent": parent, "sibling_index": n,
+                                   "reason": "not next in its parent's run below the level above"})
+            run_parent, last = parent, n
     return run.report()
 
 
@@ -440,30 +462,6 @@ def check_covering(tree: TruncatedArborescence) -> VerificationReport:
                 sorted(set(INITIAL_RESIDUE_TEMPLATES) - seen_keys)]
     return run.report(class1_sample=run.cases - class2, class2_sample=class2,
                       warnings=warnings)
-
-
-def _template_kernel(count: int) -> Callable[[int], dict | None]:
-    residues = {key: (template[0], [_template_residue(template, n) for n in range(1, count + 1)])
-                for key, template in INITIAL_RESIDUE_TEMPLATES.items()}
-
-    def counterexample(u: int) -> dict | None:
-        modulus, expected = residues[(u % 3, (u // 3) % 3)]
-        v = _branch(u, 1)
-        for n, want in enumerate(expected, 1):
-            if v % modulus != want:
-                return {"u": u, "n": n, "value": v, "modulus": modulus,
-                        "expected": want, "observed": v % modulus}
-            v = 1 + 4 * v
-        return None
-    return counterexample
-
-
-def check_covering_templates(parent_bound: int = DEFAULT_PARENT_BOUND,
-                             count: int = 8) -> VerificationReport:
-    """Every parent's first `count` children must follow its residue template."""
-    _require_box(parent_bound=parent_bound, count=count)
-    return _over_parents("covering_templates", {"parent_bound": parent_bound, "count": count},
-                         _parents_up_to(parent_bound), count, _template_kernel)
 
 
 # The convergence sweep's step table stops growing at this many bytes,
@@ -626,7 +624,8 @@ def run_suite(name: str, *,
                                        _gaps_kernel)],
         "collision": lambda: [_collision_parity(max_d, partners)],
         "uniqueness": lambda: [check_uniqueness(tree), check_parent_pointers(tree)],
-        "covering": lambda: [check_covering_templates(parent_bound, min(count, 8)),
+        "covering": lambda: [_over_parents("covering_templates", box(count=min(count, 8)),
+                                           valid(), min(count, 8), _template_kernel),
                              check_covering(tree)],
         "partition": lambda: [_over_parents("initial_vertex_partition", box(), valid(), 1,
                                             _partition_kernel, True)],

@@ -20,8 +20,6 @@ from collatz_arbor.forward import f_step, trajectory_summary
 from collatz_arbor.inverse import branch_forms, g_branch, siblings
 from collatz_arbor.verify import (
     check_convergence,
-    check_covering,
-    check_covering_templates,
     check_uniqueness,
     run_suite,
 )
@@ -128,11 +126,11 @@ def test_c05_residue_cycle_and_gap_forms():
 
 
 def test_c06_covering_patterns():
-    templates = check_covering_templates(10**4, count=8)
+    templates, patterns = run_suite("covering", parent_bound=10**4, count=8,
+                                    tree_depth=6, tree_bound=10**6)
     assert templates.passed, templates.counterexample
-    tree = build(TruncationConfig(max_depth=6, value_bound=10**6))
-    patterns = check_covering(tree)
     assert patterns.passed, patterns.counterexample
+    tree = build(TruncationConfig(max_depth=6, value_bound=10**6))  # the suite's tree box
     assert patterns.statistics["warnings"] == []
     # class-1 children may only land on {1, 5, 9} mod 12
     for level in tree.levels[1:]:

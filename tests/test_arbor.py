@@ -252,8 +252,7 @@ class TestBuild:
             for m in range(0, 100):
                 digits = sum(max(0, -(-(b + 2 * j) // 30) - 2) for j in range(m))
                 assert inverse._extra_digits(b, m) == digits
-                assert inverse._run_charge(b, m) == m + -(-digits // 10)
-        assert inverse._run_charge(3, 29) == 29  # values below 2^61 cost one node each
+        assert inverse._extra_digits(3, 29) == 0  # values below 2^61 cost one node each
 
     def test_store_bytes_per_node(self):
         # the bound list levels met (one int and one list slot a node, ~41 B);
@@ -336,7 +335,7 @@ class TestBuild:
     def test_bounded_run_past_2_60_is_charged_by_its_digits(self):
         # the root's children 5, 21, ..., (4^100 - 1)/3 all lie below 2^200:
         # 99 values of up to 7 digits, charged as a capped run of 99 is
-        charge = 1 + inverse._run_charge(3, 99)
+        charge = 1 + 99 + -(-inverse._extra_digits(3, 99) // 10)
         assert charge > 100
         box = {"max_depth": 1, "value_bound": 2**200}
         assert len(build(TruncationConfig(**box, max_nodes=charge))) == 100

@@ -298,7 +298,7 @@ class TestVerify:
 # every check run_suite can start, the per-parent driver and the collision
 # loop included; none may start when a box is bad
 SWEEPS = ("_over_parents", "_collision_parity", "check_uniqueness", "check_parent_pointers",
-          "check_covering_templates", "check_covering", "check_convergence")
+          "check_covering", "check_convergence")
 
 
 def _must_not_run(name):

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import inspect
 import json
 import pickle
 import subprocess
@@ -149,6 +150,14 @@ class TestModuleNames:
         text = (Path(collatz_arbor.__file__).parent / name).read_text()
         assert "2 * n - 1" not in text
         assert "2 if u % 3 == 1 else 1" not in text
+
+    def test_run_suite_alone_sweeps_a_parent_range(self):
+        # a sweep over the parents up to a bound is a row of run_suite's table,
+        # not a public function of its own
+        verify = collatz_arbor.verify
+        public = {name: getattr(verify, name) for name in verify.__all__}
+        assert {name for name, value in public.items() if callable(value)
+                and "parent_bound" in inspect.signature(value).parameters} == {"run_suite"}
 
 
 class TestLazyAttributes:

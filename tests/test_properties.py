@@ -211,7 +211,7 @@ def test_build_matches_reference_build(config):
         return
     tree = build(config)
     assert [list(level) for level in tree.levels] == levels
-    # levels[k] is depth k: no level is empty, so _expansion_parents may slice by position
+    # levels[k] is depth k: no level is empty, so check_uniqueness may slice by position
     assert len(tree.levels) == tree.max_depth + 1 and all(tree.levels)
     assert len(tree) == len(links)
     parents = {v: u for v, (u, _) in links.items()}
@@ -339,6 +339,25 @@ def test_levels_are_complete_sibling_runs(config):
                 assert arbor._link(v)[1] == 1
 
 
+@given(export_boxes.map(build).filter(lambda tree: tree.max_depth >= 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_parent_pointers_read_the_run_order(tree, data):
+    # every build passes; a first child swapped with the value before it, the end of
+    # another run, passes the per-value tests but breaks its parents' run order
+    assert verify.check_parent_pointers(tree).passed
+    firsts = [(k, i) for k, level in enumerate(tree.levels) if k
+              for i in range(1, len(level)) if arbor._link(level[i])[1] == 1]
+    if not firsts:
+        return
+    k, i = data.draw(st.sampled_from(firsts))
+    level = tree.levels[k]
+    level[i - 1], level[i] = level[i], level[i - 1]
+    parent, n = arbor._link(level[i])
+    assert verify.check_parent_pointers(tree).counterexample == {
+        "value": level[i], "parent": parent, "sibling_index": n,
+        "reason": "not next in its parent's run below the level above"}
+
+
 def _same_coverage(tree, window):
     """coverage(tree, window) equals the oracle's report, or raises its CapacityError."""
     try:
@@ -418,8 +437,10 @@ def test_parent_sweeps_match_reference(parent_bound, count):
                         ("closed-forms", "closed_forms_sweep"), ("gaps", "gaps_sweep")):
         _same(verify.run_suite(suite, parent_bound=parent_bound, count=count)[0],
               getattr(reference, f"reference_{name}")(parent_bound, count))
-    _same(verify.check_covering_templates(parent_bound, count),
-          reference.reference_check_covering_templates(parent_bound, count))
+    # the covering suite caps its template count at 8; a small tree box keeps it quick
+    _same(verify.run_suite("covering", parent_bound=parent_bound, count=count,
+                           tree_depth=3, tree_bound=100)[0],
+          reference.reference_check_covering_templates(parent_bound, min(count, 8)))
 
 
 @given(st.integers(1, 20), st.integers(1, 50))

@@ -16,7 +16,6 @@ from collatz_arbor.verify import (
     check_closed_forms,
     check_convergence,
     check_covering,
-    check_covering_templates,
     check_multiples,
     check_parent_pointers,
     check_residue_cycle,
@@ -224,6 +223,38 @@ class TestUniqueness:
             "value": 7, "reason": "membership store differs from stored levels"}
         assert report["statistics"]["cases"] == 5
 
+    # Each fault below keeps every value on an edge from a stored non-leaf, and the
+    # stored set whole, so uniqueness passes; only the run order breaks.
+    def _out_of_run_order(self, tree, value, parent, n, cases):
+        assert check_uniqueness(tree).passed
+        report = check_parent_pointers(tree).as_dict(include_elapsed=False)
+        assert report["counterexample"] == {
+            "value": value, "parent": parent, "sibling_index": n,
+            "reason": "not next in its parent's run below the level above"}
+        assert report["statistics"]["cases"] == cases
+
+    def test_parent_pointers_report_a_repeated_value(self):
+        # levels [5, 21], [3, 13, 53, 53]: the second 53 repeats index 3 of 5's run
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.levels[2].append(53)
+        self._out_of_run_order(tree, 53, 5, 3, 6)
+
+    def test_parent_pointers_report_a_reordered_level(self):
+        # levels [5, 21], [53, 13, 3]: the level opens with index 3 of 5's run, not 1
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.levels[2].reverse()
+        self._out_of_run_order(tree, 53, 5, 3, 3)
+
+    def test_parent_pointers_report_a_value_at_the_wrong_depth(self):
+        # leaf 9, the first child of 7 at depth 6, moved to the end of depth 3,
+        # where no 7 stands above it: 9 + 33 + 78 values, then 9
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**6))
+        assert tree.levels[6][0] == 9
+        del tree.levels[6][0]
+        tree.levels[3].append(9)
+        assert check_covering(tree).passed
+        self._out_of_run_order(tree, 9, 7, 1, 121)
+
 
 class TestCovering:
     def test_root_template(self):
@@ -235,7 +266,8 @@ class TestCovering:
         assert modulus == 12 and first == 3 and cycle == (1, 5, 9)
 
     def test_templates_sweep(self):
-        assert check_covering_templates(2000, 8).passed
+        report = run_suite("covering", parent_bound=2000, count=8, tree_depth=3)[0]
+        assert report.check_name == "covering_templates" and report.passed
 
     def test_tree_covering(self, tree_k6):
         report = check_covering(tree_k6)
@@ -425,7 +457,7 @@ class TestEmptyBoxes:
         ("multiples", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
         ("closed-forms", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
         ("gaps", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
-        ("check_covering_templates", (10, 0), "count must be >= 1, got 0"),
+        ("covering", {"parent_bound": 10, "count": 0}, "count must be >= 1, got 0"),
         ("adjacent-initials", {"parent_bound": 0}, "parent_bound must be >= 1, got 0"),
         ("collision", {"max_d": 0, "partners": 5}, "max_d must be >= 1, got 0"),
         ("collision", {"max_d": 5, "partners": 0}, "partners must be >= 1, got 0"),
@@ -611,7 +643,7 @@ class TestSweepFaults:
         # 1 and 5 pass their eight children first
         corrupt_branch(7, 2, lambda v: v + 2)
         report = _same_failed_report(
-            check_covering_templates(100, 8),
+            run_suite("covering", parent_bound=100, count=8, tree_depth=3)[0],
             verify_reference.reference_check_covering_templates(100, 8))
         assert report["counterexample"] == {"u": 7, "n": 1, "value": 11, "modulus": 24,
                                             "expected": 9, "observed": 11}
