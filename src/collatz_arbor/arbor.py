@@ -11,9 +11,9 @@ sibling set* (a value below the bound can still be unreachable if its parent
 lies above the bound).
 
 The root is 1 at depth 0.  The self-edge of 1 onto itself is never stored, so
-level 1 starts at 5.  Duplicate values abort construction loudly: node
-identity is the integer value, and a silent merge would mask exactly the
-uniqueness property the build exists to witness.
+level 1 starts at 5.  Node identity is the integer value, and a repeated
+value fails loudly where membership is first read: a silent merge would mask
+exactly the uniqueness property the tree exists to witness.
 """
 
 from __future__ import annotations
@@ -126,9 +126,10 @@ class TruncationConfig(Record):
 class _OddBitmap:
     """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
 
-    Bit j of the bytearray stands for the value 2j + 1.  It offers the build
-    what a set would (`in`, `len`, `update`, `issuperset`), and iterates its
-    values in ascending order (only a failed check_uniqueness reads them).
+    Bit j of the bytearray stands for the value 2j + 1.  It offers the
+    store's maker and readers what a set would (`in`, `len`, `update`,
+    `issuperset`), and iterates its values in ascending order (only a failed
+    check_uniqueness reads them).
     """
 
     __slots__ = ("bits", "bound", "count")
@@ -187,18 +188,24 @@ def _link(value: int) -> tuple[int, int] | tuple[None, None]:
 
 
 class TruncatedArborescence:
-    """A list of levels by depth, each in build order, plus one membership object.
+    """A list of levels by depth, each in build order, plus a membership store made on first read.
 
     levels[k] holds the values at depth k, and no level is empty, so
     max_depth is len(levels) - 1.  Each level is an array('I') when the
     box's value bound is below 2^32 (4 B a value), an array('Q') when it is
     below 2^64 (8 B), and a list of exact ints otherwise (the bounds follow
-    the items' sizes, _TYPECODES).
-    members is an _OddBitmap when the box has a value bound whose bitmap is
-    no larger than the node budget in bytes (value_bound // 16 <=
-    max_nodes), and a set otherwise.  Nothing else is stored or exposed: a
-    value's parent and sibling index are f(v) and its exponent (_link), its
-    depth is its level's, and its residue and leaf flag are v mod 3.
+    the items' sizes, _TYPECODES).  len(tree) is the node total the build
+    grew.  Nothing else is stored: a value's parent and sibling index are
+    f(v) and its exponent (_link), its depth is its level's, and its residue
+    and leaf flag are v mod 3.
+
+    members, read by `in`, path_to and the verify tree checks, is made once
+    on its first read and cached (_mark): an _OddBitmap when the box has a
+    value bound whose bitmap is no larger than the node budget in bytes
+    (_dense), and a set otherwise.  A store that counts fewer values than
+    the build grew means a level repeats a value, and that read raises
+    DuplicateVertexError (_duplicate).  The exporters and coverage read only
+    the levels and len(tree), so they never make it.
 
     Every level is the parent-ordered concatenation of complete sibling
     runs v_1, 4 v_1 + 1, ... (v_2 = 5, ... under the root): each entry of
@@ -210,23 +217,34 @@ class TruncatedArborescence:
     checks it.
     """
 
-    __slots__ = ("config", "levels", "members")
+    __slots__ = ("config", "levels", "_nodes", "_members")
 
-    def __init__(self, config: TruncationConfig, levels: list[Sequence[int]],
-                 members: _OddBitmap | set[int]) -> None:
+    def __init__(self, config: TruncationConfig, levels: list[Sequence[int]]) -> None:
         self.config = config
         self.levels = levels
-        self.members = members
+        self._nodes = sum(map(len, levels))
+        self._members: _OddBitmap | set[int] | None = None
+
+    @property
+    def members(self) -> _OddBitmap | set[int]:
+        if self._members is None:
+            self._members = _mark(self.config, self.levels, self._nodes)
+        return self._members
 
     def __contains__(self, value: object) -> bool:
         return value in self.members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self._nodes
 
     @property
     def max_depth(self) -> int:
         return len(self.levels) - 1
+
+
+def _dense(config: TruncationConfig) -> bool:
+    """Whether the box's store is a bitmap: a value bound whose bitmap the budget holds in bytes."""
+    return config.value_bound is not None and config.value_bound // 16 <= config.max_nodes
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
@@ -253,18 +271,20 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     above 2^60), each run is also charged a tenth of a node a 30-bit digit
     past two (_extra_digits), in closed form for the whole chunk before it
     is grown (_charge), so a chunk that overruns the budget raises before it
-    holds any memory.  Overrunning max_nodes raises CapacityError.  Each finished
-    level is charged for the set store's members (_SET_FREE), then marked
-    in the membership object; a repeated value shows as a count that falls
-    short, and raises DuplicateVertexError (it would falsify uniqueness).
+    holds any memory.  Overrunning max_nodes raises CapacityError.  Each
+    finished level is charged for the set store's members (_SET_FREE), even
+    though the store is made only on its first read, so the budget bounds
+    the tree with its store.  Nothing is marked here: a repeated value can
+    come only from a wrong kernel (a value's parent is f(v), and 1 is stored
+    only at the root), and it raises DuplicateVertexError where membership
+    is first read (TruncatedArborescence.members), while the verify tree
+    checks catch such a kernel value by value.
     Each level is grown as a list and stored in the narrowest typed array
     whose items hold the bound (_TYPECODES: 'I' below 2^32, 'Q' below
     2^64), picked once per box.
     """
     bound, cap, max_nodes = config.value_bound, config.sibling_cap, config.max_nodes
-    dense = bound is not None and bound // 16 <= max_nodes
-    members = _OddBitmap(bound) if dense else set()
-    members.update((ROOT,))
+    dense = _dense(config)
     typecode = next((code for top, code in _TYPECODES if bound is not None and bound < top), None)
     digits = bound is None or bound >= 1 << 60  # values can hold 30-bit digits past two
     c = 0 if bound is None else 3 * bound + 1
@@ -273,11 +293,11 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     level = [ROOT]
     levels = [_typed(level, typecode)]
     depth = 0
+    stored = 1  # the root
     room = max_nodes  # nodes the budget still admits; level 1 is grown with the root at its head
     while level and (config.max_depth is None or depth < config.max_depth):
         depth += 1
         parents, level = level, []
-        before = len(members)
         i = 0
         while i < len(parents):
             step = min(_PCHUNK, 1 + (room - len(level)) // width)
@@ -295,17 +315,15 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
             del level[0]  # the root's first child is the root: no self-edge is stored
             room -= 1
         if not dense:
-            room -= _SET_CHARGE * (max(0, before + len(level) - _SET_FREE)
-                                   - max(0, before - _SET_FREE))
+            room -= _SET_CHARGE * (max(0, stored + len(level) - _SET_FREE)
+                                   - max(0, stored - _SET_FREE))
         if len(level) > room:
             raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
-        members.update(level)
-        if len(members) != before + len(level):
-            raise _duplicate(levels, parents, c, table)
         room -= len(level)
+        stored += len(level)
         if level:
             levels.append(_typed(level, typecode))
-    return TruncatedArborescence(config, levels, members)
+    return TruncatedArborescence(config, levels)
 
 
 def _typed(level: list[int], typecode: str | None) -> Sequence[int]:
@@ -320,21 +338,40 @@ def _typed(level: list[int], typecode: str | None) -> Sequence[int]:
     return packed
 
 
-def _duplicate(levels: list[Sequence[int]], parents: list[int], c: int,
-               table: tuple[tuple[range, ...], ...]) -> DuplicateVertexError:
-    """The slow path of a level that repeats a value: replay it, parent by parent, against a set.
+def _mark(config: TruncationConfig, levels: list[Sequence[int]],
+          nodes: int) -> _OddBitmap | set[int]:
+    """The membership store of a tree of nodes values: every level marked, in depth order.
 
-    Returns the error for the first value the level grown from parents
-    repeats, with the parent f(v) it is stored under and the parent that
-    produced it again.
+    A bitmap of the box's bound when _dense, else a set.  A store that
+    counts fewer than nodes values means a level repeats one, and raises
+    _duplicate's DuplicateVertexError.
     """
-    seen = {v for level in levels for v in level}
-    for u in parents:
-        for v in _children((u,), c, table)[u == ROOT:]:  # the root's run opens with the root
-            if v in seen:
-                return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
-            seen.add(v)
-    raise InconsistencyError("a level's count fell short, but no value repeats")
+    members = _OddBitmap(config.value_bound) if _dense(config) else set()
+    for level in levels:
+        members.update(level)
+    if len(members) < nodes:
+        raise _duplicate(levels, config)
+    return members
+
+
+def _duplicate(levels: list[Sequence[int]], config: TruncationConfig) -> DuplicateVertexError:
+    """The slow path of a store that falls short: replay the build, parent by parent, against a set.
+
+    Regrows each level from the stored level above it through the kernel,
+    and returns the error for the first value that repeats, with the parent
+    f(v) it is stored under and the parent that produced it again.
+    """
+    c = 0 if config.value_bound is None else 3 * config.value_bound + 1
+    table = _kernel_table(c, config.sibling_cap)
+    seen = {ROOT}
+    for parents in levels[:-1]:
+        for u in parents:
+            for v in _children((u,), c, table)[u == ROOT:]:  # the root's run opens with the root
+                if v in seen:
+                    return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
+                seen.add(v)
+    raise InconsistencyError("the store counts fewer values than the build grew, "
+                             "but no value repeats")
 
 
 def path_to(tree: TruncatedArborescence, target: int) -> list[int]:

@@ -17,10 +17,11 @@ class InconsistencyError(CollatzArborError):
 
 
 class DuplicateVertexError(CollatzArborError):
-    """The same value was produced twice during tree construction.
+    """The same value was produced twice in a built tree's levels.
 
-    Construction aborts loudly instead of merging: a silent merge would mask
-    the uniqueness property the build is meant to witness.
+    Raised where the tree's membership store is first made, instead of
+    merging: a silent merge would mask the uniqueness property the tree is
+    meant to witness.
     """
 
     def __init__(self, value: int, first_parent: int, second_parent: int):

@@ -601,6 +601,7 @@ def run_suite(name: str, *,
         from .arbor import TruncationConfig, build
 
         tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
+        tree.members  # made now, so a repeated value raises before any suite runs
         if "covering" in wanted:
             _require_depth(tree, 3)
 

@@ -154,7 +154,7 @@ class TestBuild:
         # 21 is already stored under the root
         _start_run_at(monkeypatch, 5, 21)
         with pytest.raises(DuplicateVertexError) as excinfo:
-            build(TruncationConfig(max_depth=2, value_bound=60))
+            build(TruncationConfig(max_depth=2, value_bound=60)).members
         assert excinfo.value.value == 21
 
     @pytest.mark.parametrize("bound,cap", [(60, None), (10**6, None), (None, 9)])
@@ -175,10 +175,11 @@ class TestBuild:
     ])
     def test_duplicate_names_both_parents(self, monkeypatch, config):
         # parent 5's stream starts at 5 itself, stored at depth 1 under the root;
-        # every box grows and replays its levels through the one kernel
+        # every box grows and replays its levels through the one kernel; the
+        # repeat shows where the store is made, on its first read
         _start_run_at(monkeypatch, 5, 5, config.sibling_cap)
         with pytest.raises(DuplicateVertexError) as excinfo:
-            build(config)
+            build(config).members
         err = excinfo.value
         assert (err.value, err.first_parent, err.second_parent) == (5, 1, 5)
 
@@ -186,7 +187,7 @@ class TestBuild:
         # parent 21 is a leaf; parent 85's stream starts at 13, which 5 also produces
         _start_run_at(monkeypatch, 85, 13)
         with pytest.raises(DuplicateVertexError) as excinfo:
-            build(TruncationConfig(max_depth=2, value_bound=400))
+            build(TruncationConfig(max_depth=2, value_bound=400)).members
         err = excinfo.value
         assert (err.value, err.first_parent, err.second_parent) == (13, 5, 85)
 
@@ -268,16 +269,33 @@ class TestBuild:
         assert peak <= 48 * len(tree)
 
     def test_typed_store_bytes_per_node(self):
-        # array('I') levels: 4 B a node, plus the bitmap and the two levels
-        # the build holds as lists
+        # array('I') levels: 4 B a node, plus the two levels the build holds
+        # as lists, and the bitmap its first read makes
         tracemalloc.start()
         try:
             tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
+            tree.members
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(tree) == 298_358
         assert peak <= 8 * len(tree)
+
+    def test_store_is_made_on_first_read_only(self):
+        # build, export and coverage read the levels and len(tree), never
+        # membership; the first read makes the store once, and later reads
+        # return that same object
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
+        for fmt in ("jsonl", "csv", "dot"):
+            export(tree, fmt, io.BytesIO())
+        coverage(tree, 10**4)
+        assert tree._members is None
+        with mock.patch.object(arbor, "_mark", wraps=arbor._mark) as mark:
+            store = tree.members
+            assert 9 in tree and 27 not in tree
+            assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
+            assert tree.members is store
+        assert mark.call_count == 1
 
     @pytest.mark.parametrize("config,typecode", [
         (TruncationConfig(max_depth=3, value_bound=10**6), "I"),  # bitmap store

@@ -367,8 +367,13 @@ class TestCheckFailed:
             return [21 if v == 3 else v for v in real(parents, c, table)]
 
         monkeypatch.setattr(arbor, "_children", children)
-        assert self._main(capsys, "tree", "--depth", "2", "--bound", "60") == (
+        assert self._main(capsys, "verify", "--suite", "uniqueness", "--depth", "2",
+                          "--bound", "60") == (
             1, "", "counterexample: vertex 21 produced twice: by parent 1 and again by parent 5\n")
+        # tree reads the levels, never membership, so the repeat is not its to find
+        code, out, err = self._main(capsys, "tree", "--depth", "2", "--bound", "60")
+        assert (code, err) == (0, "nodes=6 max_depth=2\n")
+        assert out
 
     def test_closed_forms_with_a_wrong_z_term(self, monkeypatch, capsys):
         real = verify.z_term

@@ -15,6 +15,7 @@ from convergence_reference import reference_check_convergence
 from core_reference import decompose, valuation2
 from coverage_reference import reference_coverage
 from export_reference import reference_export
+from store_reference import reference_store
 from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import (
     DEFAULT_MAX_NODES,
@@ -241,6 +242,32 @@ def test_big_bound_build_matches_reference_build(config):
     tree = build(config)
     assert [list(level) for level in tree.levels] == levels
     assert all(arbor._link(v) == link for v, link in links.items())
+
+
+# One box of each store: a bitmap, a set by budget, cap-only, capped and bounded, 2^70-bounded.
+store_boxes = st.one_of(
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12), value_bound=st.integers(1, 10**5)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 6),
+              value_bound=st.integers(16 * 5001, 10**6), max_nodes=st.just(5000)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 8), sibling_cap=st.integers(1, 3)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 12), value_bound=st.integers(1, 10**5),
+              sibling_cap=st.integers(1, 8)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 3), value_bound=st.just(2**70)),
+)
+
+
+@given(store_boxes)
+@settings(max_examples=80, deadline=None)
+def test_store_made_on_first_read_matches_eager_marking(config):
+    tree = build(config)
+    assert len(tree) == sum(map(len, tree.levels))
+    want = reference_store(tree)
+    got = tree.members
+    if isinstance(want, set):
+        assert type(got) is set and got == want
+    else:
+        assert isinstance(got, arbor._OddBitmap)
+        assert (got.bits, got.count) == want
 
 
 # The root, whose run the build stores from index 2, and non-leaf parents up to 2^100.

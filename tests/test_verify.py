@@ -8,7 +8,7 @@ import verify_reference
 from verify_reference import CollisionProbe, check_collision_parity
 from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import TruncationConfig, build
-from collatz_arbor.errors import LeafParentError
+from collatz_arbor.errors import DuplicateVertexError, LeafParentError
 from collatz_arbor.forward import f_step
 from collatz_arbor.verify import (
     INITIAL_RESIDUE_TEMPLATES,
@@ -173,6 +173,33 @@ class TestUniqueness:
         assert report["counterexample"] == {"value": value, "parent": link[0],
                                             "sibling_index": link[1]}
         assert report["statistics"]["cases"] == cases
+
+    def test_covering_suite_makes_the_store_right_after_its_build(self, monkeypatch):
+        # the covering checks never read membership: run_suite reads it for them
+        events = []
+        real_build, real_mark, real_sweep = arbor.build, arbor._mark, verify._over_parents
+        monkeypatch.setattr(arbor, "build",
+                            lambda config: events.append("build") or real_build(config))
+        monkeypatch.setattr(arbor, "_mark",
+                            lambda *args: events.append("mark") or real_mark(*args))
+        monkeypatch.setattr(verify, "_over_parents",
+                            lambda *args: events.append("sweep") or real_sweep(*args))
+        templates, patterns = run_suite("covering", parent_bound=10, count=2,
+                                        tree_depth=4, tree_bound=1000)
+        assert templates.passed and patterns.passed
+        assert events == ["build", "mark", "sweep"]
+
+    def test_covering_suite_raises_on_a_repeated_vertex(self, monkeypatch):
+        real = arbor._children
+
+        def children(parents, c, table):  # 5's run starts at 21, the root's v_3
+            return [21 if v == 3 else v for v in real(parents, c, table)]
+
+        monkeypatch.setattr(arbor, "_children", children)
+        with pytest.raises(DuplicateVertexError) as excinfo:
+            run_suite("covering", parent_bound=10, count=2, tree_depth=3, tree_bound=60)
+        err = excinfo.value
+        assert (err.value, err.first_parent, err.second_parent) == (21, 1, 5)
 
     @pytest.fixture
     def stray_tree(self):
