@@ -19,9 +19,8 @@ _EXPORTS = {
     **dict.fromkeys(("CoverageReport", "TruncatedArborescence", "TruncationConfig", "build",
                      "classify_edge", "coverage", "export", "path_to"), "arbor"),
     **dict.fromkeys(("BaseSequences", "base_sequences", "w_term", "z_term"), "core"),
-    **dict.fromkeys(("CapacityError", "CollatzArborError", "DuplicateVertexError",
-                     "InconsistencyError", "LeafParentError", "MissingVertexError",
-                     "NonEdgeError"), "errors"),
+    **dict.fromkeys(("CapacityError", "CollatzArborError", "InconsistencyError",
+                     "LeafParentError", "MissingVertexError", "NonEdgeError"), "errors"),
     **dict.fromkeys(("TrajectoryRecord", "TrajectorySummary", "f_step", "trajectory",
                      "trajectory_summary"), "forward"),
     **dict.fromkeys(("SiblingSet", "branch_forms", "g_branch", "siblings"), "inverse"),

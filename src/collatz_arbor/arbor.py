@@ -11,28 +11,22 @@ sibling set* (a value below the bound can still be unreachable if its parent
 lies above the bound).
 
 The root is 1 at depth 0.  The self-edge of 1 onto itself is never stored, so
-level 1 starts at 5.  Node identity is the integer value, and a repeated
-value fails loudly where membership is first read: a silent merge would mask
-exactly the uniqueness property the tree exists to witness.
+level 1 starts at 5.  Node identity is the integer value.  Membership is not
+stored: a value is in the tree exactly when its forward orbit stays in the
+box on its way to 1.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, ItemsView, Iterator, Mapping, Sequence
+from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from itertools import compress
 from typing import BinaryIO
 
 from ._record import Record
 from .core import _require_box, _require_int, _require_odd_positive
 from .defaults import DEFAULT_MAX_NODES, EXPORT_FORMATS
-from .errors import (
-    CapacityError,
-    DuplicateVertexError,
-    InconsistencyError,
-    MissingVertexError,
-    NonEdgeError,
-)
+from .errors import CapacityError, MissingVertexError, NonEdgeError
 from .inverse import _charge, _children, _kernel_table
 
 __all__ = [
@@ -56,13 +50,6 @@ _FIELDS = ("value", "depth", "parent", "sibling_index", "residue", "is_leaf")
 # bounded below 2^(8 itemsize) stores its levels in that code (4 B a value
 # below 2^32 on mainstream platforms, 8 B below 2^64), and as lists above.
 _TYPECODES = tuple((1 << 8 * array(code).itemsize, code) for code in "IQ")
-# Beyond its level slot, a set store's member costs its slot in the set's
-# table, which CPython keeps 1/4 to 3/5 full and grows fourfold below 50,000
-# members (about 30 to 130 B), and, in a typed level, its boxed int.  Past
-# the first _SET_FREE members, each is charged _SET_CHARGE more nodes, so the
-# budget bounds bytes in every box, and small boxes keep one node a value.
-_SET_FREE = 4096
-_SET_CHARGE = 2
 _PCHUNK = 4096  # parents per kernel call in a bounded box, at most
 # Typecodes of a coverage table, narrowest first, with the bound each holds;
 # an entry is 1 + a depth, so a tree of max_depth d takes the first with d + 1 < bound.
@@ -77,20 +64,14 @@ class TruncationConfig(Record):
     value range additionally needs a sibling cap, or a single expansion would
     never terminate.  max_nodes is a hard budget: exceeding it raises
     CapacityError instead of exhausting memory.  A budget node stands for
-    about 40 B, and what a stored value is charged depends on its store:
-
-    - a box bounded below 2^64 whose bitmap fits the budget (value_bound //
-      16 <= max_nodes) is charged one node a value, which costs 4 B (its
-      array('I') slot; 8 B in an array('Q') once the bound reaches 2^32,
-      which takes a budget of 2^28 nodes) plus a bit per odd value up to
-      the bound, so the default of 10M nodes holds at most about 50 MB there;
-    - every other box keeps a set of its members.  A value costs its level
-      slot and its int, about 40 B below 2^60, and each member past the
-      first 4,096 is charged two more nodes for its set slot and boxed int.
-      Where values can pass 2^60 (a sibling cap with no bound, or a bound
-      at or above 2^60), each 30-bit digit a value holds beyond two is
-      charged as a tenth of a node.  So the budget bounds bytes in every
-      box: the default is about 400 MB.
+    about 40 B, and each stored value is charged one node.  A box bounded
+    below 2^32 holds a value in 4 B (its array('I') slot), so the default
+    of 10M nodes holds at most about 40 MB of levels there, and one bounded
+    below 2^64 in 8 B (array('Q')); any other box keeps exact ints in
+    lists, about 40 B a value below 2^60.  Where values can pass 2^60 (a sibling cap with
+    no bound, or a bound at or above 2^60), each 30-bit digit a value holds
+    beyond two is charged as a tenth of a node.  So the budget bounds bytes
+    in every box: the default is about 400 MB.
 
     It also bounds the missing list of a coverage report.  Every field is an
     int (not a bool); all but max_nodes may be None.
@@ -123,56 +104,6 @@ class TruncationConfig(Record):
             raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
-class _OddBitmap:
-    """Set of odd values in 1..bound, one bit each: the membership store of dense boxes.
-
-    Bit j of the bytearray stands for the value 2j + 1.  It offers the
-    store's maker and readers what a set would (`in`, `len`, `update`,
-    `issuperset`), and iterates its values in ascending order (only a failed
-    check_uniqueness reads them).
-    """
-
-    __slots__ = ("bits", "bound", "count")
-    _MASK = tuple(1 << (i >> 1 & 7) for i in range(16))  # the bit of v within its byte, by v & 15
-
-    def __init__(self, bound: int) -> None:
-        self.bits = bytearray((bound >> 4) + 1)
-        self.bound = bound
-        self.count = 0
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __contains__(self, value: object) -> bool:
-        return (isinstance(value, int) and 0 < value <= self.bound and value & 1 == 1
-                and self.bits[value >> 4] >> (value >> 1 & 7) & 1 == 1)
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        return (v for v in range(1, 16 * len(bits), 2) if bits[v >> 4] >> (v >> 1 & 7) & 1)
-
-    def issuperset(self, values: Iterable[int]) -> bool:
-        """Whether every value is marked, as set.issuperset; the bit test is inlined."""
-        bits, bound = self.bits, self.bound
-        for v in values:
-            if not (0 < v <= bound and v & 1 and bits[v >> 4] >> (v >> 1 & 7) & 1):
-                return False
-        return True
-
-    def update(self, values: Iterable[int]) -> None:
-        """Mark odd values within the bound; len grows by those not marked before."""
-        bits, mask = self.bits, self._MASK
-        fresh = 0
-        for v in values:
-            i = v >> 4
-            m = mask[v & 15]
-            b = bits[i]
-            if not b & m:
-                bits[i] = b | m
-                fresh += 1
-        self.count += fresh
-
-
 def _link(value: int) -> tuple[int, int] | tuple[None, None]:
     """(parent, sibling index) of a stored value, the one home of its edge; (None, None) for 1.
 
@@ -188,7 +119,7 @@ def _link(value: int) -> tuple[int, int] | tuple[None, None]:
 
 
 class TruncatedArborescence:
-    """A list of levels by depth, each in build order, plus a membership store made on first read.
+    """A list of levels by depth, each in build order, and the box that grew them.
 
     levels[k] holds the values at depth k, and no level is empty, so
     max_depth is len(levels) - 1.  Each level is an array('I') when the
@@ -197,15 +128,9 @@ class TruncatedArborescence:
     the items' sizes, _TYPECODES).  len(tree) is the node total the build
     grew.  Nothing else is stored: a value's parent and sibling index are
     f(v) and its exponent (_link), its depth is its level's, and its residue
-    and leaf flag are v mod 3.
-
-    members, read by `in`, path_to and the verify tree checks, is made once
-    on its first read and cached (_mark): an _OddBitmap when the box has a
-    value bound whose bitmap is no larger than the node budget in bytes
-    (_dense), and a set otherwise.  A store that counts fewer values than
-    the build grew means a level repeats a value, and that read raises
-    DuplicateVertexError (_duplicate).  The exporters and coverage read only
-    the levels and len(tree), so they never make it.
+    and leaf flag are v mod 3.  Membership too is derived: `v in tree` walks
+    v's forward orbit inside the box (_orbit), as path_to does, and reads no
+    level.
 
     Every level is the parent-ordered concatenation of complete sibling
     runs v_1, 4 v_1 + 1, ... (v_2 = 5, ... under the root): each entry of
@@ -217,22 +142,16 @@ class TruncatedArborescence:
     checks it.
     """
 
-    __slots__ = ("config", "levels", "_nodes", "_members")
+    __slots__ = ("config", "levels", "_nodes")
 
     def __init__(self, config: TruncationConfig, levels: list[Sequence[int]]) -> None:
         self.config = config
         self.levels = levels
         self._nodes = sum(map(len, levels))
-        self._members: _OddBitmap | set[int] | None = None
-
-    @property
-    def members(self) -> _OddBitmap | set[int]:
-        if self._members is None:
-            self._members = _mark(self.config, self.levels, self._nodes)
-        return self._members
 
     def __contains__(self, value: object) -> bool:
-        return value in self.members
+        return (isinstance(value, int) and value > 0 and value & 1 == 1
+                and _orbit(self, value) is not None)
 
     def __len__(self) -> int:
         return self._nodes
@@ -242,9 +161,31 @@ class TruncatedArborescence:
         return len(self.levels) - 1
 
 
-def _dense(config: TruncationConfig) -> bool:
-    """Whether the box's store is a bitmap: a value bound whose bitmap the budget holds in bytes."""
-    return config.value_bound is not None and config.value_bound // 16 <= config.max_nodes
+def _orbit(tree: TruncatedArborescence, value: int) -> list[int] | None:
+    """The forward orbit of an odd positive value down to 1 while it stays in the tree's box.
+
+    The tree is grown by g, which inverts f, so a value is stored exactly
+    when its f-walk reaches 1 within tree.max_depth steps, with every value
+    on the way within the bound and every step's sibling index, (e + 1)
+    div 2 for the exponent e of its parent's branch, within the cap.  None
+    when the walk leaves the box.  Each step is f, inlined.
+    """
+    bound, cap = tree.config.value_bound, tree.config.sibling_cap
+    most = None if cap is None else 2 * cap  # an exponent above 2 cap is an index above cap
+    orbit = [value]
+    x = value
+    for _ in range(tree.max_depth):
+        if x == ROOT:
+            break
+        if bound is not None and x > bound:
+            return None
+        t = 3 * x + 1
+        e = (t & -t).bit_length() - 1
+        if most is not None and e > most:
+            return None
+        x = t >> e
+        orbit.append(x)
+    return orbit if x == ROOT else None
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
@@ -271,20 +212,16 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     above 2^60), each run is also charged a tenth of a node a 30-bit digit
     past two (_extra_digits), in closed form for the whole chunk before it
     is grown (_charge), so a chunk that overruns the budget raises before it
-    holds any memory.  Overrunning max_nodes raises CapacityError.  Each
-    finished level is charged for the set store's members (_SET_FREE), even
-    though the store is made only on its first read, so the budget bounds
-    the tree with its store.  Nothing is marked here: a repeated value can
-    come only from a wrong kernel (a value's parent is f(v), and 1 is stored
-    only at the root), and it raises DuplicateVertexError where membership
-    is first read (TruncatedArborescence.members), while the verify tree
-    checks catch such a kernel value by value.
+    holds any memory.  Overrunning max_nodes raises CapacityError.  No
+    value is checked for a repeat: a repeat can come only from a wrong
+    kernel (a value's parent is f(v), and 1 is stored only at the root),
+    and check_uniqueness and check_parent_pointers report such a kernel
+    with a counterexample.
     Each level is grown as a list and stored in the narrowest typed array
     whose items hold the bound (_TYPECODES: 'I' below 2^32, 'Q' below
     2^64), picked once per box.
     """
     bound, cap, max_nodes = config.value_bound, config.sibling_cap, config.max_nodes
-    dense = _dense(config)
     typecode = next((code for top, code in _TYPECODES if bound is not None and bound < top), None)
     digits = bound is None or bound >= 1 << 60  # values can hold 30-bit digits past two
     c = 0 if bound is None else 3 * bound + 1
@@ -293,7 +230,6 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
     level = [ROOT]
     levels = [_typed(level, typecode)]
     depth = 0
-    stored = 1  # the root
     room = max_nodes  # nodes the budget still admits; level 1 is grown with the root at its head
     while level and (config.max_depth is None or depth < config.max_depth):
         depth += 1
@@ -314,13 +250,7 @@ def build(config: TruncationConfig) -> TruncatedArborescence:
         if depth == 1:
             del level[0]  # the root's first child is the root: no self-edge is stored
             room -= 1
-        if not dense:
-            room -= _SET_CHARGE * (max(0, stored + len(level) - _SET_FREE)
-                                   - max(0, stored - _SET_FREE))
-        if len(level) > room:
-            raise CapacityError(f"node budget {max_nodes} exhausted at depth {depth}")
         room -= len(level)
-        stored += len(level)
         if level:
             levels.append(_typed(level, typecode))
     return TruncatedArborescence(config, levels)
@@ -338,68 +268,18 @@ def _typed(level: list[int], typecode: str | None) -> Sequence[int]:
     return packed
 
 
-def _mark(config: TruncationConfig, levels: list[Sequence[int]],
-          nodes: int) -> _OddBitmap | set[int]:
-    """The membership store of a tree of nodes values: every level marked, in depth order.
-
-    A bitmap of the box's bound when _dense, else a set.  A store that
-    counts fewer than nodes values means a level repeats one, and raises
-    _duplicate's DuplicateVertexError.
-    """
-    members = _OddBitmap(config.value_bound) if _dense(config) else set()
-    for level in levels:
-        members.update(level)
-    if len(members) < nodes:
-        raise _duplicate(levels, config)
-    return members
-
-
-def _duplicate(levels: list[Sequence[int]], config: TruncationConfig) -> DuplicateVertexError:
-    """The slow path of a store that falls short: replay the build, parent by parent, against a set.
-
-    Regrows each level from the stored level above it through the kernel,
-    and returns the error for the first value that repeats, with the parent
-    f(v) it is stored under and the parent that produced it again.
-    """
-    c = 0 if config.value_bound is None else 3 * config.value_bound + 1
-    table = _kernel_table(c, config.sibling_cap)
-    seen = {ROOT}
-    for parents in levels[:-1]:
-        for u in parents:
-            for v in _children((u,), c, table)[u == ROOT:]:  # the root's run opens with the root
-                if v in seen:
-                    return DuplicateVertexError(v, _link(v)[0] or ROOT, u)
-                seen.add(v)
-    raise InconsistencyError("the store counts fewer values than the build grew, "
-                             "but no value repeats")
-
-
 def path_to(tree: TruncatedArborescence, target: int) -> list[int]:
     """Root-to-target vertex list: the forward orbit of target, reversed.
 
-    Each step is f, inlined, for at most tree.max_depth steps; the store then
-    checks the whole path at once.  An ancestor missing from the store, or an
-    orbit that has not reached 1 within tree.max_depth steps, raises
-    InconsistencyError.  Absent targets raise MissingVertexError (absence
-    under truncation proves nothing).
+    The orbit is walked inside the tree's box (_orbit), and reads no level.
+    A target whose walk leaves the box (a value or a sibling index out of
+    it, or no arrival at 1 within tree.max_depth steps) is not stored, and
+    raises MissingVertexError (absence under truncation proves nothing).
     """
     _require_odd_positive(target, "target")
-    members = tree.members
-    if target not in members:
+    path = _orbit(tree, target)
+    if path is None:
         raise MissingVertexError(f"{target} is not stored in this truncation")
-    path = [target]
-    x = target
-    for _ in range(tree.max_depth):
-        if x == ROOT:
-            break
-        t = 3 * x + 1
-        x = t >> ((t & -t).bit_length() - 1)
-        path.append(x)
-    if not members.issuperset(path):
-        absent = next(v for v in path if v not in members)
-        raise InconsistencyError(f"ancestor {absent} of stored {target} is not stored")
-    if x != ROOT:
-        raise InconsistencyError(f"{target} does not reach the root in {tree.max_depth} steps")
     path.reverse()
     return path
 
@@ -500,10 +380,10 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     table: a byte per odd value, nonzero where it is covered, translates to
     the missing flags that drive itertools.compress over range(1, bound + 1,
     2), and first_depth is a read-only view of the table (_FirstDepth).
-    Both membership stores take this one route.  The missing count is charged to the tree's node budget:
-    more than max_nodes of them raise CapacityError before the list is
-    made, and before the table when the tree is too small to cover all but
-    max_nodes of the window.
+    The missing count is charged to the tree's node budget: more than
+    max_nodes of them raise CapacityError before the list is made, and
+    before the table when the tree is too small to cover all but max_nodes
+    of the window.
     """
     _require_box(bound=bound)
     if tree.config.value_bound is not None and bound > tree.config.value_bound:

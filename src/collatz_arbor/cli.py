@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Sequence
 from . import defaults
 from .errors import (
     CapacityError,
-    DuplicateVertexError,
     InconsistencyError,
     MissingVertexError,
     NonEdgeError,
@@ -61,9 +60,9 @@ def _default_max_nodes() -> int:
 
 
 _MAX_NODES_HELP = (f"node budget (default {defaults.DEFAULT_MAX_NODES}, or ${MAX_NODES_ENV}): "
-                   f"4 B a node (about 50 MB) when the bound is below both 2^32 and 16 times "
-                   f"the budget (8 B below 2^64); otherwise about 40 B a charged node (about "
-                   f"400 MB), with set members and values past 2^60 charged more")
+                   f"4 B a node (about 40 MB) when the bound is below 2^32 (8 B below 2^64); "
+                   f"otherwise about 40 B a charged node (about 400 MB), with values past "
+                   f"2^60 charged more")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +311,7 @@ def _main(argv: Sequence[str] | None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (DuplicateVertexError, InconsistencyError) as exc:
+    except InconsistencyError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, TypeError, MissingVertexError, NonEdgeError, OSError) as exc:

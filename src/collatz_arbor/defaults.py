@@ -10,7 +10,7 @@ re-export each name here under the same name.
 DEFAULT_MAX_STEPS = 10_000
 
 # arbor: the node budget (a budget node stands for about 40 B, so about
-# 400 MB; a bitmap box below 2^32 stores a node in 4 B) and the export formats.
+# 400 MB; a box bounded below 2^32 stores a node in 4 B) and the export formats.
 DEFAULT_MAX_NODES = 10_000_000
 EXPORT_FORMATS = ("jsonl", "dot", "csv")
 

@@ -16,24 +16,6 @@ class InconsistencyError(CollatzArborError):
     """
 
 
-class DuplicateVertexError(CollatzArborError):
-    """The same value was produced twice in a built tree's levels.
-
-    Raised where the tree's membership store is first made, instead of
-    merging: a silent merge would mask the uniqueness property the tree is
-    meant to witness.
-    """
-
-    def __init__(self, value: int, first_parent: int, second_parent: int):
-        self.value = value
-        self.first_parent = first_parent
-        self.second_parent = second_parent
-        super().__init__(
-            f"vertex {value} produced twice: by parent {first_parent} "
-            f"and again by parent {second_parent}"
-        )
-
-
 class CapacityError(CollatzArborError):
     """Node budget exceeded during tree construction."""
 

@@ -341,8 +341,10 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     are counted rather than aborting on first repeat.  The parents are
     stored values, odd and not multiples of 3, so the raw kernel takes them.
     The derived children must be the values of the stored levels but the
-    root's, and the membership store must hold those and the root alone.
-    A tree of the root alone is refused: it would pass with no case.
+    root's.  A kernel that repeats a value fails here or in
+    check_parent_pointers, whose run order finds a repeat that leaves the
+    two sets equal.  A tree of the root alone is refused: it would pass
+    with no case.
     """
     from .arbor import ROOT
 
@@ -369,10 +371,6 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
         off = sorted(counts.keys() ^ stored)
         return run.report({"value": off[0],
                            "reason": "derived child set differs from stored nodes"})
-    stored.add(ROOT)  # the store must hold the root and the level values, nothing else
-    if len(tree.members) != len(stored) or not tree.members.issuperset(stored):
-        return run.report({"value": min(stored.symmetric_difference(tree.members), default=None),
-                           "reason": "membership store differs from stored levels"})
     return run.report()
 
 
@@ -385,13 +383,16 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
     must be the value.  Then the value must be the next index of its
     parent's run: each level is its parents' runs n = 1, 2, ... (2, 3, ...
     under the root), in the order of those parents in the level above, as
-    the exporters read it.  A tree of the root alone is refused: it would
-    pass with no case.
+    the exporters read it.  The run order is looked up first: a value in
+    order has its parent in the level above, so only a value out of order
+    has its parent's membership derived (`parent in tree`), and its faults
+    are reported in the order above.  A tree of the root alone is refused:
+    it would pass with no case.
     """
     from . import arbor  # read at each run, so a patched _link is the one checked
 
     _require_depth(tree, 1)
-    link, members = arbor._link, tree.members
+    link = arbor._link
     run = _Run("parent_pointers", {"nodes": len(tree)})
     # `parent in above` walks the level above, so each run's parent must follow the last run's
     for above, level in zip(map(iter, tree.levels), tree.levels[1:]):
@@ -399,7 +400,9 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
         for value in level:
             run.cases += 1
             parent, n = link(value)
-            if parent not in members:
+            in_order = (parent == run_parent and n == last + 1
+                        or n == (2 if parent == arbor.ROOT else 1) and parent in above)
+            if not in_order and parent not in tree:
                 return run.report({"value": value, "parent": parent,
                                    "reason": "parent not stored"})
             if parent % 3 == 0:
@@ -407,8 +410,7 @@ def check_parent_pointers(tree: TruncatedArborescence) -> VerificationReport:
                                    "reason": f"{parent} is a leaf and has no outgoing edges"})
             if _branch(parent, n) != value:
                 return run.report({"value": value, "parent": parent, "sibling_index": n})
-            if not (parent == run_parent and n == last + 1
-                    or n == (2 if parent == arbor.ROOT else 1) and parent in above):
+            if not in_order:
                 return run.report({"value": value, "parent": parent, "sibling_index": n,
                                    "reason": "not next in its parent's run below the level above"})
             run_parent, last = parent, n
@@ -601,7 +603,6 @@ def run_suite(name: str, *,
         from .arbor import TruncationConfig, build
 
         tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
-        tree.members  # made now, so a repeated value raises before any suite runs
         if "covering" in wanted:
             _require_depth(tree, 3)
 

@@ -28,14 +28,14 @@ PINS = (
     # cap-only boxes over their budget, by node count and by the size of 5,000 long values
     Pin("tree --depth 4 --sibling-cap 6 --max-nodes 300", 3, EMPTY),
     Pin("tree --depth 1 --sibling-cap 5000 --max-nodes 6000", 3, EMPTY),
-    # coverage of a bitmap-store box, and of a set-store box (bound // 16 exceeds the budget)
+    # coverage under the default budget, and under a budget of 10^5 nodes
     Pin("cover --depth 40 --bound 2000000 --report-bound 500000 --output json", 0, "863399f64245f2156c8929930ed8f134d32524b4d75804f0a2ca1095a054c8f8"),
     Pin("cover --depth 14 --bound 2000000 --max-nodes 100000 --report-bound 20001 --output json", 0, "3e0530f26ae416d75d4566346f2e693642fb165c359ea604ee05550fc9dc84e6"),
     # every suite on small boxes; covering, and uniqueness with parent pointers, on c10
     Pin("verify --suite all --parent-bound 2000 --count 16 --max-d 16 --partners 100 --conv-bound 20001 --output json", 0, "ed3ad399dd862dd42acbe3058c6957c04210bdb281e4f44788cf3a4bff7eb092"),
     Pin("verify --suite covering --depth 96 --bound 9038141 --output json", 0, "0b1f8a248163de120f643d503a1d53b37927da2c9f8d6faaf484cc42f670f804", c10=True),
     Pin("verify --suite uniqueness --depth 96 --bound 9038141 --output json", 0, "7442cc709e9b20532dfffc1ffc8514fb6f877603e7f403e0759e9e7534694cf5", c10=True),
-    # the tree checks on a set store (185,358 cases a check); the multiple form's sweep of z_n
+    # the tree checks on a box bounded at 10^12 (185,358 cases a check); the multiple form's sweep of z_n
     Pin("verify --suite uniqueness --depth 8 --bound 1000000000000 --output json", 0, "923401ab519d2507a7b1271a8f7b266103c56845f01e88ab0c2a43b05797bd8a"),
     Pin("verify --suite closed-forms --parent-bound 200 --count 300 --output json", 0, "faeb4a83cfd438da3c95c53d9012659e94e311a0a839752119e05e569e97bf5b"),
     # convergence to 10^6, passed, and failed at start 230631 with 150 steps

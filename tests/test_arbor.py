@@ -9,24 +9,11 @@ import pytest
 from export_reference import reference_export
 
 from collatz_arbor import arbor, inverse
-from collatz_arbor.arbor import (
-    DEFAULT_MAX_NODES,
-    TruncationConfig,
-    build,
-    classify_edge,
-    coverage,
-    export,
-    path_to,
-)
-from collatz_arbor.errors import (
-    CapacityError,
-    DuplicateVertexError,
-    InconsistencyError,
-    MissingVertexError,
-    NonEdgeError,
-)
+from collatz_arbor.arbor import TruncationConfig, build, classify_edge, coverage, export, path_to
+from collatz_arbor.errors import CapacityError, MissingVertexError, NonEdgeError
 from collatz_arbor.forward import f_step, trajectory
 from collatz_arbor.inverse import g_branch
+from collatz_arbor.verify import check_parent_pointers, check_uniqueness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +21,13 @@ GOLDEN = Path(__file__).parent / "golden"
 def _stored(tree):
     """Every stored value but the root, in (depth, level-position) order."""
     return [v for level in tree.levels[1:] for v in level]
+
+
+def _failed(check, tree):
+    """The counterexample and case count of a tree check that must fail on tree."""
+    report = check(tree).as_dict(include_elapsed=False)
+    assert not report["passed"]
+    return report["counterexample"], report["statistics"]["cases"]
 
 
 def _start_run_at(monkeypatch, parent, first, count=None):
@@ -151,11 +145,15 @@ class TestBuild:
 
     def test_duplicate_child_aborts_loudly(self, monkeypatch):
         # cannot happen with the real branch map, so inject a colliding stream:
-        # 21 is already stored under the root
+        # 21 is already stored under the root.  The build stores it again, and
+        # both tree checks fail with a counterexample
         _start_run_at(monkeypatch, 5, 21)
-        with pytest.raises(DuplicateVertexError) as excinfo:
-            build(TruncationConfig(max_depth=2, value_bound=60)).members
-        assert excinfo.value.value == 21
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        assert _failed(check_uniqueness, tree) == (
+            {"value": 3, "reason": "derived child set differs from stored nodes"}, 5)
+        assert _failed(check_parent_pointers, tree) == (
+            {"value": 21, "parent": 1, "sibling_index": 3,
+             "reason": "not next in its parent's run below the level above"}, 3)
 
     @pytest.mark.parametrize("bound,cap", [(60, None), (10**6, None), (None, 9)])
     def test_budget_admits_exactly_max_nodes(self, bound, cap):
@@ -167,41 +165,58 @@ class TestBuild:
                                    max_nodes=nodes - 1))
 
     @pytest.mark.parametrize("config", [
-        TruncationConfig(max_depth=2, value_bound=60),  # bitmap store
-        TruncationConfig(max_depth=2, value_bound=10**4, max_nodes=100),  # set store
+        TruncationConfig(max_depth=2, value_bound=60),
+        TruncationConfig(max_depth=2, value_bound=10**4, max_nodes=100),  # budget far below the bound
         TruncationConfig(max_depth=2, value_bound=10**4, sibling_cap=3),  # cap and bound
-        TruncationConfig(max_depth=2, sibling_cap=3),  # cap only: set store
+        TruncationConfig(max_depth=2, sibling_cap=3),  # cap only
         TruncationConfig(max_depth=2, value_bound=2**70),  # values charged by their digits
     ])
     def test_duplicate_names_both_parents(self, monkeypatch, config):
-        # parent 5's stream starts at 5 itself, stored at depth 1 under the root;
-        # every box grows and replays its levels through the one kernel; the
-        # repeat shows where the store is made, on its first read
+        # parent 5's stream starts at 5 itself, stored at depth 1 under the root.
+        # Every box grows its levels through the one kernel, and its tree checks
+        # name both parents: the repeat 5 out of its first parent 1's run, and
+        # 3, the first child of its second parent 5, which the repeat displaced.
+        # Uniqueness derives every child of the true tree's parents
+        derived = len(build(config)) - 1
         _start_run_at(monkeypatch, 5, 5, config.sibling_cap)
-        with pytest.raises(DuplicateVertexError) as excinfo:
-            build(config).members
-        err = excinfo.value
-        assert (err.value, err.first_parent, err.second_parent) == (5, 1, 5)
+        tree = build(config)
+        assert g_branch(5, 1) == 3
+        assert _failed(check_uniqueness, tree) == (
+            {"value": 3, "reason": "derived child set differs from stored nodes"}, derived)
+        counterexample, _ = _failed(check_parent_pointers, tree)
+        assert counterexample == {"value": 5, "parent": 1, "sibling_index": 2,
+                                  "reason": "not next in its parent's run below the level above"}
 
     def test_duplicate_within_one_level(self, monkeypatch):
-        # parent 21 is a leaf; parent 85's stream starts at 13, which 5 also produces
+        # parent 21 is a leaf; parent 85's stream starts at 13, which 5 also
+        # produces: the second 13 follows 85's run, not 5's
         _start_run_at(monkeypatch, 85, 13)
-        with pytest.raises(DuplicateVertexError) as excinfo:
-            build(TruncationConfig(max_depth=2, value_bound=400)).members
-        err = excinfo.value
-        assert (err.value, err.first_parent, err.second_parent) == (13, 5, 85)
+        tree = build(TruncationConfig(max_depth=2, value_bound=400))
+        assert _failed(check_uniqueness, tree) == (
+            {"value": 113, "reason": "derived child set differs from stored nodes"}, 10)
+        assert _failed(check_parent_pointers, tree) == (
+            {"value": 13, "parent": 5, "sibling_index": 2,
+             "reason": "not next in its parent's run below the level above"}, 9)
 
-    @pytest.mark.parametrize("config,store", [
-        (TruncationConfig(max_depth=3, value_bound=1600, max_nodes=100), "bitmap"),
-        (TruncationConfig(max_depth=3, value_bound=1616, max_nodes=100), "set"),
-        (TruncationConfig(max_depth=3, sibling_cap=2), "set"),
-    ])
-    def test_bitmap_never_outgrows_the_budget(self, config, store):
-        # one bit per odd value while value_bound // 16 <= max_nodes, else a set
-        tree = build(config)
-        assert ("set" if isinstance(tree.members, set) else "bitmap") == store
-        if store == "bitmap":
-            assert len(tree.members.bits) <= config.max_nodes + 1
+    def test_tree_memory_is_flat_in_the_bound(self):
+        # nothing is kept per odd value up to the bound: the same 162-node tree
+        # costs the same bytes, membership and path reads included, whether
+        # its bound is below 16 times the budget (1,600,000) or far above it
+        peaks = set()
+        for bound in (1_529_541, 1_600_000, 1_600_016, 10**9, 2**32 - 1):
+            config = TruncationConfig(max_depth=14, value_bound=bound, sibling_cap=2,
+                                      max_nodes=100_000)
+            tracemalloc.start()
+            try:
+                tree = build(config)
+                stored = _stored(tree)
+                assert all(v in tree for v in stored)
+                assert path_to(tree, stored[-1])[-1] == stored[-1]
+                peaks.add(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(tree) == 162 and max(stored) == 1_529_541
+        assert max(peaks) - min(peaks) <= 1024
 
     def test_capped_run_stops_at_the_budget(self):
         # 20000 capped children of the root would hold ~50 MB of ints.  The
@@ -235,14 +250,10 @@ class TestBuild:
             assert len(tree) == cap  # the root and its children 2..cap
         assert peak <= 48 * max_nodes
 
-    def test_set_charge_refuses_a_level(self, monkeypatch):
-        # a cap-only box keeps a set, whose members past the first 4,096 are
-        # charged two nodes more each: that charge, not the values, is what
-        # the budget cannot pay at depth 6
+    def test_cap_only_box_is_charged_one_node_a_value(self):
+        # values below 2^60 are charged one node each and nothing more: this
+        # cap-only box fills its 6,237 nodes at depth 7
         config = TruncationConfig(max_depth=8, sibling_cap=6, max_nodes=6237)
-        with pytest.raises(CapacityError, match="^node budget 6237 exhausted at depth 6$"):
-            build(config)
-        monkeypatch.setattr(arbor, "_SET_CHARGE", 0)
         with pytest.raises(CapacityError, match="^node budget 6237 exhausted at depth 7$"):
             build(config)
 
@@ -257,8 +268,8 @@ class TestBuild:
 
     def test_store_bytes_per_node(self):
         # the bound list levels met (one int and one list slot a node, ~41 B);
-        # the bitmap adds 1 bit per odd value, and no value -> parent dict is
-        # kept.  The typed levels of this box meet a tighter bound, below.
+        # no value -> parent dict is kept.  The typed levels of this box meet
+        # a tighter bound, below.
         tracemalloc.start()
         try:
             tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
@@ -270,36 +281,35 @@ class TestBuild:
 
     def test_typed_store_bytes_per_node(self):
         # array('I') levels: 4 B a node, plus the two levels the build holds
-        # as lists, and the bitmap its first read makes
+        # as lists; membership and path reads keep nothing
         tracemalloc.start()
         try:
             tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
-            tree.members
+            assert 9 in tree and path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(tree) == 298_358
         assert peak <= 8 * len(tree)
 
-    def test_store_is_made_on_first_read_only(self):
-        # build, export and coverage read the levels and len(tree), never
-        # membership; the first read makes the store once, and later reads
-        # return that same object
-        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
-        for fmt in ("jsonl", "csv", "dot"):
-            export(tree, fmt, io.BytesIO())
-        coverage(tree, 10**4)
-        assert tree._members is None
-        with mock.patch.object(arbor, "_mark", wraps=arbor._mark) as mark:
-            store = tree.members
-            assert 9 in tree and 27 not in tree
-            assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
-            assert tree.members is store
-        assert mark.call_count == 1
+    def test_membership_reads_keep_to_the_budget(self):
+        # a bound far above the budget: `in` and path_to walk the orbit and
+        # keep no store, so the tree and its reads stay within 48 B a budget node
+        config = TruncationConfig(max_depth=6, value_bound=10**9, max_nodes=14_226)
+        tracemalloc.start()
+        try:
+            tree = build(config)
+            value = tree.levels[6][0]
+            assert value in tree and path_to(tree, value)[-1] == value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 7113
+        assert peak <= 48 * config.max_nodes
 
     @pytest.mark.parametrize("config,typecode", [
-        (TruncationConfig(max_depth=3, value_bound=10**6), "I"),  # bitmap store
-        (TruncationConfig(max_depth=2, value_bound=2**32 - 1), "I"),  # set store
+        (TruncationConfig(max_depth=3, value_bound=10**6), "I"),
+        (TruncationConfig(max_depth=2, value_bound=2**32 - 1), "I"),
         (TruncationConfig(max_depth=2, value_bound=2**32), "Q"),
         (TruncationConfig(max_depth=2, value_bound=2**64 - 1), "Q"),
         (TruncationConfig(max_depth=2, value_bound=2**64), None),
@@ -362,9 +372,9 @@ class TestBuild:
 
     @pytest.mark.parametrize("bound", [10**12, 10**60])
     def test_set_store_budget_bounds_bytes(self, bound):
-        # a set member costs its set slot and boxed int on top of its level
-        # slot, and values past 2^60 cost digits: both are charged, so the
-        # budget holds bytes to 48 B a node here too
+        # a bound far above 16 times the budget, with 'Q' levels (10^12) or
+        # exact ints charged by their digits (10^60): the budget holds bytes
+        # to 48 B a node here too
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError):
@@ -375,8 +385,8 @@ class TestBuild:
         assert peak <= 48 * 100_000
 
     @pytest.mark.parametrize("config, per_node", [
-        (TruncationConfig(max_depth=40, value_bound=2 * 10**6, max_nodes=150_000), 20),  # bitmap
-        (TruncationConfig(max_depth=30, value_bound=10**12, max_nodes=1_000), 100),  # set store
+        (TruncationConfig(max_depth=40, value_bound=2 * 10**6, max_nodes=150_000), 20),
+        (TruncationConfig(max_depth=30, value_bound=10**12, max_nodes=1_000), 100),
     ])
     def test_mid_level_overrun_bounds_bytes(self, config, per_node):
         # the budget trips partway through a level of a bounded box; each
@@ -439,40 +449,32 @@ class TestPath:
             path = path_to(small_tree, value)
             assert path == list(reversed(trajectory(value).values))
 
-    def test_unstored_ancestor_is_inconsistent(self):
-        _path_with_unstored_ancestor(DEFAULT_MAX_NODES)
+    def test_path_through_an_ancestor_out_of_the_box_is_missing(self):
+        # 9699 reaches 1 in three steps through 14549, above the bound, and 85
+        # is the root's child of index 4, past the cap: neither is stored
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
+        assert trajectory(9699).values == (9699, 14549, 341, 1)
+        assert 9699 not in tree and 341 in tree
+        with pytest.raises(MissingVertexError):
+            path_to(tree, 9699)
+        capped = build(TruncationConfig(max_depth=6, value_bound=10**4, sibling_cap=3))
+        assert arbor._link(85) == (1, 4)
+        assert 85 not in capped and 21 in capped
+        with pytest.raises(MissingVertexError):
+            path_to(capped, 85)
+        assert path_to(capped, 21) == [1, 21]
 
-    def test_path_longer_than_the_tree_is_inconsistent(self):
-        _path_longer_than_the_tree(DEFAULT_MAX_NODES)
-
-    def test_set_store_reports_both_errors(self):
-        # a budget below 10^4 // 16 nodes keeps the same tree in a set
-        _path_with_unstored_ancestor(600)
-        _path_longer_than_the_tree(600)
-
-
-def _path_with_unstored_ancestor(max_nodes):
-    tree = build(TruncationConfig(max_depth=6, value_bound=10**4, max_nodes=max_nodes))
-    assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
-    if isinstance(tree.members, set):  # drop 17 from the store
-        tree.members.discard(17)
-    else:
-        tree.members.bits[17 >> 4] &= ~(1 << (17 >> 1 & 7))
-    with pytest.raises(InconsistencyError, match="ancestor 17 of stored 9"):
-        path_to(tree, 9)
-    assert path_to(tree, 13) == [1, 5, 13]
-    with pytest.raises(MissingVertexError):
-        path_to(tree, 17)
-    with pytest.raises(MissingVertexError):
-        path_to(tree, 27)
-
-
-def _path_longer_than_the_tree(max_nodes):
-    # a store that claims the whole orbit of 27 (41 steps) in a depth-6 tree
-    tree = build(TruncationConfig(max_depth=6, value_bound=10**4, max_nodes=max_nodes))
-    tree.members.update(trajectory(27).values)
-    with pytest.raises(InconsistencyError, match="does not reach the root in 6 steps"):
-        path_to(tree, 27)
+    def test_path_longer_than_the_tree_is_missing(self):
+        # the orbit of 27 takes 41 steps within the bound, and 49 is a value of
+        # depth 7: a depth-6 tree holds neither
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**4))
+        assert max(trajectory(27).values) < 10**4
+        assert 49 in build(TruncationConfig(max_depth=7, value_bound=10**4)).levels[7]
+        for value in (27, 49):
+            assert value not in tree
+            with pytest.raises(MissingVertexError):
+                path_to(tree, value)
+        assert path_to(tree, 9) == [1, 5, 13, 17, 11, 7, 9]
 
 
 class TestClassifyEdge:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -367,10 +368,18 @@ class TestCheckFailed:
             return [21 if v == 3 else v for v in real(parents, c, table)]
 
         monkeypatch.setattr(arbor, "_children", children)
-        assert self._main(capsys, "verify", "--suite", "uniqueness", "--depth", "2",
-                          "--bound", "60") == (
-            1, "", "counterexample: vertex 21 produced twice: by parent 1 and again by parent 5\n")
-        # tree reads the levels, never membership, so the repeat is not its to find
+        code, out, err = self._main(capsys, "verify", "--suite", "uniqueness", "--depth", "2",
+                                    "--bound", "60")
+        assert (code, err) == (1, "")
+        assert re.sub(r" elapsed=\S+", "", out).splitlines() == [
+            "FAIL uniqueness [max_depth=2 value_bound=60 sibling_cap=None] cases=5",
+            '     counterexample: {"reason": "derived child set differs from stored nodes", '
+            '"value": 3}',
+            "FAIL parent_pointers [nodes=6] cases=3",
+            '     counterexample: {"parent": 1, "reason": "not next in its parent\'s run below '
+            'the level above", "sibling_index": 3, "value": 21}',
+        ]
+        # tree builds and writes the levels; finding the repeat is the tree checks' work
         code, out, err = self._main(capsys, "tree", "--depth", "2", "--bound", "60")
         assert (code, err) == (0, "nodes=6 max_depth=2\n")
         assert out

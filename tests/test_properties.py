@@ -15,7 +15,6 @@ from convergence_reference import reference_check_convergence
 from core_reference import decompose, valuation2
 from coverage_reference import reference_coverage
 from export_reference import reference_export
-from store_reference import reference_store
 from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import (
     DEFAULT_MAX_NODES,
@@ -176,18 +175,18 @@ def _reference_build(config):
 # it, depth 1 holds (4^17 - 1)/3 > 2^32, which an 'I' level cannot hold.
 edge_bounds = st.integers(2**32 - 2**12, 2**32 + 2**12) | st.integers(2**32, 2**33)
 
-# The store is a bitmap while value_bound // 16 <= max_nodes, else a set;
-# small budgets also reach the CapacityError path.
+# Bounds within 16 times the budget and far above it; small budgets also
+# reach the CapacityError path.
 budgets = st.just(DEFAULT_MAX_NODES) | st.integers(1, 3000)
 small_boxes = st.one_of(
     st.builds(TruncationConfig, max_depth=st.integers(0, 12),
               value_bound=st.integers(1, 10**5),
               sibling_cap=st.none() | st.integers(1, 8), max_nodes=budgets),
-    # value_bound > 16 * max_nodes: a set store
+    # value_bound > 16 * max_nodes
     st.builds(TruncationConfig, max_depth=st.integers(0, 12),
               value_bound=st.integers(16 * 3001, 10**6),
               sibling_cap=st.none() | st.integers(1, 8), max_nodes=st.integers(1, 3000)),
-    # unbounded values: the cap alone stops each sibling stream (set store)
+    # unbounded values: the cap alone stops each sibling stream
     st.builds(TruncationConfig, max_depth=st.integers(0, 12), sibling_cap=st.integers(1, 3),
               max_nodes=budgets),
     st.builds(TruncationConfig, max_depth=st.integers(0, 3), value_bound=edge_bounds,
@@ -244,30 +243,46 @@ def test_big_bound_build_matches_reference_build(config):
     assert all(arbor._link(v) == link for v, link in links.items())
 
 
-# One box of each store: a bitmap, a set by budget, cap-only, capped and bounded, 2^70-bounded.
-store_boxes = st.one_of(
+# One box of each kind: dense, capped and bounded, cap-only, bounded at 2^70,
+# and depth-unbounded.
+membership_boxes = st.one_of(
     st.builds(TruncationConfig, max_depth=st.integers(0, 12), value_bound=st.integers(1, 10**5)),
-    st.builds(TruncationConfig, max_depth=st.integers(0, 6),
-              value_bound=st.integers(16 * 5001, 10**6), max_nodes=st.just(5000)),
-    st.builds(TruncationConfig, max_depth=st.integers(0, 8), sibling_cap=st.integers(1, 3)),
     st.builds(TruncationConfig, max_depth=st.integers(0, 12), value_bound=st.integers(1, 10**5),
               sibling_cap=st.integers(1, 8)),
+    st.builds(TruncationConfig, max_depth=st.integers(0, 8), sibling_cap=st.integers(1, 3)),
     st.builds(TruncationConfig, max_depth=st.integers(0, 3), value_bound=st.just(2**70)),
+    st.builds(TruncationConfig, value_bound=st.integers(1, 5000)),
 )
 
 
-@given(store_boxes)
+@given(membership_boxes, st.data())
 @settings(max_examples=80, deadline=None)
-def test_store_made_on_first_read_matches_eager_marking(config):
+def test_membership_matches_the_level_values(config, data):
+    # `in` and path_to walk the orbit, and must agree with a set of the levels
     tree = build(config)
-    assert len(tree) == sum(map(len, tree.levels))
-    want = reference_store(tree)
-    got = tree.members
-    if isinstance(want, set):
-        assert type(got) is set and got == want
-    else:
-        assert isinstance(got, arbor._OddBitmap)
-        assert (got.bits, got.count) == want
+    stored = {v for level in tree.levels for v in level}
+    assert len(stored) == len(tree) == sum(map(len, tree.levels))
+    bound = config.value_bound or 0
+    cap = config.sibling_cap
+    probes = {v + d for v in stored for d in (-2, -1, 0, 1, 2)}
+    probes |= set(range(bound + 1, bound + 8))  # just past the bound
+    # one step past the depth, and each run's next index past the cap
+    probes |= {inverse.g_branch(u, n) for u in tree.levels[-1] if u % 3 for n in (1, 2)}
+    probes |= {4 * v + 1 for v in stored if v != 1}
+    if cap is not None:
+        probes.add(inverse.g_branch(1, cap + 1))
+    probes |= set(data.draw(st.lists(st.integers(-10, 4 * bound + 10), max_size=20)))
+    for x in [*probes, True, False, None, "5", 5.5, (1,)]:
+        assert (x in tree) == (x in stored), x
+    for x in probes:
+        if x > 0 and x & 1 and x not in stored:
+            with pytest.raises(MissingVertexError):
+                path_to(tree, x)
+    for v in stored:
+        path = [v]
+        while path[-1] != 1:
+            path.append(f_step(path[-1])[0])
+        assert path_to(tree, v) == path[::-1]
 
 
 # The root, whose run the build stores from index 2, and non-leaf parents up to 2^100.
@@ -400,8 +415,8 @@ def _same_coverage(tree, window):
     assert list(got.first_depth.items()) == sorted(want.first_depth.items())
 
 
-# bitmap stores (value_bound // 16 <= max_nodes), set stores just past that
-# budget, and cap-only set stores; max_depth 0 is the root-only tree
+# bounds within 16 times the budget, bounds just past that, and cap-only
+# boxes; max_depth 0 is the root-only tree
 coverage_boxes = st.one_of(
     st.builds(TruncationConfig, max_depth=st.integers(0, 14), value_bound=st.integers(1, 20000),
               sibling_cap=st.none() | st.integers(1, 8)),
@@ -435,8 +450,6 @@ def test_coverage_matches_reference(config, data):
 ])
 def test_coverage_matches_reference_on_fixed_boxes(config):
     tree = build(config)
-    assert isinstance(tree.members, arbor._OddBitmap) == (
-        config.value_bound is not None and config.value_bound // 16 <= config.max_nodes)
     top = config.value_bound or 20001
     for window in {*range(1, 41), 20001, top}:
         if window <= top:

@@ -8,7 +8,7 @@ import verify_reference
 from verify_reference import CollisionProbe, check_collision_parity
 from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import TruncationConfig, build
-from collatz_arbor.errors import DuplicateVertexError, LeafParentError
+from collatz_arbor.errors import LeafParentError
 from collatz_arbor.forward import f_step
 from collatz_arbor.verify import (
     INITIAL_RESIDUE_TEMPLATES,
@@ -174,39 +174,26 @@ class TestUniqueness:
                                             "sibling_index": link[1]}
         assert report["statistics"]["cases"] == cases
 
-    def test_covering_suite_makes_the_store_right_after_its_build(self, monkeypatch):
-        # the covering checks never read membership: run_suite reads it for them
-        events = []
-        real_build, real_mark, real_sweep = arbor.build, arbor._mark, verify._over_parents
-        monkeypatch.setattr(arbor, "build",
-                            lambda config: events.append("build") or real_build(config))
-        monkeypatch.setattr(arbor, "_mark",
-                            lambda *args: events.append("mark") or real_mark(*args))
-        monkeypatch.setattr(verify, "_over_parents",
-                            lambda *args: events.append("sweep") or real_sweep(*args))
-        templates, patterns = run_suite("covering", parent_bound=10, count=2,
-                                        tree_depth=4, tree_bound=1000)
-        assert templates.passed and patterns.passed
-        assert events == ["build", "mark", "sweep"]
-
-    def test_covering_suite_raises_on_a_repeated_vertex(self, monkeypatch):
+    def test_uniqueness_suite_reports_a_repeated_vertex(self, monkeypatch):
         real = arbor._children
 
         def children(parents, c, table):  # 5's run starts at 21, the root's v_3
             return [21 if v == 3 else v for v in real(parents, c, table)]
 
         monkeypatch.setattr(arbor, "_children", children)
-        with pytest.raises(DuplicateVertexError) as excinfo:
-            run_suite("covering", parent_bound=10, count=2, tree_depth=3, tree_bound=60)
-        err = excinfo.value
-        assert (err.value, err.first_parent, err.second_parent) == (21, 1, 5)
+        uniqueness, pointers = (report.as_dict(include_elapsed=False) for report in
+                                run_suite("uniqueness", tree_depth=3, tree_bound=60))
+        assert (uniqueness["counterexample"], uniqueness["statistics"]["cases"]) == (
+            {"value": 3, "reason": "derived child set differs from stored nodes"}, 7)
+        assert (pointers["counterexample"], pointers["statistics"]["cases"]) == (
+            {"value": 21, "parent": 1, "sibling_index": 3,
+             "reason": "not next in its parent's run below the level above"}, 3)
 
     @pytest.fixture
     def stray_tree(self):
         """The (2, 60) tree with 7 stored at depth 2, whose parent f(7) = 11 is not stored."""
         tree = build(TruncationConfig(max_depth=2, value_bound=60))
         tree.levels[2].append(7)
-        tree.members.update((7,))
         return tree
 
     def test_parent_pointers_report_a_parent_not_stored(self, stray_tree):
@@ -219,35 +206,6 @@ class TestUniqueness:
         report = check_uniqueness(stray_tree).as_dict(include_elapsed=False)
         assert report["counterexample"] == {
             "value": 7, "reason": "derived child set differs from stored nodes"}
-        assert report["statistics"]["cases"] == 5
-
-    def test_parent_pointers_report_a_level_value_the_store_lacks(self):
-        # 5 stays in level 1 but its bit is cleared: its child 3 is the first
-        # value whose parent is not stored
-        tree = build(TruncationConfig(max_depth=2, value_bound=60))
-        tree.members.bits[5 >> 4] &= ~(1 << (5 >> 1 & 7))
-        tree.members.count -= 1
-        report = check_parent_pointers(tree).as_dict(include_elapsed=False)
-        assert report["counterexample"] == {"value": 3, "parent": 5,
-                                            "reason": "parent not stored"}
-        assert report["statistics"]["cases"] == 3
-
-    def test_uniqueness_reports_a_level_value_the_store_lacks(self):
-        # 53 is a leaf of the deepest level: no parent test reads its bit
-        tree = build(TruncationConfig(max_depth=2, value_bound=60))
-        tree.members.bits[53 >> 4] &= ~(1 << (53 >> 1 & 7))
-        tree.members.count -= 1
-        report = check_uniqueness(tree).as_dict(include_elapsed=False)
-        assert report["counterexample"] == {
-            "value": 53, "reason": "membership store differs from stored levels"}
-        assert report["statistics"]["cases"] == 5
-
-    def test_uniqueness_reports_a_stored_value_no_level_holds(self):
-        tree = build(TruncationConfig(max_depth=2, value_bound=60))
-        tree.members.update((7,))
-        report = check_uniqueness(tree).as_dict(include_elapsed=False)
-        assert report["counterexample"] == {
-            "value": 7, "reason": "membership store differs from stored levels"}
         assert report["statistics"]["cases"] == 5
 
     # Each fault below keeps every value on an edge from a stored non-leaf, and the
