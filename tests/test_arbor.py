@@ -198,6 +198,29 @@ class TestBuild:
             {"value": 13, "parent": 5, "sibling_index": 2,
              "reason": "not next in its parent's run below the level above"}, 9)
 
+    @pytest.mark.parametrize("config,store", [
+        (TruncationConfig(max_depth=3, value_bound=1600, max_nodes=100), "bitmap"),
+        (TruncationConfig(max_depth=3, value_bound=1616, max_nodes=100), "set"),
+        (TruncationConfig(max_depth=3, sibling_cap=2), "set"),
+    ])
+    def test_bitmap_never_outgrows_the_budget(self, config, store):
+        # the boxes where membership was once kept in a bitmap (value_bound //
+        # 16 <= max_nodes) or a set: either way the tree now holds its levels
+        # alone, answers `in` from the orbit, and stays within 48 B a budget node
+        bitmap = config.value_bound is not None and config.value_bound // 16 <= config.max_nodes
+        assert ("bitmap" if bitmap else "set") == store
+        tracemalloc.start()
+        try:
+            tree = build(config)
+            stored = _stored(tree)
+            assert all(v in tree for v in stored) and 27 not in tree
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(tree.__slots__) == {"config", "levels", "_nodes"}
+        assert len(stored) == len(set(stored)) == len(tree) - 1
+        assert peak <= 48 * config.max_nodes
+
     def test_tree_memory_is_flat_in_the_bound(self):
         # nothing is kept per odd value up to the bound: the same 162-node tree
         # costs the same bytes, membership and path reads included, whether
