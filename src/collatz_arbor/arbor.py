@@ -19,6 +19,7 @@ box on its way to 1.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import ItemsView, Iterator, Mapping, Sequence
 from itertools import compress
 from typing import BinaryIO
@@ -161,31 +162,35 @@ class TruncatedArborescence:
         return len(self.levels) - 1
 
 
-def _orbit(tree: TruncatedArborescence, value: int) -> list[int] | None:
-    """The forward orbit of an odd positive value down to 1 while it stays in the tree's box.
+def _steps(tree: TruncatedArborescence, value: int) -> Iterator[int]:
+    """The values of an odd positive value's forward orbit after it, while it stays in the box.
 
-    The tree is grown by g, which inverts f, so a value is stored exactly
-    when its f-walk reaches 1 within tree.max_depth steps, with every value
-    on the way within the bound and every step's sibling index, (e + 1)
-    div 2 for the exponent e of its parent's branch, within the cap.  None
-    when the walk leaves the box.  Each step is f, inlined.
+    The one home of the box rule on an orbit.  The tree is grown by g,
+    which inverts f, so a value is stored exactly when its f-walk reaches 1
+    within tree.max_depth steps, with every value on the way within the
+    bound and every step's sibling index, (e + 1) div 2 for the exponent e
+    of its parent's branch, within the cap.  The walk ends at 1, after
+    tree.max_depth steps, or where a step would leave the box.  Each step
+    is f, inlined.
     """
     bound, cap = tree.config.value_bound, tree.config.sibling_cap
     most = None if cap is None else 2 * cap  # an exponent above 2 cap is an index above cap
-    orbit = [value]
     x = value
     for _ in range(tree.max_depth):
-        if x == ROOT:
-            break
-        if bound is not None and x > bound:
-            return None
+        if x == ROOT or bound is not None and x > bound:
+            return
         t = 3 * x + 1
         e = (t & -t).bit_length() - 1
         if most is not None and e > most:
-            return None
+            return
         x = t >> e
-        orbit.append(x)
-    return orbit if x == ROOT else None
+        yield x
+
+
+def _orbit(tree: TruncatedArborescence, value: int) -> list[int] | None:
+    """The forward orbit of an odd positive value down to 1; None when it leaves the tree's box."""
+    orbit = [value, *_steps(tree, value)]
+    return orbit if orbit[-1] == ROOT else None
 
 
 def build(config: TruncationConfig) -> TruncatedArborescence:
@@ -373,17 +378,22 @@ class CoverageReport(Record):
 def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     """Coverage of the odd values <= bound; the root counts at depth 0.
 
-    One scan of the levels fills a table of 1 + the depth of each odd value
-    in the window (0 where the tree does not hold it), in the narrowest
-    array code that holds 1 + tree.max_depth (_DEPTH_TYPECODES), and counts
-    each level's values in the window.  Everything else is derived from the
-    table: a byte per odd value, nonzero where it is covered, translates to
-    the missing flags that drive itertools.compress over range(1, bound + 1,
-    2), and first_depth is a read-only view of the table (_FirstDepth).
-    The missing count is charged to the tree's node budget: more than
-    max_nodes of them raise CapacityError before the list is made, and
-    before the table when the tree is too small to cover all but max_nodes
-    of the window.
+    A table of 1 + the depth of each odd value in the window (0 where the
+    tree does not hold it), in the narrowest array code that holds
+    1 + tree.max_depth (_DEPTH_TYPECODES), is filled by one of two routes,
+    picked by size.  A narrow window, whose odd values times
+    tree.max_depth are fewer than the tree's nodes, is walked
+    (_walk_depths): no value takes more than max_depth steps, so the walk
+    never steps more often than the scan would read values.  Any other
+    window is filled by one scan of the levels (_scan_depths).  Everything
+    else is derived from the table: the count of each entry gives
+    covered_count and level_sizes; a byte per odd value, nonzero where it
+    is covered, translates to the missing flags that drive
+    itertools.compress over range(1, bound + 1, 2); and first_depth is a
+    read-only view of the table (_FirstDepth).  The missing count is
+    charged to the tree's node budget: more than max_nodes of them raise
+    CapacityError before the list is made, and before the table when the
+    tree is too small to cover all but max_nodes of the window.
     """
     _require_box(bound=bound)
     if tree.config.value_bound is not None and bound > tree.config.value_bound:
@@ -397,25 +407,53 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
         raise CapacityError(refused)
     code = next(code for top, code in _DEPTH_TYPECODES if tree.max_depth + 1 < top)
     table = array(code, (0,)) * odd
-    level_sizes: dict[int, int] = {}
-    for k, level in enumerate(tree.levels):
-        hits = [v for v in level if v <= bound]
-        if hits:
-            level_sizes[k] = len(hits)
-            d = k + 1
-            for v in hits:
-                table[v >> 1] = d
-    covered_count = sum(level_sizes.values())
-    if odd - covered_count > budget:
-        raise CapacityError(refused)
+    fill = _walk_depths if odd * tree.max_depth < len(tree) else _scan_depths
+    fill(tree, table)
     flags = bytes(table) if table.itemsize == 1 else bytes(map(bool, table))  # nonzero: covered
+    # entry 1 + d counts the odd values at depth d, entry 0 the missing ones; a byte
+    # table is its own flags, and bytes.count reads it at C speed
+    counts = (Counter(table) if table.itemsize > 1
+              else {e: n for e in range(tree.max_depth + 2) if (n := flags.count(e))})
+    covered = odd - counts.get(0, 0)
+    if odd - covered > budget:
+        raise CapacityError(refused)
     return CoverageReport(
         bound=bound,
-        covered_count=covered_count,
+        covered_count=covered,
         missing=tuple(compress(range(1, bound + 1, 2), flags.translate(_ABSENT))),
-        first_depth=_FirstDepth(table, covered_count),
-        level_sizes=level_sizes,
+        first_depth=_FirstDepth(table, covered),
+        level_sizes={d - 1: n for d, n in sorted(counts.items()) if d},
     )
+
+
+def _walk_depths(tree: TruncatedArborescence, table: array) -> None:
+    """Fill entry j of table with 1 + the depth of 2j + 1 by a memoized forward walk.
+
+    The odd values are walked in ascending order, each only until its orbit
+    drops below it (_steps, which stops where the walk leaves the box): the
+    entry there is already known, and the value is stored when that one is
+    and the two depths together are within tree.max_depth.
+    """
+    top = tree.max_depth + 1  # the largest entry
+    table[0] = 1  # the root
+    for v in range(3, 2 * len(table), 2):
+        for steps, x in enumerate(_steps(tree, v), 1):
+            if x < v:
+                entry = table[x >> 1]
+                if 0 < entry <= top - steps:
+                    table[v >> 1] = entry + steps
+                break
+
+
+def _scan_depths(tree: TruncatedArborescence, table: array) -> None:
+    """Fill entry j of table with 1 + the depth of 2j + 1 by one scan of the levels.
+
+    A value stored twice keeps its deeper entry.
+    """
+    bound = 2 * len(table) - 1
+    for d, level in enumerate(tree.levels, 1):
+        for v in [v for v in level if v <= bound]:
+            table[v >> 1] = d
 
 
 _CHUNK = 4096  # rows per sink write: bounded memory, few write calls

@@ -50,7 +50,10 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _default_max_nodes() -> int:
+def _max_nodes(args: argparse.Namespace) -> int:
+    """The node budget: --max-nodes where the command takes it, else $COLLATZ_ARBOR_MAX_NODES."""
+    if getattr(args, "max_nodes", None) is not None:
+        return args.max_nodes
     raw = os.environ.get(MAX_NODES_ENV)
     if raw is None:
         return defaults.DEFAULT_MAX_NODES
@@ -109,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--conv-bound", type=_decimal, default=defaults.DEFAULT_PARENT_BOUND,
                           help="start bound for the convergence sweep")
     p_verify.add_argument("--max-steps", type=_decimal, default=defaults.DEFAULT_MAX_STEPS)
+    p_verify.add_argument("--max-nodes", type=_decimal, default=None, help=_MAX_NODES_HELP)
     _add_output(p_verify)
 
     p_cover = sub.add_parser("cover", help="coverage of the odd values within a bound")
@@ -163,7 +167,7 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
     family = siblings(args.u, count=args.count, bound=args.bound)
     # the run is priced in closed form, as a tree's chunk is, before any child is grown
     count, extra = _charge((args.u,), *family._box())
-    max_nodes = _default_max_nodes()
+    max_nodes = _max_nodes(args)
     if count + extra > max_nodes:
         raise CapacityError(f"node budget {max_nodes} exhausted: {count} siblings "
                             f"are charged {count + extra} nodes")
@@ -184,12 +188,11 @@ def _cmd_siblings(args: argparse.Namespace) -> int:
 def _tree_config(args: argparse.Namespace) -> TruncationConfig:
     from .arbor import TruncationConfig
 
-    max_nodes = args.max_nodes if args.max_nodes is not None else _default_max_nodes()
     return TruncationConfig(
         max_depth=args.depth,
         value_bound=args.bound,
         sibling_cap=getattr(args, "sibling_cap", None),
-        max_nodes=max_nodes,
+        max_nodes=_max_nodes(args),
     )
 
 
@@ -220,6 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         tree_bound=args.bound,
         convergence_bound=args.conv_bound,
         max_steps=args.max_steps,
+        max_nodes=_max_nodes(args),
     )
     failed = False
     for report in reports:

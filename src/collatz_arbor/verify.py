@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ._record import Record
 from .core import _require_box, w_term, z_term
-from .defaults import (DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS, DEFAULT_PARENT_BOUND,
-                       DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT, DEFAULT_TREE_BOUND,
-                       DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
+from .defaults import (DEFAULT_MAX_NODES, DEFAULT_MAX_OFFSET, DEFAULT_MAX_STEPS,
+                       DEFAULT_PARENT_BOUND, DEFAULT_PARTNERS, DEFAULT_SIBLING_COUNT,
+                       DEFAULT_TREE_BOUND, DEFAULT_TREE_DEPTH, SUITE_ALIASES, SUITE_NAMES)
 from .inverse import _branch, _exponent, _multiple_form, _raw_branch, _require_parent
 
 # arbor (and forward, on the convergence sweep's failure path) are imported
@@ -337,14 +337,23 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     """Re-derive every child of every stored parent and demand distinct values.
 
     Independent of the build: children are recomputed by direct branch
-    evaluation rather than the recurrence the builder uses, and occurrences
-    are counted rather than aborting on first repeat.  The parents are
-    stored values, odd and not multiples of 3, so the raw kernel takes them.
-    The derived children must be the values of the stored levels but the
-    root's.  A kernel that repeats a value fails here or in
+    evaluation rather than the recurrence the builder uses.  The parents
+    are stored values, odd and not multiples of 3, so the raw kernel takes
+    them.  The derived children must be the values of the stored levels
+    but the root's.  A kernel that repeats a value fails here or in
     check_parent_pointers, whose run order finds a repeat that leaves the
     two sets equal.  A tree of the root alone is refused: it would pass
     with no case.
+
+    The check is one ordered walk: each level's expandable parents derive
+    their runs, cut at the bound and the cap, and each child must be the
+    next stored value of the level below.  Each child is marked in a
+    bitmap of one bit per odd value up to the bound while it takes at most
+    max_nodes bytes, and in a set otherwise; fewer marks than children
+    mean a repeat.  A walk that meets a mismatch, a repeat or a value left
+    over counts every child instead (_count_children), which gives the
+    report; a tree whose levels hold the right values out of order passes
+    there.
     """
     from .arbor import ROOT
 
@@ -352,6 +361,47 @@ def check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
     cfg = tree.config
     run = _Run("uniqueness", {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
                               "sibling_cap": cfg.sibling_cap})
+    bound, cap = cfg.value_bound, cfg.sibling_cap
+    bitmap = bound is not None and bound // 16 <= cfg.max_nodes
+    seen: bytearray | set[int] = bytearray(bound // 16 + 1) if bitmap else set()
+    cases = 0
+    # the stored non-leaves above the depth limit, which the build expands, and the level below
+    for above, below in zip(tree.levels[:cfg.max_depth], [*tree.levels[1:], ()]):
+        stored = iter(below)
+        for parent in above:
+            if parent % 3 == 0:
+                continue
+            e = _exponent(parent, 2 if parent == ROOT else 1)
+            last = None if cap is None else _exponent(parent, cap)
+            while last is None or e <= last:
+                child = _raw_branch(parent, e)
+                if bound is not None and child > bound:
+                    break
+                if child != next(stored, None):
+                    return _count_children(tree, run)
+                if bitmap:
+                    seen[child >> 4] |= 1 << (child >> 1 & 7)
+                else:
+                    seen.add(child)
+                cases += 1
+                e += 2
+    distinct = int.from_bytes(seen, "little").bit_count() if bitmap else len(seen)
+    if distinct != cases or cases != sum(map(len, tree.levels[1:])):
+        return _count_children(tree, run)
+    run.cases = cases  # every child derived
+    return run.report()
+
+
+def _count_children(tree: TruncatedArborescence, run: _Run) -> VerificationReport:
+    """check_uniqueness's report from a count of every derived child and a set of stored values.
+
+    Occurrences are counted rather than aborting on first repeat: the
+    smallest repeated child is reported first, then the smallest value in
+    one set and not the other.
+    """
+    from .arbor import ROOT
+
+    cfg = tree.config
     counts: Counter[int] = Counter()
     # the stored non-leaves above the depth limit, which the build expands
     for parent in (v for level in tree.levels[:cfg.max_depth] for v in level if v % 3):
@@ -573,10 +623,13 @@ def run_suite(name: str, *,
               tree_depth: int = DEFAULT_TREE_DEPTH,
               tree_bound: int = DEFAULT_TREE_BOUND,
               convergence_bound: int = DEFAULT_PARENT_BOUND,
-              max_steps: int = DEFAULT_MAX_STEPS) -> list[VerificationReport]:
+              max_steps: int = DEFAULT_MAX_STEPS,
+              max_nodes: int = DEFAULT_MAX_NODES) -> list[VerificationReport]:
     """Run one named suite (or "all") and return its reports in order.
 
-    The tree checks share one tree, built in the (tree_depth, tree_bound) box.
+    The tree checks share one tree, built in the (tree_depth, tree_bound) box
+    under the node budget max_nodes: a build that overruns it raises
+    CapacityError before any check runs.
     """
     name = SUITE_ALIASES.get(name, name)
     if name != "all" and name not in SUITE_NAMES:
@@ -593,7 +646,7 @@ def run_suite(name: str, *,
     if tree_suites:
         # a tree of the root alone would pass the tree checks with cases=0;
         # the root's first child is 5
-        _require_box(tree_depth=tree_depth)
+        _require_box(tree_depth=tree_depth, max_nodes=max_nodes)
         _require_box(5, tree_bound=tree_bound)
     if "partition" in wanted:
         _require_box(7, parent_bound=parent_bound)
@@ -602,7 +655,8 @@ def run_suite(name: str, *,
     if tree_suites:
         from .arbor import TruncationConfig, build
 
-        tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound))
+        tree = build(TruncationConfig(max_depth=tree_depth, value_bound=tree_bound,
+                                      max_nodes=max_nodes))
         if "covering" in wanted:
             _require_depth(tree, 3)
 

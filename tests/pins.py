@@ -28,6 +28,8 @@ PINS = (
     # cap-only boxes over their budget, by node count and by the size of 5,000 long values
     Pin("tree --depth 4 --sibling-cap 6 --max-nodes 300", 3, EMPTY),
     Pin("tree --depth 1 --sibling-cap 5000 --max-nodes 6000", 3, EMPTY),
+    # the tree checks' build over its budget, before any check runs
+    Pin("verify --suite uniqueness --max-nodes 10", 3, EMPTY),
     # coverage under the default budget, and under a budget of 10^5 nodes
     Pin("cover --depth 40 --bound 2000000 --report-bound 500000 --output json", 0, "863399f64245f2156c8929930ed8f134d32524b4d75804f0a2ca1095a054c8f8"),
     Pin("cover --depth 14 --bound 2000000 --max-nodes 100000 --report-bound 20001 --output json", 0, "3e0530f26ae416d75d4566346f2e693642fb165c359ea604ee05550fc9dc84e6"),

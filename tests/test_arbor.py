@@ -394,7 +394,7 @@ class TestBuild:
             build(TruncationConfig(**box, max_nodes=charge - 1))
 
     @pytest.mark.parametrize("bound", [10**12, 10**60])
-    def test_set_store_budget_bounds_bytes(self, bound):
+    def test_budget_bounds_bytes_on_wide_bounds(self, bound):
         # a bound far above 16 times the budget, with 'Q' levels (10^12) or
         # exact ints charged by their digits (10^60): the budget holds bytes
         # to 48 B a node here too
@@ -631,9 +631,9 @@ class TestCoverage:
         with pytest.raises(CapacityError, match="more than 19 missing values"):
             coverage(tree, 49)
 
-    def test_window_far_above_a_small_tree_is_refused_before_its_bitmap(self):
+    def test_window_far_above_a_small_tree_is_refused_before_its_table(self):
         # a cap-only tree of 3 nodes, and a window of 5e17 odd values whose
-        # bitmap alone would take 62 PB
+        # depth table alone would take 500 PB
         tree = build(TruncationConfig(max_depth=1, sibling_cap=3, max_nodes=1000))
         tracemalloc.start()
         try:
@@ -643,6 +643,28 @@ class TestCoverage:
         finally:
             tracemalloc.stop()
         assert peak < 10_000
+
+    @pytest.mark.parametrize("window, route", [(21, "walk"), (10**4, "scan")])
+    def test_route_is_picked_by_size(self, deep_tree, window, route):
+        # 11 odd values times depth 6 are fewer than the tree's 1,060 nodes; 5,000 are not
+        other = "_scan_depths" if route == "walk" else "_walk_depths"
+        with mock.patch.object(arbor, other, side_effect=AssertionError(f"{other} ran")):
+            report = coverage(deep_tree, window)
+        assert report.covered_count + len(report.missing) == (window + 1) // 2
+
+    def test_repeated_value_is_counted_once(self):
+        # 21, stored at depth 1, appended by hand to depth 2 as well: the scan keeps its
+        # deeper entry, and every count comes from the table, so the counts still partition
+        # the 13 odd values up to 25; the walk reads no level and finds 21 at depth 1
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.levels[2].append(21)
+        report = coverage(tree, 25)
+        assert (report.covered_count, len(report.missing)) == (5, 8)
+        assert (report.level_sizes, report.first_depth[21]) == ({0: 1, 1: 1, 2: 3}, 2)
+        with mock.patch.object(arbor, "_scan_depths", arbor._walk_depths):
+            walked = coverage(tree, 25)
+        assert (walked.covered_count, len(walked.missing)) == (5, 8)
+        assert (walked.level_sizes, walked.first_depth[21]) == ({0: 1, 1: 2, 2: 2}, 1)
 
     @pytest.mark.parametrize("codes", [1, 2, 3])
     def test_wider_tables_give_the_same_report(self, deep_tree, codes):

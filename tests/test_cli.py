@@ -295,6 +295,36 @@ class TestVerify:
         result = run_cli("verify", "--suite", "bogus")
         assert result.returncode == 2
 
+    def test_budget_exceeded_exit_code(self):
+        # the depth-6, 10^6 tree holds 1,060 nodes; it is built before any report is written
+        result = run_cli("verify", "--suite", "uniqueness", "--max-nodes", "10")
+        assert result.returncode == 3
+        assert result.stderr == "error: node budget 10 exhausted at depth 2\n"
+        assert result.stdout == ""
+        assert run_cli("verify", "--suite", "uniqueness", "--max-nodes", "1060").returncode == 0
+
+    def test_env_var_budget(self):
+        env = dict(os.environ, COLLATZ_ARBOR_MAX_NODES="10")
+        result = run_cli("verify", "--suite", "uniqueness", env=env)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        # --max-nodes outranks the override
+        result = run_cli("verify", "--suite", "uniqueness", "--max-nodes", "1060", env=env)
+        assert result.returncode == 0
+        assert result.stdout.startswith("PASS uniqueness")
+
+    def test_uniqueness_peak_rss(self):
+        # the depth-40, 2*10^6 tree (298,358 nodes): counting every child in a Counter
+        # beside a set of every stored value peaked at 58.7 MB, the ordered walk at 17.1 MB
+        probe = ("import resource, subprocess, sys; subprocess.run([sys.executable, '-m', "
+                 "'collatz_arbor.cli', 'verify', '--suite', 'uniqueness', '--depth', '40', "
+                 "'--bound', '2000000', '--output', 'json'], stdout=subprocess.DEVNULL, "
+                 "check=True); print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr[-500:]
+        peak_kib = int(result.stdout) // (1024 if sys.platform == "darwin" else 1)  # bytes there
+        assert peak_kib < 30 * 1024
+
 
 # every check run_suite can start, the per-parent driver and the collision
 # loop included; none may start when a box is bad
@@ -331,6 +361,7 @@ class TestVerifyBoxes:
         (("--suite", "uniqueness", "--bound", "4"), "tree_bound must be >= 5, got 4"),
         (("--suite", "covering", "--depth", "0"), "tree_depth must be >= 1, got 0"),
         (("--suite", "all", "--bound", "3"), "tree_bound must be >= 5, got 3"),
+        (("--suite", "uniqueness", "--max-nodes", "0"), "max_nodes must be >= 1, got 0"),
     ])
     def test_bad_box_stops_before_any_sweep(self, monkeypatch, capsys, args, message):
         for name in SWEEPS:

@@ -441,6 +441,27 @@ def test_coverage_matches_reference(config, data):
         _same_coverage(tree, window)
 
 
+# the coverage routes, each forced in turn: every box above, and depth-unbounded ones
+route_boxes = coverage_boxes | st.builds(TruncationConfig, value_bound=st.integers(1, 3000),
+                                         sibling_cap=st.none() | st.integers(1, 8))
+
+
+@pytest.mark.parametrize("route", ["walk", "scan"])
+@given(route_boxes, st.data())
+@settings(max_examples=60, deadline=None)
+def test_coverage_routes_match_reference(route, config, data):
+    try:
+        tree = build(config)
+    except CapacityError:
+        return
+    top = config.value_bound or 4000
+    windows = {top, *data.draw(st.lists(st.integers(1, top), max_size=3))}
+    other = "_scan_depths" if route == "walk" else "_walk_depths"
+    with mock.patch.object(arbor, other, getattr(arbor, f"_{route}_depths")):
+        for window in windows:
+            _same_coverage(tree, window)
+
+
 @pytest.mark.parametrize("config", [
     TruncationConfig(max_depth=0, value_bound=1),
     TruncationConfig(max_depth=0, value_bound=17),
@@ -602,3 +623,48 @@ def test_first_child_sweeps_match_reference_under_a_wrong_first_child(parent_bou
     u = data.draw(st.sampled_from(list(verify._parents_up_to(parent_bound))))
     with _corrupt_branch(u, 2 if u % 3 == 1 else 1, lambda v: v + delta):
         _first_child_outcomes(parent_bound)
+
+
+# check_uniqueness on built trees and on trees with one fault in their levels, in boxes
+# whose seen children go to a bitmap (bound // 16 <= max_nodes), to a set, or, cap-only, to a set
+uniqueness_boxes = st.one_of(
+    st.builds(TruncationConfig, max_depth=st.integers(1, 10), value_bound=st.integers(5, 10**5),
+              sibling_cap=st.none() | st.integers(1, 6)),
+    st.integers(16 * 200, 10**6).flatmap(lambda b: st.builds(
+        TruncationConfig, max_depth=st.integers(1, 8), value_bound=st.just(b),
+        sibling_cap=st.none() | st.integers(1, 6), max_nodes=st.just(b // 16 - 1))),
+    st.builds(TruncationConfig, max_depth=st.integers(1, 5), sibling_cap=st.integers(1, 3)),
+)
+FAULTS = ("none", "repeat", "reorder", "move", "drop")
+
+
+@given(uniqueness_boxes, st.sampled_from(FAULTS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_uniqueness_walk_matches_reference(config, fault, data):
+    try:
+        tree = build(config)
+    except CapacityError:
+        return
+    if tree.max_depth < 1:
+        return
+    levels = tree.levels
+    k = data.draw(st.integers(1, tree.max_depth))
+    i = data.draw(st.integers(0, len(levels[k]) - 1))
+    if fault == "repeat":  # a value of any level stored again at depth k
+        j = data.draw(st.integers(1, tree.max_depth))
+        levels[k].insert(i, levels[j][data.draw(st.integers(0, len(levels[j]) - 1))])
+    elif fault == "reorder":  # two values of level k swapped
+        h = data.draw(st.integers(0, len(levels[k]) - 1))
+        levels[k][h], levels[k][i] = levels[k][i], levels[k][h]
+    elif fault == "move":  # a value of level k stored at another depth
+        j = data.draw(st.integers(1, tree.max_depth + 1))
+        value = levels[k].pop(i)
+        if j > tree.max_depth:
+            levels.append(levels[k][:0])  # a new, empty level of the same type
+        levels[j].insert(data.draw(st.integers(0, len(levels[j]))), value)
+    elif fault == "drop":
+        del levels[k][i]
+    got = verify.check_uniqueness(tree).as_dict(include_elapsed=False)
+    assert got == reference.reference_check_uniqueness(tree).as_dict(include_elapsed=False)
+    if fault == "none":
+        assert got["passed"]

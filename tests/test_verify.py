@@ -8,7 +8,7 @@ import verify_reference
 from verify_reference import CollisionProbe, check_collision_parity
 from collatz_arbor import arbor, inverse, verify
 from collatz_arbor.arbor import TruncationConfig, build
-from collatz_arbor.errors import LeafParentError
+from collatz_arbor.errors import CapacityError, LeafParentError
 from collatz_arbor.forward import f_step
 from collatz_arbor.verify import (
     INITIAL_RESIDUE_TEMPLATES,
@@ -421,6 +421,19 @@ class TestSweepsAndSuites:
         assert len(reports) == 1
         assert reports[0].check_name == "residue_cycle"
 
+    @pytest.mark.parametrize("suite", ["uniqueness", "covering", "all"])
+    def test_tree_build_keeps_to_max_nodes(self, monkeypatch, suite):
+        # the default tree box holds 1,060 nodes; one fewer is refused before any check runs
+        for name in ("_over_parents", "check_uniqueness", "check_covering"):
+            monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("a check ran"))
+        with pytest.raises(CapacityError, match="^node budget 1059 exhausted at depth 6$"):
+            run_suite(suite, parent_bound=100, count=4, max_nodes=1059)
+
+    def test_tree_suites_run_under_max_nodes(self):
+        reports = run_suite("uniqueness", max_nodes=1060)
+        assert [r.statistics["cases"] for r in reports] == [1059, 1059]
+        assert all(r.passed for r in reports)
+
     def test_all_reports_pass_on_small_boxes(self):
         # the tree checks run on the default box, the tree_k6 fixture's
         reports = run_suite("all", parent_bound=500, count=12, max_d=12,
@@ -449,6 +462,7 @@ class TestEmptyBoxes:
         ("check_residue_cycle", (5, 0), "count must be >= 1, got 0"),
         ("check_closed_forms", (5, 0), "count must be >= 1, got 0"),
         ("check_multiples", (5, 0), "count must be >= 1, got 0"),
+        ("uniqueness", {"max_nodes": 0}, "max_nodes must be >= 1, got 0"),
     ])
     def test_empty_box_is_rejected(self, check, args, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -473,6 +487,15 @@ def _same_failed_report(got, want):
 def _branch(u, n):
     """v_n of u straight from the definition, independent of the package."""
     return ((1 << (2 * n if u % 3 == 1 else 2 * n - 1)) * u - 1) // 3
+
+
+def _children_up_to(u, bound, n):
+    """u's children from index n up to bound, each through the raw branch kernel as patched."""
+    children = []
+    while (child := verify._raw_branch(u, inverse._exponent(u, n))) <= bound:
+        children.append(child)
+        n += 1
+    return children
 
 
 class TestSweepFaults:
@@ -646,12 +669,31 @@ class TestSweepFaults:
     def test_tree_checks(self, corrupt_branch, tree_k6):
         # v_2 of 5 (exponent 3) read as 15, which 23 also produces at depth 5
         corrupt_branch(5, 3, lambda v: 15)
-        unique = check_uniqueness(tree_k6).as_dict(include_elapsed=False)
+        unique = _same_failed_report(check_uniqueness(tree_k6),
+                                     verify_reference.reference_check_uniqueness(tree_k6))
         assert unique["counterexample"] == {"value": 15, "occurrences": 2}
         assert unique["statistics"]["cases"] == 1059
         links = check_parent_pointers(tree_k6).as_dict(include_elapsed=False)
         assert links["counterexample"] == {"value": 13, "parent": 5, "sibling_index": 2}
         assert links["statistics"]["cases"] == 9 + 2
+
+    @pytest.mark.parametrize("max_nodes", [10**7, 1000], ids=["bitmap", "set"])
+    def test_tree_checks_on_the_faulty_kernel_s_own_tree(self, corrupt_branch, max_nodes):
+        # the same fault, with the levels grown by the faulty kernel itself: each stored
+        # value is the next child the check derives, so only the repeat of 15 is left; the
+        # seen children go to a bitmap while 10^6 // 16 <= max_nodes, else to a set
+        corrupt_branch(5, 3, lambda v: 15)
+        levels = [[1]]
+        for _ in range(6):
+            levels.append([child for u in levels[-1] if u % 3
+                           for child in _children_up_to(u, 10**6, 2 if u == 1 else 1)])
+        config = TruncationConfig(max_depth=6, value_bound=10**6, max_nodes=max_nodes)
+        tree = arbor.TruncatedArborescence(config, levels)
+        assert levels[2][:2] == [3, 15] and 15 in levels[5]
+        unique = _same_failed_report(check_uniqueness(tree),
+                                     verify_reference.reference_check_uniqueness(tree))
+        assert unique["counterexample"] == {"value": 15, "occurrences": 2}
+        assert unique["statistics"]["cases"] == len(tree) - 1
 
     def test_initial_vertex_partition(self, corrupt_branch):
         # the first child of 7 as 12, which is 4 mod 8

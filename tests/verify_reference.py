@@ -31,11 +31,18 @@ it no z_1 now that it is the division alone.  Covering walks the stored levels a
 parent and sibling index through `arbor._link`, looked up at each call, so
 a fault test that patches the link reaches both covering checks.
 
+`reference_check_uniqueness` is `check_uniqueness` as it stood before it
+became one ordered walk over the levels: it counts every derived child in
+a `Counter` and compares the counted values with a set of every stored
+value.  It derives each child through `inverse._branch`, which reads the
+raw branch kernel that a fault test patches.
+
 `_finish`, once verify's report maker and now folded into its report
 driver, makes every oracle's report here and in `convergence_reference`.
 """
 
 import time
+from collections import Counter
 from collections.abc import Iterator
 from itertools import islice
 
@@ -43,7 +50,7 @@ from collatz_arbor import arbor
 from collatz_arbor._record import Record
 from collatz_arbor.arbor import TruncatedArborescence
 from collatz_arbor.core import _require_box, w_term, z_term
-from collatz_arbor.inverse import _raw_branch, _require_parent, g_branch
+from collatz_arbor.inverse import _branch, _raw_branch, _require_parent, g_branch
 from collatz_arbor.verify import (
     DEFAULT_MAX_OFFSET,
     DEFAULT_PARENT_BOUND,
@@ -482,3 +489,39 @@ def reference_adjacent_initials_sweep(parent_bound: int = DEFAULT_PARENT_BOUND) 
                            {"u": u, "v1": v1, "v1_next": v1_next},
                            cases, t0)
     return _finish("adjacent_initials", params, True, None, cases, t0)
+
+
+def reference_check_uniqueness(tree: TruncatedArborescence) -> VerificationReport:
+    """Re-derive every child of every stored parent and demand distinct values.
+
+    Occurrences are counted rather than aborting on first repeat; the
+    smallest repeated child is reported first, then the smallest value
+    derived and not stored, or stored and not derived.
+    """
+    _require_depth(tree, 1)
+    t0 = time.perf_counter()
+    cfg = tree.config
+    params = {"max_depth": cfg.max_depth, "value_bound": cfg.value_bound,
+              "sibling_cap": cfg.sibling_cap}
+    counts: Counter[int] = Counter()
+    # the stored non-leaves above the depth limit, which the build expands
+    for parent in (v for level in tree.levels[:cfg.max_depth] for v in level if v % 3):
+        n = 2 if parent == arbor.ROOT else 1
+        while cfg.sibling_cap is None or n <= cfg.sibling_cap:
+            child = _branch(parent, n)
+            if cfg.value_bound is not None and child > cfg.value_bound:
+                break
+            counts[child] += 1
+            n += 1
+    cases = counts.total()
+    duplicate = min((v for v, c in counts.items() if c > 1), default=None)
+    if duplicate is not None:
+        return _finish("uniqueness", params, False,
+                       {"value": duplicate, "occurrences": counts[duplicate]}, cases, t0)
+    stored = {v for level in tree.levels[1:] for v in level}
+    if counts.keys() != stored:
+        off = sorted(counts.keys() ^ stored)
+        return _finish("uniqueness", params, False,
+                       {"value": off[0], "reason": "derived child set differs from stored nodes"},
+                       cases, t0)
+    return _finish("uniqueness", params, True, None, cases, t0)
