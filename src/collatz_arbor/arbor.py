@@ -385,8 +385,12 @@ def coverage(tree: TruncatedArborescence, bound: int) -> CoverageReport:
     tree.max_depth are fewer than the tree's nodes, is walked
     (_walk_depths): no value takes more than max_depth steps, so the walk
     never steps more often than the scan would read values.  Any other
-    window is filled by one scan of the levels (_scan_depths).  Everything
-    else is derived from the table: the count of each entry gives
+    window is filled by one scan of the levels (_scan_depths).  The two
+    routes agree only on levels made by build: the walk reads no level and
+    gives each value its orbit's depth, while the scan reads the levels as
+    they stand, so a value stored by hand at a depth other than its orbit's
+    reads by route (check_uniqueness and check_parent_pointers fail such
+    levels).  Everything else is derived from the table: the count of each entry gives
     covered_count and level_sizes; a byte per odd value, nonzero where it
     is covered, translates to the missing flags that drive
     itertools.compress over range(1, bound + 1, 2); and first_depth is a

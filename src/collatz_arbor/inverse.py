@@ -98,22 +98,18 @@ def branch_forms(u: int, n: int) -> dict[str, int]:
     "recurrence" (iterate 1 + 4v from v_1), "summation" (partial geometric
     sum added to v_1).
     """
-    r = _require_parent(u)
+    _require_parent(u)
     _require_box(n=n)
-    e = 2 * n if r == 1 else 2 * n - 1
+    e, e1 = _exponent(u, n), _exponent(u, 1)
     transition = ((1 << e) * u - 1) // 3
     multiple = z_term(n) + (1 << e) * (u // 3)
 
-    e1 = 2 if r == 1 else 1
     v1 = ((1 << e1) * u - 1) // 3
     rec = v1
     for _ in range(n - 1):
         rec = 1 + 4 * rec
-    # sum 2^(2i) for i=1..n-1 (class 1) or 2^(2i-1) (class 2)
-    acc = 0
-    for i in range(1, n):
-        acc += 1 << (2 * i if r == 1 else 2 * i - 1)
-    summation = u * acc + v1
+    # the gaps v_{i+1} - v_i = 2^e_i u for i = 1..n-1
+    summation = u * sum(1 << s for s in range(e1, e, 2)) + v1
     return {
         "transition": transition,
         "multiple": multiple,

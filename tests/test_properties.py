@@ -635,7 +635,7 @@ uniqueness_boxes = st.one_of(
         sibling_cap=st.none() | st.integers(1, 6), max_nodes=st.just(b // 16 - 1))),
     st.builds(TruncationConfig, max_depth=st.integers(1, 5), sibling_cap=st.integers(1, 3)),
 )
-FAULTS = ("none", "repeat", "reorder", "move", "drop")
+FAULTS = ("none", "repeat", "reorder", "move", "drop", "thrice", "two-repeats")
 
 
 @given(uniqueness_boxes, st.sampled_from(FAULTS), st.data())
@@ -664,7 +664,32 @@ def test_uniqueness_walk_matches_reference(config, fault, data):
         levels[j].insert(data.draw(st.integers(0, len(levels[j]))), value)
     elif fault == "drop":
         del levels[k][i]
+    elif fault in ("thrice", "two-repeats"):
+        # stored non-leaves on the levels the check expands, whose first child is stored
+        expanded = min(tree.max_depth, config.max_depth - 1)
+        parents = [(j, v) for j in range(1, expanded + 1) for v in levels[j] if v % 3 and (
+            config.value_bound is None or inverse._branch(v, 1) <= config.value_bound)]
+        if fault == "thrice":  # a parent stored again at two other expanded depths
+            depths = range(1, expanded + 1)
+            if not parents or len(depths) < 3:
+                return
+            j, v = data.draw(st.sampled_from(parents))
+            for d in data.draw(st.lists(st.sampled_from([d for d in depths if d != j]),
+                                        min_size=2, max_size=2, unique=True)):
+                levels[d].insert(data.draw(st.integers(0, len(levels[d]))), v)
+            repeat = {"value": inverse._branch(v, 1), "occurrences": 3}
+        else:  # two parents stored again after the deepest expanded level's values: each
+            # copy's children repeat there, the larger first child's met first
+            if len(parents) < 2:
+                return
+            pair = [v for _, v in data.draw(st.lists(st.sampled_from(parents), min_size=2,
+                                                     max_size=2, unique=True))]
+            pair.sort(key=lambda v: inverse._branch(v, 1), reverse=True)
+            levels[expanded].extend(pair)
+            repeat = {"value": inverse._branch(pair[1], 1), "occurrences": 2}
     got = verify.check_uniqueness(tree).as_dict(include_elapsed=False)
     assert got == reference.reference_check_uniqueness(tree).as_dict(include_elapsed=False)
     if fault == "none":
         assert got["passed"]
+    elif fault in ("thrice", "two-repeats"):
+        assert got["counterexample"] == repeat

@@ -1,5 +1,6 @@
 import array as array_module
 import json
+import tracemalloc
 
 import pytest
 
@@ -207,6 +208,53 @@ class TestUniqueness:
         assert report["counterexample"] == {
             "value": 7, "reason": "derived child set differs from stored nodes"}
         assert report["statistics"]["cases"] == 5
+
+    @pytest.mark.parametrize("value", [8, 61, 1001, 0],
+                             ids=["even", "past-the-bound", "past-the-bits", "zero"])
+    def test_uniqueness_reports_a_stored_value_its_bits_cannot_hold(self, value):
+        # the (2, 60) tree marks its children in 4 bytes, one bit per odd value up to 63;
+        # a stored value outside them is marked in a set, and still reported
+        tree = build(TruncationConfig(max_depth=2, value_bound=60))
+        tree.levels[2].append(value)
+        report = _same_failed_report(check_uniqueness(tree),
+                                     verify_reference.reference_check_uniqueness(tree))
+        assert report["counterexample"] == {
+            "value": value, "reason": "derived child set differs from stored nodes"}
+
+    @pytest.mark.parametrize("max_nodes", [10**7, 10**4], ids=["bitmap", "set"])
+    def test_uniqueness_reports_the_smallest_repeat_and_its_count(self, max_nodes):
+        # 5, stored at depth 1, again at depths 2 and 3: each of its children is derived
+        # three times, the first, 3, the smallest
+        config = TruncationConfig(max_depth=6, value_bound=10**6, max_nodes=max_nodes)
+        tree = build(config)
+        tree.levels[2].insert(0, 5)
+        tree.levels[3].append(5)
+        report = _same_failed_report(check_uniqueness(tree),
+                                     verify_reference.reference_check_uniqueness(tree))
+        assert report["counterexample"] == {"value": 3, "occurrences": 3}
+        # 85 and 5, both at depth 1, again after the values of depth 5: 85's children
+        # (113, ...) repeat first, then 5's, whose 3 is the smaller
+        tree = build(config)
+        tree.levels[5].extend([85, 5])
+        report = _same_failed_report(check_uniqueness(tree),
+                                     verify_reference.reference_check_uniqueness(tree))
+        assert report["counterexample"] == {"value": 3, "occurrences": 2}
+
+    def test_failed_uniqueness_holds_only_its_marks(self):
+        # 7 stored at depth 2 of the (40, 2 * 10^6) tree: its first child 9 is derived
+        # there and at depth 6.  The one pass reports it holding its 125,001-byte bitmap
+        # and no count of every child
+        tree = build(TruncationConfig(max_depth=40, value_bound=2 * 10**6))
+        tree.levels[2].append(7)
+        tracemalloc.start()
+        try:
+            report = check_uniqueness(tree).as_dict(include_elapsed=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report["counterexample"], report["statistics"]["cases"]) == (
+            {"value": 9, "occurrences": 2}, 298_366)
+        assert peak < 1_000_000
 
     # Each fault below keeps every value on an edge from a stored non-leaf, and the
     # stored set whole, so uniqueness passes; only the run order breaks.
@@ -694,6 +742,20 @@ class TestSweepFaults:
                                      verify_reference.reference_check_uniqueness(tree))
         assert unique["counterexample"] == {"value": 15, "occurrences": 2}
         assert unique["statistics"]["cases"] == len(tree) - 1
+
+    @pytest.mark.parametrize("max_nodes", [10**7, 10**4], ids=["bitmap", "set"])
+    @pytest.mark.parametrize("child", [14, -15], ids=["even", "negative"])
+    def test_uniqueness_under_a_child_its_bits_cannot_hold(self, corrupt_branch, max_nodes,
+                                                           child):
+        # v_2 of 5 read as an even or a negative value, which no bit of the odd values up
+        # to the bound stands for (14 would share 15's, the child of 23 at depth 5): the
+        # report is the smaller of 13, stored and not derived, and that child
+        corrupt_branch(5, 3, lambda v: child)
+        tree = build(TruncationConfig(max_depth=6, value_bound=10**6, max_nodes=max_nodes))
+        unique = _same_failed_report(check_uniqueness(tree),
+                                     verify_reference.reference_check_uniqueness(tree))
+        assert unique["counterexample"] == {
+            "value": min(13, child), "reason": "derived child set differs from stored nodes"}
 
     def test_initial_vertex_partition(self, corrupt_branch):
         # the first child of 7 as 12, which is 4 mod 8
